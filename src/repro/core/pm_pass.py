@@ -9,11 +9,15 @@ and the controller generator turns the gating information into conditional
 register-load enables.
 
 Implementation note: the paper commits tightened ASAP/ALAP values per
-selected MUX (steps 4-8).  We instead keep the tentative control edges of
-every selected MUX in the working graph and recompute ASAP/ALAP globally —
-the recomputed values equal the paper's committed ones, constraints
-accumulate across MUXes identically, and reverting a rejected MUX is just
-removing its edges.
+selected MUX (steps 4-8).  We keep the tentative control edges of every
+selected MUX in the working graph, together with the working graph's
+feasible ASAP/ALAP frame.  Every edge a MUX adds leaves its select driver,
+so the slack test of steps 6-7 reads two frame values per edge
+(:func:`~repro.sched.timing.edges_fit`) instead of re-timing the graph; a
+commit updates the frame incrementally (:func:`~repro.sched.timing.retime`)
+to exactly the values a global recomputation gives, so constraints
+accumulate across MUXes as in the paper, and reverting a rejected MUX is
+just removing its edges.
 
 Two opt-in generalizations beyond the Figure-3 pseudo-code:
 
@@ -38,7 +42,12 @@ from repro.core.cones import MuxCones, compute_cones
 from repro.core.ordering import order_muxes
 from repro.ir.graph import CDFG, CDFGError
 from repro.sched.resources import UNIT_COST, Allocation
-from repro.sched.timing import critical_path_length, try_timing
+from repro.sched.timing import (
+    TimingFrame,
+    critical_path_length,
+    edges_fit,
+    retime,
+)
 
 # Rejection reasons recorded on MuxDecision.
 REASON_SELECTED = "selected"
@@ -138,21 +147,36 @@ class PMOptions:
     partial: bool = False
 
 
-def _feasible(work: CDFG, n_steps: int, options: PMOptions) -> bool:
-    """Slack feasibility, plus resource feasibility when requested."""
-    if try_timing(work, n_steps) is None:
-        return False
-    if options.allocation is not None:
-        from repro.sched.list_scheduler import (
-            ListSchedulingFailure,
-            list_schedule,
-        )
-        from repro.sched.timing import InfeasibleScheduleError
-        try:
-            list_schedule(work, n_steps, options.allocation)
-        except (ListSchedulingFailure, InfeasibleScheduleError):
+class _SlackProbe:
+    """The working graph plus its feasible timing frame, kept current as
+    MUXes commit control edges."""
+
+    def __init__(self, work: CDFG, n_steps: int, options: PMOptions) -> None:
+        self.work = work
+        self.n_steps = n_steps
+        self.options = options
+        self.frame = TimingFrame.compute(work, n_steps)
+
+    def feasible(self, driver: int, added: list[int]) -> bool:
+        """Slack feasibility of the edges ``driver -> added`` just put into
+        the working graph, plus resource feasibility when requested."""
+        if not edges_fit(self.frame, self.work, driver, added):
             return False
-    return True
+        if self.options.allocation is not None:
+            from repro.sched.list_scheduler import (
+                ListSchedulingFailure,
+                list_schedule,
+            )
+            from repro.sched.timing import InfeasibleScheduleError
+            try:
+                list_schedule(self.work, self.n_steps,
+                              self.options.allocation)
+            except (ListSchedulingFailure, InfeasibleScheduleError):
+                return False
+        return True
+
+    def commit(self, driver: int, added: list[int]) -> None:
+        self.frame = retime(self.frame, self.work, driver, added)
 
 
 def apply_power_management(
@@ -180,6 +204,7 @@ def apply_power_management(
 
     order = order_muxes(work, options.ordering, options.given_order)
     gating: dict[int, list[tuple[int, int]]] = {}
+    probe = _SlackProbe(work, n_steps, options)
 
     for mux_id in order:
         if (options.max_muxes is not None
@@ -197,11 +222,10 @@ def apply_power_management(
                 cones=cones))
             continue
 
-        decision = _try_full_selection(work, n_steps, options, mux_id, cones)
+        decision = _try_full_selection(probe, mux_id, cones)
         if not decision.selected and options.partial \
                 and decision.reason == REASON_NO_SLACK:
-            decision = _try_partial_selection(work, n_steps, options,
-                                              mux_id, cones)
+            decision = _try_partial_selection(probe, mux_id, cones)
         result.decisions.append(decision)
         if decision.selected:
             for side in (0, 1):
@@ -213,11 +237,13 @@ def apply_power_management(
     return result
 
 
-def _try_full_selection(work: CDFG, n_steps: int, options: PMOptions,
-                        mux_id: int, cones: MuxCones) -> MuxDecision:
+def _try_full_selection(probe: _SlackProbe, mux_id: int,
+                        cones: MuxCones) -> MuxDecision:
     """Paper steps 4-8: re-time the whole cone or revert."""
+    work = probe.work
     driver = work.node(mux_id).select_operand
-    edges: list[tuple[int, int]] = []
+    existing = work.control_succs(driver)
+    added: list[int] = []
     reason = REASON_SELECTED
     feasible = True
     try:
@@ -225,29 +251,31 @@ def _try_full_selection(work: CDFG, n_steps: int, options: PMOptions,
             for top in sorted(cones.top_nodes(work, side)):
                 # add_control_edge refuses self-edges and cycles, which
                 # surfaces as CDFGError and rejects this MUX.
-                if top not in work.control_succs(driver):
+                if top not in existing:
                     work.add_control_edge(driver, top)
-                    edges.append((driver, top))
+                    added.append(top)
     except CDFGError:
         feasible = False
         reason = REASON_CYCLE
 
-    if feasible and not _feasible(work, n_steps, options):
+    if feasible and not probe.feasible(driver, added):
         feasible = False
         reason = REASON_NO_SLACK
 
+    edges = [(driver, top) for top in added]
     if not feasible:
         for src, dst in edges:
             work.remove_control_edge(src, dst)
         return MuxDecision(mux=mux_id, selected=False, reason=reason,
                            cones=cones)
+    probe.commit(driver, added)
     return MuxDecision(
         mux=mux_id, selected=True, reason=REASON_SELECTED, cones=cones,
         added_edges=tuple(edges), gated=cones.all_shutdown_ops(work))
 
 
-def _try_partial_selection(work: CDFG, n_steps: int, options: PMOptions,
-                           mux_id: int, cones: MuxCones) -> MuxDecision:
+def _try_partial_selection(probe: _SlackProbe, mux_id: int,
+                           cones: MuxCones) -> MuxDecision:
     """§II-B fallback: gate the individually re-timable cone subset.
 
     Greedy by power weight (most expensive units first), so under a tight
@@ -255,6 +283,7 @@ def _try_partial_selection(work: CDFG, n_steps: int, options: PMOptions,
     a direct control edge from the select driver; infeasible candidates
     are reverted independently.
     """
+    work = probe.work
     driver = work.node(mux_id).select_operand
     candidates = sorted(
         cones.all_shutdown_ops(work),
@@ -269,10 +298,12 @@ def _try_partial_selection(work: CDFG, n_steps: int, options: PMOptions,
                 work.add_control_edge(driver, nid)
         except CDFGError:
             continue
-        if _feasible(work, n_steps, options):
+        added = [] if pre_existing else [nid]
+        if probe.feasible(driver, added):
             gated.add(nid)
             if not pre_existing:
                 edges.append((driver, nid))
+                probe.commit(driver, added)
         elif not pre_existing:
             work.remove_control_edge(driver, nid)
 

@@ -77,6 +77,7 @@ _COMPARISONS = frozenset({Op.GT, Op.LT, Op.GE, Op.LE, Op.EQ, Op.NE})
 _LOGIC = frozenset({Op.AND, Op.OR, Op.XOR, Op.NOT})
 _WIRING = frozenset({Op.SHL, Op.SHR, Op.PASS})
 _STRUCTURAL = frozenset({Op.INPUT, Op.OUTPUT, Op.CONST})
+_SCHEDULABLE = frozenset(Op) - _STRUCTURAL - _WIRING
 
 _RESOURCE_OF = {
     Op.ADD: ResourceClass.ADD,
@@ -117,7 +118,7 @@ def is_wiring(op: Op) -> bool:
 
 def is_schedulable(op: Op) -> bool:
     """True if the operation occupies a control step and an execution unit."""
-    return not is_structural(op) and not is_wiring(op)
+    return op in _SCHEDULABLE
 
 
 def is_commutative(op: Op) -> bool:

@@ -42,10 +42,7 @@ def rebuild(graph: CDFG, keep: set[int] | None = None, name: str | None = None) 
 
 def eliminate_dead_nodes(graph: CDFG) -> CDFG:
     """Remove every node that does not reach an OUTPUT."""
-    live: set[int] = set()
-    for out in graph.outputs():
-        live |= graph.transitive_fanin(out.nid, include_self=True)
-    return rebuild(graph, keep=live)
+    return rebuild(graph, keep=graph.live_nodes())
 
 
 def fold_constants(graph: CDFG, width: int = 8) -> CDFG:

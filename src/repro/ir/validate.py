@@ -44,9 +44,7 @@ def validate(graph: CDFG) -> None:
                 )
 
     # Dead-operation check: every schedulable node must reach an output.
-    live: set[int] = set()
-    for out in graph.outputs():
-        live |= graph.transitive_fanin(out.nid, include_self=True)
+    live = graph.live_nodes()
     for node in graph:
         if node.is_schedulable and node.nid not in live:
             raise CDFGError(

@@ -113,7 +113,6 @@ class Evaluator:
         #: Records produced here this session (computed + store hits).
         self.session: dict[str, dict[str, float]] = {}
         self._pipeline = None
-        self._fingerprint: str | None = None
         self._journal_handle = None
         if self.preload is not None:
             for key, metrics in self.preload.items():
@@ -145,11 +144,9 @@ class Evaluator:
     # -- keys ------------------------------------------------------------
 
     def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            from repro.pipeline.cache import graph_fingerprint
+        from repro.pipeline.cache import graph_fingerprint
 
-            self._fingerprint = graph_fingerprint(self.graph)
-        return self._fingerprint
+        return graph_fingerprint(self.graph)
 
     def _signature(self) -> str:
         """Everything besides the candidate that shapes the metrics."""

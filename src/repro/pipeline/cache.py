@@ -14,13 +14,10 @@ immutable, exactly as you would the return value of any synthesis call.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.ir.graph import CDFG
-from repro.ir.serialize import graph_to_dict
 
 CacheKey = tuple
 
@@ -30,10 +27,9 @@ def graph_fingerprint(graph: CDFG) -> str:
 
     Two independently-built but identical graphs fingerprint equally, so
     ``build("gcd")`` in one function and in another share cache entries.
+    The hash is memoized on the graph until its next mutation.
     """
-    payload = json.dumps(graph_to_dict(graph), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return graph.fingerprint()
 
 
 @dataclass

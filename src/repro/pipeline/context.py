@@ -30,14 +30,11 @@ class FlowContext:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     cache_hits: list[str] = field(default_factory=list)
     cache_misses: list[str] = field(default_factory=list)
-    _fingerprint: str | None = field(default=None, repr=False)
 
     @property
     def fingerprint(self) -> str:
-        """Content hash of the input graph (computed once per run)."""
-        if self._fingerprint is None:
-            self._fingerprint = graph_fingerprint(self.graph)
-        return self._fingerprint
+        """Content hash of the input graph (memoized on the graph)."""
+        return graph_fingerprint(self.graph)
 
     def put(self, name: str, value: object, stage: str) -> None:
         self.artifacts[name] = value

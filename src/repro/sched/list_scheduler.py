@@ -38,14 +38,18 @@ def list_schedule(
     n_steps: int,
     allocation: Allocation,
     initiation_interval: int | None = None,
+    frame: TimingFrame | None = None,
 ) -> Schedule:
     """Schedule ``graph`` into ``n_steps`` with ``allocation`` units.
 
-    Raises :class:`InfeasibleScheduleError` if the precedence structure
-    alone does not fit, or :class:`ListSchedulingFailure` if resources are
-    the limit.
+    ``frame`` is the graph's ``TimingFrame`` for ``n_steps`` when the
+    caller already has it (the minimum-resource search reuses one across
+    attempts).  Raises :class:`InfeasibleScheduleError` if the precedence
+    structure alone does not fit, or :class:`ListSchedulingFailure` if
+    resources are the limit.
     """
-    frame = TimingFrame.compute(graph, n_steps)  # raises if no slack at all
+    if frame is None:
+        frame = TimingFrame.compute(graph, n_steps)  # raises if no slack
     ii = initiation_interval
     if ii is not None and ii <= 0:
         raise ValueError(f"initiation interval must be positive, got {ii}")
@@ -55,16 +59,6 @@ def list_schedule(
     # busy[(slot, cls)] = units in use; slot = step % II when pipelining.
     busy: dict[tuple[int, ResourceClass], int] = {}
 
-    def occupy(nid: int, step: int) -> None:
-        node = graph.node(nid)
-        start[nid] = step
-        finished_at[nid] = step + node.latency
-        if node.is_schedulable:
-            for s in range(step, step + node.latency):
-                slot = s % ii if ii else s
-                key = (slot, node.resource)
-                busy[key] = busy.get(key, 0) + 1
-
     def has_unit(node, step: int) -> bool:
         for s in range(step, step + node.latency):
             slot = s % ii if ii else s
@@ -72,35 +66,50 @@ def list_schedule(
                 return False
         return True
 
-    # Zero-latency and schedulable nodes are placed in one sweep; ops wait
-    # in `pending` ordered by (alap, asap, nid).
-    pending = set(graph.node_ids)
+    # Ready set by predecessor counters.  An op is ready at the step all
+    # its predecessors have finished by; it waits in `arrivals[step]`
+    # until then.  Zero-latency nodes take no unit, so they start the
+    # moment their last predecessor finishes, unlocking their consumers.
+    unplaced = {nid: len(graph.preds(nid)) for nid in graph.node_ids}
+    arrivals: dict[int, list[int]] = {}
 
-    for step in range(n_steps):
-        # Place every zero-latency node whose predecessors are done (they
-        # consume no unit and unlock their consumers within the same step).
-        changed = True
-        while changed:
-            changed = False
-            for nid in sorted(pending):
-                node = graph.node(nid)
-                if node.is_schedulable:
+    def place(nid: int, step: int, current: int) -> None:
+        """Start ``nid`` at ``step`` and release what it unblocks; an op
+        released while step ``current`` is being filled joins the ready
+        list of step ``current`` at the earliest."""
+        todo = [(nid, step)]
+        while todo:
+            nid, step = todo.pop()
+            node = graph.node(nid)
+            start[nid] = step
+            finished_at[nid] = step + node.latency
+            if node.is_schedulable:
+                for s in range(step, step + node.latency):
+                    slot = s % ii if ii else s
+                    key = (slot, node.resource)
+                    busy[key] = busy.get(key, 0) + 1
+            for succ in graph.succs(nid):
+                unplaced[succ] -= 1
+                if unplaced[succ]:
                     continue
-                preds = graph.preds(nid)
-                if all(p in finished_at and finished_at[p] <= step for p in preds):
-                    ready_at = max((finished_at[p] for p in preds), default=0)
-                    occupy(nid, max(ready_at, 0) if preds else 0)
-                    pending.discard(nid)
-                    changed = True
+                ready_at = max(finished_at[p] for p in graph.preds(succ))
+                if graph.node(succ).is_schedulable:
+                    arrivals.setdefault(max(ready_at, current),
+                                        []).append(succ)
+                else:
+                    todo.append((succ, ready_at))
 
-        ready = [
-            nid for nid in pending
-            if graph.node(nid).is_schedulable
-            and all(p in finished_at and finished_at[p] <= step
-                    for p in graph.preds(nid))
-        ]
+    for nid in sorted(n for n, count in unplaced.items() if count == 0):
+        if graph.node(nid).is_schedulable:
+            arrivals.setdefault(0, []).append(nid)
+        else:
+            place(nid, 0, 0)
+
+    ready: list[int] = []
+    for step in range(n_steps):
+        ready.extend(arrivals.pop(step, ()))
         ready.sort(key=lambda nid: (frame.alap[nid], frame.asap[nid], nid))
-
+        waiting = []
         for nid in ready:
             node = graph.node(nid)
             if node.latency + step > n_steps:
@@ -109,8 +118,7 @@ def list_schedule(
                     bottleneck=node.resource,
                 )
             if has_unit(node, step):
-                occupy(nid, step)
-                pending.discard(nid)
+                place(nid, step, step + 1)
             elif frame.alap[nid] == step:
                 # Forced op with no free unit: this allocation cannot work.
                 raise ListSchedulingFailure(
@@ -118,19 +126,16 @@ def list_schedule(
                     f"forced op {node.label()}",
                     bottleneck=node.resource,
                 )
+            else:
+                waiting.append(nid)
+        ready = waiting
 
-    if any(graph.node(nid).is_schedulable for nid in pending):
-        leftover = [graph.node(n).label() for n in sorted(pending)
-                    if graph.node(n).is_schedulable]
+    leftover = [graph.node(n).label() for n in sorted(graph.node_ids)
+                if n not in start and graph.node(n).is_schedulable]
+    if leftover:
         raise ListSchedulingFailure(
             f"unscheduled ops after {n_steps} steps: {', '.join(leftover)}"
         )
-    # Any remaining zero-latency nodes (e.g. outputs of last-step ops).
-    for nid in sorted(pending):
-        preds = graph.preds(nid)
-        ready_at = max((finished_at[p] for p in preds), default=0)
-        start[nid] = ready_at
-        finished_at[nid] = ready_at
 
     schedule = Schedule(graph=graph, n_steps=n_steps, start=start,
                         initiation_interval=ii)

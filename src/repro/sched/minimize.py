@@ -21,6 +21,7 @@ from repro.sched.resources import (
     unbounded_allocation,
 )
 from repro.sched.schedule import Schedule
+from repro.sched.timing import TimingFrame
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,14 @@ def minimize_resources(
         for cls, n in allocation.counts.items()
     })
 
+    frame = TimingFrame.compute(graph, n_steps)  # raises if no slack
     attempts = 0
     while True:
         attempts += 1
         try:
             schedule = list_schedule(graph, n_steps, allocation,
-                                     initiation_interval=initiation_interval)
+                                     initiation_interval=initiation_interval,
+                                     frame=frame)
             # Trim: the schedule may not use everything we allocated.
             return MinimizeResult(schedule=schedule,
                                   allocation=schedule.resource_usage(),

@@ -13,6 +13,7 @@ exactly the re-timing of steps 4-5 of the paper's pseudo-code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from repro.ir.graph import CDFG
 
@@ -98,10 +99,66 @@ class TimingFrame:
 def try_timing(graph: CDFG, n_steps: int) -> TimingFrame | None:
     """TimingFrame if ``graph`` fits in ``n_steps``, else None.
 
-    This is the feasibility probe the PM pass runs after tentatively adding
-    control edges (paper steps 4-7).
+    The from-scratch feasibility test of paper steps 4-7; the PM pass gets
+    the same answer from :func:`edges_fit` without re-timing the graph.
     """
     try:
         return TimingFrame.compute(graph, n_steps)
     except InfeasibleScheduleError:
         return None
+
+
+def edges_fit(frame: TimingFrame, graph: CDFG, src: int,
+              dsts: Collection[int]) -> bool:
+    """Whether control edges ``src -> d`` for every ``d`` in ``dsts`` keep
+    ``graph`` within ``frame.n_steps``; ``frame`` must be the feasible frame
+    of ``graph`` *without* those edges.
+
+    Every new edge leaves ``src``, so no path can use two of them (it would
+    have to return to ``src``: a cycle, which ``add_control_edge``
+    rejects).  The longest path through ``src -> d`` therefore starts at
+    ``src``'s unchanged ASAP and ends from ``d``'s unchanged ALAP, and the
+    graph fits iff ``asap[src] + lat(src) <= alap[d]`` for each ``d``: an
+    exact answer in O(len(dsts)) instead of a full :func:`try_timing`.
+    """
+    ready = frame.asap[src] + graph.node(src).latency
+    return all(ready <= frame.alap[d] for d in dsts)
+
+
+def retime(frame: TimingFrame, graph: CDFG, src: int,
+           dsts: Collection[int]) -> TimingFrame:
+    """``frame`` updated for control edges ``src -> dsts`` that ``graph``
+    now carries and that :func:`edges_fit` accepted.
+
+    ASAP values are pushed forward from the ``dsts`` and ALAP values
+    pulled back from ``src`` by worklist, touching only the nodes whose
+    values move; the result equals ``TimingFrame.compute`` on ``graph``.
+    """
+    if not dsts:
+        return frame
+    asap = dict(frame.asap)
+    alap = dict(frame.alap)
+    ready = asap[src] + graph.node(src).latency
+    work = [d for d in dsts if asap[d] < ready]
+    for nid in work:
+        asap[nid] = ready
+    while work:
+        nid = work.pop()
+        done = asap[nid] + graph.node(nid).latency
+        for succ in graph.succs(nid):
+            if asap[succ] < done:
+                asap[succ] = done
+                work.append(succ)
+
+    latest = min(alap[d] for d in dsts) - graph.node(src).latency
+    work = [src] if latest < alap[src] else []
+    if work:
+        alap[src] = latest
+    while work:
+        nid = work.pop()
+        for pred in graph.preds(nid):
+            bound = alap[nid] - graph.node(pred).latency
+            if bound < alap[pred]:
+                alap[pred] = bound
+                work.append(pred)
+    return TimingFrame(n_steps=frame.n_steps, asap=asap, alap=alap)

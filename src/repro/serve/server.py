@@ -260,6 +260,9 @@ class JobServer:
                     job = self.registry.adopt(row)
                     self._active.add(job.id)
                     self._schedule(job)
+                    # Followers that attached while the job was queued
+                    # switch to its live local feed now.
+                    self._on_job_event(job)
                 self._claim_event.clear()
                 try:
                     await asyncio.wait_for(self._claim_event.wait(),
@@ -952,9 +955,29 @@ class JobServer:
                 last_remote_state = row.state
             if row.terminal:
                 break
-            await asyncio.sleep(self._claim_poll)
+            await self._await_claim(job_id, job)
         writer.write(b"0\r\n\r\n")
         await writer.drain()
+
+    async def _await_claim(self, job_id: str, seen: Job | None) -> None:
+        """Wait one claim poll for a job followed through its queue row
+        (a peer's progress shows nowhere else), returning early when
+        this server claims it: ``_claim_loop`` wakes the job's waiters
+        on adoption.  ``seen`` is the local job as of the last row read,
+        so an adoption in between ends the wait at once."""
+        waiter = asyncio.Event()
+        waiters = self._waiters.setdefault(job_id, set())
+        waiters.add(waiter)
+        try:
+            if self.registry.find(job_id) is seen:
+                await asyncio.wait_for(waiter.wait(),
+                                       timeout=self._claim_poll)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            waiters.discard(waiter)
+            if not waiters:
+                self._waiters.pop(job_id, None)
 
     async def _stream_local(self, writer: asyncio.StreamWriter,
                             job: Job, since: int) -> int:

@@ -362,8 +362,16 @@ def generate_source(plan: ExecutionPlan, power_management: bool) -> str:
 # keyed by a content fingerprint of the design — two equal designs built
 # independently (e.g. the same exploration point revisited by an
 # ``explore()`` worker process) share one compilation.
-
-_LRU_MAX = 512
+#
+# Entries per cache.  A cached design holds about 40-100 KB (plan plus
+# runners).  Nearly every hit is an engine built for the design just
+# compiled (simulated power builds the baseline and managed engines back
+# to back), so on explore, serve and anneal traffic 128 entries hit as
+# often as an unbounded cache; an ``explore()`` re-run in one process
+# keeps its hits while it spans at most 64 designs (two runners each).
+# At 512, a server worker compiling fresh circuits kept 20+ MB of designs
+# it never looked up again.
+_LRU_MAX = 128
 
 # Every cache built with _make_lru registers here so
 # clear_compile_caches() can flush the vectorized backend's runner cache

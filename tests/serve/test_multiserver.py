@@ -358,6 +358,46 @@ class TestServerSentEvents:
             a.stop()
             b.stop()
 
+    def test_follower_of_a_queued_job_sees_its_claim_at_once(self, tmp_path):
+        """A stream attached while its job is queued switches to the live
+        feed when this server claims the job, not one claim poll later.
+        The poll is stretched to 30 s and the claim loop woken by hand, so
+        a stream that waited out the poll would be late by tens of
+        seconds, not by a margin a slow runner could eat."""
+        handle = start_in_thread(tmp_path / "state", workers=1, lease_s=30.0)
+        server = handle.server
+        server._claim_poll = 30.0
+        queue = server.queue
+        claim = queue.claim
+        gate = threading.Event()
+        claimed_at = {}
+
+        def gated_claim(server_id, now=None):
+            if not gate.is_set():
+                return None
+            row = claim(server_id, now)
+            if row is not None:
+                claimed_at[row.id] = time.perf_counter()
+            return row
+
+        queue.claim = gated_claim
+        try:
+            client = ServeClient(port=handle.port)
+            job = client.submit("explore", **EXPLORE)
+            seen = {}
+            for event in client.stream(job["id"], timeout=120):
+                if event["type"] == "state":
+                    seen.setdefault(event["state"], time.perf_counter())
+                    if not gate.is_set():
+                        # Attached and seen queued: allow the claim now.
+                        gate.set()
+                        server._loop.call_soon_threadsafe(
+                            server._claim_event.set)
+            assert list(seen) == ["queued", "running", "done"]
+            assert seen["running"] - claimed_at[job["id"]] < 5.0
+        finally:
+            handle.stop()
+
     def test_event_ring_overflow_surfaces_as_gap(self, tmp_path):
         handle = start_in_thread(tmp_path / "state", workers=1)
         try:
