@@ -11,11 +11,13 @@ Run standalone for the disk-store smoke check CI uses::
 
     python benchmarks/bench_explore.py --smoke
 
-It sweeps the grid cold against a fresh ``DiskArtifactCache``, then
+It sweeps the grid cold against a fresh ``IndexedArtifactStore``, then
 again through a brand-new store instance on the same directory (i.e.
 only the disk is shared, as for a new process on a later day), and
 exits nonzero unless the warm pass reports disk-cache hits, computes
-nothing, returns identical points, and is faster.
+nothing, returns identical points, and is faster, and unless
+``store.gc()`` then finds the index and the entry tree in agreement
+(nothing to adopt, nothing to drop).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.pipeline import (  # noqa: E402
-    DiskArtifactCache,
+    IndexedArtifactStore,
     clear_explore_cache,
     explore,
 )
@@ -91,19 +93,31 @@ def run_store_smoke(root: Path, workers: int = 1) -> int:
     """Cold sweep vs warm disk-store sweep; nonzero exit on regression."""
     store_dir = root / "store"
 
-    start = time.perf_counter()
-    cold = explore(CIRCUITS, BUDGETS, store=DiskArtifactCache(store_dir),
-                   workers=workers)
-    cold_s = time.perf_counter() - start
+    def sweep(store):
+        try:
+            start = time.perf_counter()
+            result = explore(CIRCUITS, BUDGETS, store=store,
+                             workers=workers)
+            return result, time.perf_counter() - start
+        finally:
+            store.close()
+
+    cold, cold_s = sweep(IndexedArtifactStore(store_dir))
 
     # Best-of-two: shared CI runners hiccup; the second warm pass hits
     # the same store, so the min is the honest steady-state number.
     warm_s = float("inf")
     for _ in range(2):
-        start = time.perf_counter()
-        warm = explore(CIRCUITS, BUDGETS,
-                       store=DiskArtifactCache(store_dir), workers=workers)
-        warm_s = min(warm_s, time.perf_counter() - start)
+        warm, seconds = sweep(IndexedArtifactStore(store_dir))
+        warm_s = min(warm_s, seconds)
+
+    # Every worker wrote through the index, so it must already agree
+    # with the entry tree.
+    auditor = IndexedArtifactStore(store_dir)
+    try:
+        audit = auditor.gc()
+    finally:
+        auditor.close()
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     print(f"cold pass: {cold.store_misses} stage artifacts computed, "
@@ -111,6 +125,7 @@ def run_store_smoke(root: Path, workers: int = 1) -> int:
     print(f"warm pass: {warm.store_misses} stage artifacts computed, "
           f"{warm.store_hits} disk hits, {warm_s * 1000:.1f} ms "
           f"({speedup:.1f}x)")
+    print(f"store gc: {audit}")
 
     failures = []
     if warm.store_hits == 0:
@@ -123,6 +138,8 @@ def run_store_smoke(root: Path, workers: int = 1) -> int:
     if warm_s >= cold_s:
         failures.append(
             f"warm pass not faster ({warm_s:.3f}s vs {cold_s:.3f}s)")
+    if audit["adopted"] != 0 or audit["dropped"] != 0:
+        failures.append(f"store index and entry tree disagree: {audit}")
     for failure in failures:
         print(f"FAIL: {failure}")
     if not failures:

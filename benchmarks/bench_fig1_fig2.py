@@ -17,7 +17,6 @@ from conftest import print_table
 
 from repro.circuits import abs_diff
 from repro.core import apply_power_management
-from repro.flow import synthesize
 from repro.power import static_power
 from repro.sched import minimize_resources
 

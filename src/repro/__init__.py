@@ -28,8 +28,8 @@ design space in parallel::
                     workers=4)
     print(space.table())
 
-The pre-1.1 entry points ``synthesize`` / ``synthesize_pair`` still work
-as deprecated shims over the pipeline.
+``run_pair`` synthesizes the baseline and power-managed designs of one
+config together, the shape of the paper's Table II/III comparisons.
 """
 
 from repro.circuits import abs_diff, build, cordic, dealer, diffeq, gcd, vender
@@ -40,7 +40,6 @@ from repro.core import (
     compute_cones,
     describe_decisions,
 )
-from repro.flow import synthesize, synthesize_pair
 from repro.ir import CDFG, GraphBuilder, Op, ResourceClass, unroll
 from repro.pipeline import (
     ArtifactCache,
@@ -130,8 +129,6 @@ __all__ = [
     "run_flow",
     "run_pair",
     "static_power",
-    "synthesize",
-    "synthesize_pair",
     "unroll",
     "vender",
 ]

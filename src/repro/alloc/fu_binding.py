@@ -62,7 +62,7 @@ class Binding:
         graph = self.schedule.graph
         ii = self.schedule.initiation_interval
         requirements = guard_requirements(graph) if mutex_sharing else None
-        occupied: dict[tuple[FUInstance, int], int] = {}
+        occupied: dict[tuple[FUInstance, int], list[int]] = {}
         for nid, unit in self.assignment.items():
             node = graph.node(nid)
             if node.resource != unit.resource:
@@ -71,15 +71,14 @@ class Binding:
             start = self.schedule.step_of(nid)
             for step in range(start, start + node.latency):
                 slot = step % ii if ii else step
-                key = (unit, slot)
-                if key in occupied:
-                    other = occupied[key]
+                sharers = occupied.setdefault((unit, slot), [])
+                for other in sharers:
                     if not (mutex_sharing and are_mutually_exclusive(
                             graph, nid, other, requirements)):
                         raise ValueError(
                             f"{unit.name} double-booked at step {slot}: "
                             f"{node.label()} vs {graph.node(other).label()}")
-                occupied[key] = nid
+                sharers.append(nid)
 
 
 def bind_operations(schedule: Schedule, mutex_sharing: bool = False) -> Binding:
@@ -95,8 +94,10 @@ def bind_operations(schedule: Schedule, mutex_sharing: bool = False) -> Binding:
 
     for resource, ops in sorted(by_class.items(), key=lambda kv: kv[0].value):
         ops.sort(key=lambda nid: (schedule.step_of(nid), nid))
-        # unit index -> {slot: op} occupancy
-        units: list[dict[int, int]] = []
+        # unit index -> {slot: ops sharing it}; a shared slot's ops must
+        # be pairwise mutually exclusive, not just exclusive with the
+        # first one placed there.
+        units: list[dict[int, list[int]]] = []
         for nid in ops:
             node = graph.node(nid)
             start = schedule.step_of(nid)
@@ -104,24 +105,18 @@ def bind_operations(schedule: Schedule, mutex_sharing: bool = False) -> Binding:
                      for s in range(start, start + node.latency)]
             placed = False
             for index, occupancy in enumerate(units):
-                conflict = False
-                for slot in slots:
-                    other = occupancy.get(slot)
-                    if other is None:
-                        continue
-                    if mutex_sharing and are_mutually_exclusive(
-                            graph, nid, other, requirements):
-                        continue
-                    conflict = True
-                    break
+                conflict = any(
+                    not (mutex_sharing and are_mutually_exclusive(
+                        graph, nid, other, requirements))
+                    for slot in slots for other in occupancy.get(slot, ()))
                 if not conflict:
                     for slot in slots:
-                        occupancy.setdefault(slot, nid)
+                        occupancy.setdefault(slot, []).append(nid)
                     binding.assignment[nid] = FUInstance(resource, index)
                     placed = True
                     break
             if not placed:
-                units.append({slot: nid for slot in slots})
+                units.append({slot: [nid] for slot in slots})
                 binding.assignment[nid] = FUInstance(resource, len(units) - 1)
 
     binding.verify(mutex_sharing=mutex_sharing)

@@ -15,8 +15,8 @@ guard is false under the assignment produce no taint of their own but
 still forward tainted operands — conservatively modelling stale registers.
 
 This is the safety argument of the paper made executable; the flow runs it
-after every PM pass in tests, and ``repro.flow.synthesize`` exposes it via
-``verify=True``.
+after every PM pass in tests, and the pipeline's verify stage runs it under
+``FlowConfig(verify=True)``.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Three layers:
 * :mod:`repro.opt.search` — the drivers: :func:`anneal`,
   :func:`beam_search`, :func:`random_search`, dispatched by
   :func:`optimize`, resumable through the explore-style JSONL journal
-  and cache-aware through :class:`~repro.pipeline.DiskArtifactCache`;
+  and cache-aware through :class:`~repro.pipeline.IndexedArtifactStore`;
 * :mod:`repro.opt.archive` — the NSGA-II Pareto layer
   (:class:`ParetoArchive`, :func:`nondominated_sort`,
   :func:`crowding_distances`) every driver maintains alongside its

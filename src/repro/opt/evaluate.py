@@ -12,8 +12,9 @@ of reuse:
 
 * an in-process **memo**, so a driver revisiting a candidate pays
   nothing;
-* an optional persistent **store** (a
-  :class:`~repro.pipeline.store.DiskArtifactCache`): evaluated metric
+* an optional persistent **store** (an
+  :class:`~repro.pipeline.store.IndexedArtifactStore`, or a directory
+  path the evaluator opens one on and closes again): evaluated metric
   dicts are kept as store entries, and the same store doubles as the
   pipeline's stage-artifact cache for the expensive levels, so a later
   run — or another driver on the same circuit — is served from disk;
@@ -99,10 +100,11 @@ class Evaluator:
     stats: EvalStats = field(default_factory=EvalStats)
 
     def __post_init__(self) -> None:
+        self._owned_store = None
         if isinstance(self.store, (str, os.PathLike)):
-            from repro.pipeline.store import DiskArtifactCache
+            from repro.pipeline.store import IndexedArtifactStore
 
-            self.store = DiskArtifactCache(self.store)
+            self.store = self._owned_store = IndexedArtifactStore(self.store)
         self.objective = Objective.parse(self.objective)
         # None means paper defaults (Candidate.pm_options agrees), so
         # normalize before it enters signatures: otherwise None and
@@ -134,6 +136,8 @@ class Evaluator:
         if self._journal_handle is not None:
             self._journal_handle.close()
             self._journal_handle = None
+        if self._owned_store is not None:
+            self._owned_store.close()
 
     def __enter__(self) -> "Evaluator":
         return self

@@ -49,10 +49,8 @@ from dataclasses import dataclass
 
 from repro.ir.graph import CDFG
 from repro.ir.serialize import graph_from_dict, graph_to_dict
-from repro.opt.archive import ParetoArchive
 from repro.opt.evaluate import EvaluationBudgetExceeded, Evaluator
-from repro.opt.objective import Objective
-from repro.opt.search import OptResult
+from repro.opt.search import OptResult, _Run
 from repro.opt.space import Candidate, SearchSpace
 
 #: The heterogeneous chain profiles, cycled over island indices:
@@ -193,54 +191,40 @@ def portfolio(graph: CDFG, objective="gated_weight", *,
     if iters is None and time_budget is None and max_evaluations is None:
         raise ValueError("an unbounded portfolio needs iters=, "
                          "time_budget= or max_evaluations=")
-    objective = Objective.parse(objective)
-    space = SearchSpace.for_graph(graph, budgets=budgets, n_steps=n_steps,
-                                  schedulers=schedulers)
     # The coordinator owns all journaling (group-committed); islands
-    # never write, so concurrent appends cannot interleave records.
-    evaluator = Evaluator(graph=graph, objective=objective, store=store,
-                          journal=journal, sim_vectors=sim_vectors,
-                          pm_base=pm_base, durability=durability)
-    archive = ParetoArchive(objective, max_size=archive_size)
-    deadline = (None if time_budget is None
-                else time.monotonic() + float(time_budget))
-    best: "Candidate | None" = None
-    best_score = -math.inf
-    best_metrics: dict[str, float] = {}
-    best_label = ""
-    history: list[tuple[int, float]] = []
-    greedy_scores: list[tuple[str, float]] = []
+    # never write, so concurrent appends cannot interleave records.  Its
+    # own evaluator only scores the greedy seeds, so it runs uncapped:
+    # max_evaluations is split across the islands round by round.
+    with _Run(graph, objective, n_steps, budgets, schedulers, store,
+              journal, None, sim_vectors, pm_base, progress=progress,
+              time_budget=time_budget, durability=durability,
+              archive_size=archive_size) as run:
+        _run_islands(run, iters=iters, seed=seed, workers=workers,
+                     islands=islands, migration_every=migration_every,
+                     max_evaluations=max_evaluations,
+                     front_progress=front_progress)
+        return run.result("portfolio", seed)
 
-    def offer(candidate, score, metrics, step, label) -> bool:
-        nonlocal best, best_score, best_metrics, best_label
-        changed = archive.offer(candidate, metrics, label=label)
-        if score > best_score:
-            best, best_score = candidate, score
-            best_metrics, best_label = metrics, label
-            history.append((step, score))
-            if progress is not None:
-                progress(step, score, candidate)
-        return changed
 
+def _run_islands(run: _Run, *, iters, seed, workers, islands,
+                 migration_every, max_evaluations, front_progress) -> None:
+    """Seed greedily, then run migration rounds until a budget is spent;
+    every island's visits and fresh counts fold into ``run``."""
+    evaluator, archive = run.evaluator, run.archive
+    run.seed_greedy()
+    if front_progress is not None:
+        front_progress(0, archive)
+
+    states = [IslandState() for _ in range(islands)]
+    states[0] = IslandState(current=run.best, score=run.best_score)
+    profiles = [ISLAND_PROFILES[k % len(ISLAND_PROFILES)]
+                for k in range(islands)]
+    graph_dict = graph_to_dict(run.graph)
+    fingerprint = evaluator.fingerprint()
     pool = None
+    if workers > 1 and islands > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, islands))
     try:
-        for label, candidate in space.greedy_candidates(graph):
-            score, metrics = evaluator.evaluate(candidate)
-            greedy_scores.append((label, score))
-            offer(candidate, score, metrics, 0, label)
-        if front_progress is not None:
-            front_progress(0, archive)
-
-        states = [IslandState() for _ in range(islands)]
-        states[0] = IslandState(current=best, score=best_score)
-        profiles = [ISLAND_PROFILES[k % len(ISLAND_PROFILES)]
-                    for k in range(islands)]
-        graph_dict = graph_to_dict(graph)
-        fingerprint = evaluator.fingerprint()
-        if workers > 1 and islands > 1:
-            pool = ProcessPoolExecutor(max_workers=min(workers, islands))
-
-        island_fresh = 0      # fresh computations inside islands
         moves_done = 0        # per-island moves completed
         round_index = 0
         # EMA of wall seconds per *round move* (one move on every
@@ -253,8 +237,8 @@ def portfolio(graph: CDFG, objective="gated_weight", *,
             moves = migration_every
             if iters is not None:
                 moves = min(moves, iters - moves_done)
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
+            if run.deadline is not None:
+                remaining = run.deadline - time.monotonic()
                 if per_move > 0:
                     # Shrink the closing rounds to land on the deadline
                     # instead of overshooting by a full round.
@@ -268,8 +252,7 @@ def portfolio(graph: CDFG, objective="gated_weight", *,
                     break
             caps: "list[int | None]" = [None] * islands
             if max_evaluations is not None:
-                fresh_total = evaluator.stats.computed + island_fresh
-                remaining_fresh = max_evaluations - fresh_total
+                remaining_fresh = max_evaluations - evaluator.stats.computed
                 if remaining_fresh <= 0:
                     break
                 base, extra = divmod(remaining_fresh, islands)
@@ -279,12 +262,13 @@ def portfolio(graph: CDFG, objective="gated_weight", *,
             memo = evaluator.memo_snapshot()
             payloads = [{
                 "graph": graph_dict, "fingerprint": fingerprint,
-                "objective": objective.signature(), "space": space,
+                "objective": run.objective.signature(), "space": run.space,
                 "state": states[k], "profile": profiles[k],
                 "island": k, "seed": seed, "round_index": round_index,
                 "moves": moves, "memo": memo, "max_fresh": caps[k],
-                "store": store, "sim_vectors": sim_vectors,
-                "pm_base": pm_base,
+                "store": evaluator.store,
+                "sim_vectors": evaluator.sim_vectors,
+                "pm_base": evaluator.pm_base,
             } for k in range(islands)]
             started = time.monotonic()
             if pool is not None:
@@ -302,15 +286,15 @@ def portfolio(graph: CDFG, objective="gated_weight", *,
             for report in reports:
                 k = report["island"]
                 states[k] = report["state"]
-                island_fresh += report["computed"]
+                evaluator.stats.computed += report["computed"]
                 evaluator.stats.memo_hits += report["memo_hits"]
                 evaluator.stats.store_hits += report["store_hits"]
                 for key, metrics in report["session"]:
                     evaluator.absorb(key, metrics)
                 for candidate, metrics in report["visited"]:
-                    score = objective.score(metrics)
-                    if offer(candidate, score, metrics, round_index,
-                             f"island{k}"):
+                    score = run.objective.score(metrics)
+                    if run.offer(candidate, score, metrics, round_index,
+                                 f"island{k}"):
                         front_changed = True
             moves_done += moves
             # Migration: reseed annealing islands from a *diverse*
@@ -329,27 +313,6 @@ def portfolio(graph: CDFG, objective="gated_weight", *,
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        evaluator.close()
-
-    assert best is not None
-    stats = evaluator.stats
-    archive.evaluations = stats.computed + island_fresh
-    archive.memo_hits = stats.memo_hits
-    archive.store_hits = stats.store_hits
-    archive.journal_replays = stats.resumed
-    return OptResult(
-        circuit=graph.name, driver="portfolio",
-        objective=objective.signature(), seed=seed,
-        best=best, best_score=best_score,
-        best_metrics=tuple(sorted(best_metrics.items())),
-        best_label=best_label,
-        greedy_scores=tuple(greedy_scores),
-        history=tuple(history),
-        evaluations=stats.computed + island_fresh,
-        reused=stats.memo_hits + stats.store_hits,
-        resumed=stats.resumed,
-        memo_hits=stats.memo_hits, store_hits=stats.store_hits,
-        archive=archive)
 
 
 #: Package-level alias: ``repro.opt.portfolio`` names this module, so

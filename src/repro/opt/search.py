@@ -180,7 +180,8 @@ class _Run:
 
     def __init__(self, graph: CDFG, objective, n_steps, budgets, schedulers,
                  store, journal, max_evaluations, sim_vectors, pm_base,
-                 progress=None, time_budget=None, durability="batch"):
+                 progress=None, time_budget=None, durability="batch",
+                 archive_size=None):
         self.graph = graph
         self.progress = progress
         self.objective = Objective.parse(objective)
@@ -190,7 +191,7 @@ class _Run:
             graph=graph, objective=self.objective, store=store,
             journal=journal, max_evaluations=max_evaluations,
             sim_vectors=sim_vectors, pm_base=pm_base, durability=durability)
-        self.archive = ParetoArchive(self.objective)
+        self.archive = ParetoArchive(self.objective, max_size=archive_size)
         self.deadline = (None if time_budget is None
                          else time.monotonic() + float(time_budget))
         self.best: Candidate | None = None
@@ -221,14 +222,17 @@ class _Run:
 
     def offer(self, candidate: Candidate, score: float,
               metrics: Mapping[str, float], step: int,
-              label: str = "search") -> None:
-        self.archive.offer(candidate, metrics, label=label)
+              label: str = "search") -> bool:
+        """Track one evaluated candidate; True when the Pareto front
+        changed."""
+        changed = self.archive.offer(candidate, metrics, label=label)
         if score > self.best_score:
             self.best, self.best_score = candidate, score
             self.best_metrics, self.best_label = metrics, label
             self.history.append((step, score))
             if self.progress is not None:
                 self.progress(step, score, candidate)
+        return changed
 
     def result(self, driver: str, seed: int) -> OptResult:
         self.evaluator.close()

@@ -36,7 +36,6 @@ from repro.pipeline.explore import (
     plan_jobs,
     run_chunk,
 )
-from repro.pipeline.index import IndexedArtifactStore
 from repro.pipeline.registry import (
     UnknownSchedulerError,
     available_schedulers,
@@ -47,7 +46,7 @@ from repro.pipeline.registry import (
     unregister_scheduler,
 )
 from repro.pipeline.result import SynthesisPair, SynthesisResult
-from repro.pipeline.store import DiskArtifactCache, StageStore
+from repro.pipeline.store import IndexedArtifactStore, StageStore
 from repro.pipeline.stages import (
     AllocateStage,
     AnalyzeStage,
@@ -67,7 +66,6 @@ __all__ = [
     "AnalyzeStage",
     "ArtifactCache",
     "CacheStats",
-    "DiskArtifactCache",
     "ElaborateStage",
     "ExplorationPoint",
     "ExplorationResult",

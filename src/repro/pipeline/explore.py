@@ -9,9 +9,9 @@ chunks over a :class:`concurrent.futures.ProcessPoolExecutor`.
 Three service-grade facilities turn one-shot sweeps into resumable,
 shareable jobs:
 
-* **Persistent store** — pass ``store=`` (a
-  :class:`~repro.pipeline.store.DiskArtifactCache` or a directory path)
-  and every stage artifact is kept on disk, shared across worker
+* **Persistent store** — pass ``store=`` (an
+  :class:`~repro.pipeline.store.IndexedArtifactStore` or a directory
+  path) and every stage artifact is kept on disk, shared across worker
   processes *and* across runs: the second sweep over the same grid is
   served from the store.  Per-point disk hit/miss counts surface on
   :class:`ExplorationPoint` and aggregate on :class:`ExplorationResult`.
@@ -69,7 +69,7 @@ from repro.opt.objective import pareto_front
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.config import FlowConfig
 from repro.pipeline.engine import Pipeline
-from repro.pipeline.store import DiskArtifactCache
+from repro.pipeline.store import IndexedArtifactStore
 
 # Per-process artifact store.  The parent's cache is inherited by forked
 # workers, and repeated explore() calls in one process build on it.
@@ -259,7 +259,7 @@ def job_key(spec: tuple[str, object], config: FlowConfig,
 
 def _run_point(spec: tuple[str, object], config: FlowConfig,
                sim_vectors: int,
-               store: DiskArtifactCache | None) -> ExplorationPoint:
+               store: IndexedArtifactStore | None) -> ExplorationPoint:
     cache = store if store is not None else _PROCESS_CACHE
     hits0 = cache.stats.hits
     misses0 = cache.stats.misses
@@ -304,7 +304,7 @@ def _run_point(spec: tuple[str, object], config: FlowConfig,
 ExploreJob = tuple[int, str, tuple[str, object], FlowConfig, int]
 
 
-def run_chunk(job: tuple[DiskArtifactCache | None, list[ExploreJob]],
+def run_chunk(job: tuple[IndexedArtifactStore | None, list[ExploreJob]],
               ) -> list[tuple[int, str, ExplorationPoint]]:
     """Worker task: one chunk of jobs against one (shared) store.
 
@@ -383,7 +383,7 @@ def _search_explore(
     configs: tuple[FlowConfig, ...],
     search,
     sim_vectors: int,
-    store: DiskArtifactCache | None,
+    store: IndexedArtifactStore | None,
     resume: str | os.PathLike | None,
     workers: int = 1,
     durability: str = "batch",
@@ -425,7 +425,7 @@ def explore(
     configs: Sequence[FlowConfig] | None = None,
     workers: int = 1,
     sim_vectors: int = 0,
-    store: DiskArtifactCache | str | os.PathLike | None = None,
+    store: IndexedArtifactStore | str | os.PathLike | None = None,
     resume: str | os.PathLike | None = None,
     chunk_size: int | None = None,
     search=None,
@@ -444,8 +444,9 @@ def explore(
     (baseline vs managed, on the batch engine) and fills
     ``simulated_reduction_pct``.
 
-    ``store`` (a :class:`DiskArtifactCache` or a directory path) makes
-    stage artifacts persistent and shared across workers and runs;
+    ``store`` (an :class:`IndexedArtifactStore` or a directory path)
+    makes stage artifacts persistent and shared across workers and runs
+    (a store opened here from a path is closed before returning);
     ``resume`` (a JSONL path) journals finished points and skips them on
     re-runs.  See the module docstring for the semantics of both.
 
@@ -474,7 +475,13 @@ def explore(
     instead of waiting for the sweep to finish.
     """
     if isinstance(store, (str, os.PathLike)):
-        store = DiskArtifactCache(store)
+        opened = IndexedArtifactStore(store)
+        try:
+            return explore(circuits, budgets, configs, workers, sim_vectors,
+                           opened, resume, chunk_size, search, progress,
+                           durability)
+        finally:
+            opened.close()
     if search is not None:
         configs = tuple(configs) if configs else (FlowConfig(),)
         specs = [_as_spec(c) for c in circuits]

@@ -1,6 +1,6 @@
-"""Synthesis result containers (moved here from ``repro.flow``).
-
-``repro.flow`` re-exports both classes, so existing imports keep working.
+"""Synthesis result containers: what a :class:`~repro.pipeline.Pipeline`
+run returns (:class:`SynthesisResult`) and the baseline/power-managed
+pair :func:`~repro.pipeline.run_pair` builds (:class:`SynthesisPair`).
 """
 
 from __future__ import annotations

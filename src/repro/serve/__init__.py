@@ -8,8 +8,11 @@ optimizer into an always-on service:
   and one SQLite-indexed artifact store;
 * :class:`ServeClient` — the stdlib client the CLI and tests drive it
   with;
-* :class:`JobRegistry` / :class:`Job` / :class:`JobState` — the
-  journaled job table and its lifecycle state machine;
+* :class:`LeaseStore` — the shared SQLite job queue every server on
+  one state directory drains;
+* :class:`JobRegistry` / :class:`Job` / :class:`JobState` — one
+  server's table of the jobs it claimed, their event feeds and the
+  lifecycle state machine;
 * :func:`start_in_thread` — run a server on a background thread (tests,
   benches, notebooks).
 

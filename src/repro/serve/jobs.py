@@ -30,16 +30,15 @@ lease that expires — the owning server crashed or stalled — makes the
 row claimable again.  The content-keyed resume journals make the
 re-claimed job warm, so kill -9 of any server loses no finished work.
 
-:class:`JobRegistry` remains the per-server view: the in-memory job
-table and bounded event feeds for jobs *this* server claimed, with an
-optional ``jobs.jsonl`` journal for embedded single-process use (the
-shared :mod:`repro.opt.journal` format, last record per job wins).
+:class:`JobRegistry` is the per-server view: the in-memory job table
+and bounded event feeds for jobs *this* server claimed, each adopted
+from its queue row.  It persists nothing; the queue is the durable
+record.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import threading
@@ -48,12 +47,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from repro.opt.journal import append_record, load_journal, open_journal
-from repro.pipeline.index import wal_connect
+from repro.pipeline.store import wal_connect
 
 JOB_KINDS = ("explore", "optimize")
-
-REGISTRY_JOURNAL_KIND = "serve-jobs"
 
 #: Per-job event-feed memory bound; older events age out of the feed
 #: (the count survives on ``events_dropped`` so pollers can tell).
@@ -162,122 +158,24 @@ class Job:
 
 
 class JobRegistry:
-    """Thread-safe job table + lifecycle enforcement + event feeds.
+    """This server's view of the jobs it claimed: a thread-safe job
+    table, lifecycle enforcement and the bounded event feeds.
 
-    ``max_events`` bounds each job's in-memory feed ring;
+    Jobs enter only through :meth:`adopt` of a claimed
+    :class:`LeaseStore` row; the queue row stays the cluster-wide
+    truth.  ``max_events`` bounds each job's in-memory feed ring;
     ``on_event`` (called outside the lock, with the job) lets the
     server wake SSE streams the moment anything is pushed.
     """
 
-    def __init__(self, journal_path: "str | Path | None" = None, *,
-                 max_events: int = MAX_EVENTS,
+    def __init__(self, *, max_events: int = MAX_EVENTS,
                  on_event=None) -> None:
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
-        self._ids = itertools.count(1)
         self.max_events = max(1, int(max_events))
         self._on_event = on_event
-        self._journal_path = (Path(journal_path)
-                              if journal_path is not None else None)
-        self._journal = None
-        if self._journal_path is not None:
-            self._restore()
-            # Job state is the crash-recovery record: fsync every append.
-            self._journal = open_journal(self._journal_path,
-                                         REGISTRY_JOURNAL_KIND,
-                                         durability="record")
 
-    # -- persistence -----------------------------------------------------
-
-    def _restore(self) -> None:
-        """Load the last-known state of every journaled job."""
-        top = 0
-        for job_id, record in load_journal(self._journal_path).items():
-            try:
-                job = Job(
-                    id=job_id,
-                    kind=str(record["kind"]),
-                    params=dict(record["params"]),
-                    key=str(record["jkey"]),
-                    state=JobState(record["state"]),
-                    error=record.get("error"),
-                    total=record.get("total"),
-                    completed=int(record.get("completed", 0)),
-                    resumed=int(record.get("resumed", 0)),
-                    result=record.get("result"),
-                )
-            except (KeyError, TypeError, ValueError):
-                continue  # stale/foreign record: not a job we can revive
-            self._jobs[job.id] = job
-            if job.id.startswith("j-"):
-                try:
-                    top = max(top, int(job.id.split("-")[1]))
-                except (IndexError, ValueError):
-                    pass
-        self._ids = itertools.count(top + 1)
-
-    def _persist(self, job: Job) -> None:
-        if self._journal is None:
-            return
-        append_record(self._journal, job.id, {
-            "kind": job.kind,
-            "params": job.params,
-            "jkey": job.key,
-            "state": job.state.value,
-            "error": job.error,
-            "total": job.total,
-            "completed": job.completed,
-            "resumed": job.resumed,
-            "result": job.result,
-        })
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
-    def compact(self):
-        """Compact ``jobs.jsonl`` safely: the registry's own append
-        handle is cycled around the atomic replace, so no state change
-        is ever stranded on the replaced inode."""
-        from repro.opt.journal import compact_journal
-
-        with self._lock:
-            if self._journal_path is None:
-                return None
-            if self._journal is not None:
-                self._journal.close()
-            outcome = compact_journal(self._journal_path,
-                                      kind=REGISTRY_JOURNAL_KIND)
-            self._journal = open_journal(self._journal_path,
-                                         REGISTRY_JOURNAL_KIND,
-                                         durability="record")
-            return outcome
-
-    # -- submission and lookup -------------------------------------------
-
-    def submit(self, kind: str, params: dict) -> tuple[Job, bool]:
-        """Register one request; returns ``(job, created)``.
-
-        ``created`` is ``False`` when an identical request (same content
-        key) is already queued or running — the callers share that job
-        instead of racing two copies of the same work.
-        """
-        if kind not in JOB_KINDS:
-            raise JobError(f"unknown job kind {kind!r}; choose from "
-                           f"{JOB_KINDS}")
-        if not isinstance(params, dict):
-            raise JobError(f"params must be an object, got {type(params)!r}")
-        key = job_content_key(kind, params)
-        with self._lock:
-            for job in self._jobs.values():
-                if job.key == key and not job.state.terminal:
-                    return job, False
-            job = Job(id=f"j-{next(self._ids)}-{key[:8]}", kind=kind,
-                      params=dict(params), key=key)
-            self._jobs[job.id] = job
-            self._persist(job)
-            return job, True
+    # -- lookup ----------------------------------------------------------
 
     def get(self, job_id: str) -> Job:
         with self._lock:
@@ -316,20 +214,6 @@ class JobRegistry:
         with self._lock:
             return list(self._jobs.values())
 
-    def recoverable(self) -> list[Job]:
-        """Jobs a previous process left unfinished, re-queued for a
-        fresh run (their content-keyed journals make the rerun warm)."""
-        with self._lock:
-            revived = []
-            for job in self._jobs.values():
-                if not job.state.terminal:
-                    job.state = JobState.QUEUED
-                    job.cancel_requested = False
-                    job.completed = 0
-                    job.resumed = 0
-                    revived.append(job)
-            return revived
-
     # -- lifecycle -------------------------------------------------------
 
     def transition(self, job: Job, to: JobState,
@@ -345,7 +229,6 @@ class JobRegistry:
                 job.error = error
             if result is not None:
                 job.result = result
-            self._persist(job)
             self._push(job, {"type": "state", "state": to.value,
                              **({"error": error} if error else {})})
         self._notify(job)
@@ -360,7 +243,6 @@ class JobRegistry:
             job.cancel_requested = True
             if job.state is JobState.QUEUED:
                 job.state = JobState.CANCELLED
-                self._persist(job)
                 self._push(job, {"type": "state",
                                  "state": JobState.CANCELLED.value})
             else:

@@ -9,7 +9,7 @@ One :class:`JobServer` owns five things:
   :class:`repro.serve.client.ServeClient` can talk to it;
 * a persistent :class:`~concurrent.futures.ProcessPoolExecutor` every
   job shards its work onto — many concurrent jobs multiplex one pool;
-* an :class:`~repro.pipeline.index.IndexedArtifactStore` under
+* an :class:`~repro.pipeline.store.IndexedArtifactStore` under
   ``<state_dir>/store`` shared by all workers, so every stage artifact
   and candidate evaluation any job ever computed warms every later job;
 * a :class:`~repro.serve.jobs.LeaseStore` — the shared SQLite queue at
@@ -66,7 +66,7 @@ from repro.pipeline.explore import (
     plan_jobs,
     run_chunk,
 )
-from repro.pipeline.index import IndexedArtifactStore
+from repro.pipeline.store import IndexedArtifactStore
 from repro.serve.jobs import (
     QUEUE_NAME,
     Job,
@@ -234,7 +234,6 @@ class JobServer:
                 self.queue.release(self.server_id)
             except Exception:  # noqa: BLE001 - shutdown best-effort
                 pass
-        self.registry.close()
         self.store.close()
         self.queue.close()
         self._io.shutdown(wait=False)
@@ -612,12 +611,6 @@ class JobServer:
                 "kept": outcome.kept, "dropped": outcome.dropped,
                 "bytes_before": outcome.bytes_before,
                 "bytes_after": outcome.bytes_after}
-        registry = self.registry.compact()
-        if registry is not None:
-            journals["jobs.jsonl"] = {
-                "kept": registry.kept, "dropped": registry.dropped,
-                "bytes_before": registry.bytes_before,
-                "bytes_after": registry.bytes_after}
         return {"journals": journals, "store": self.store.gc(),
                 "queue": self.queue.checkpoint()}
 

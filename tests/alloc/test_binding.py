@@ -77,6 +77,26 @@ class TestMutexSharing:
             binding.verify(mutex_sharing=False)
         binding.verify(mutex_sharing=True)  # exclusive ops: legal
 
+    def test_shared_slot_ops_are_pairwise_exclusive(self):
+        """A third op joins a shared unit-step only when it is exclusive
+        with *every* op already there, not just the first (this graph
+        used to bind into a double-booking its own verify rejected)."""
+        from repro.analysis.mutex import are_mutually_exclusive
+        from repro.circuits import build
+
+        g = build("gen:branchy:4")
+        schedule = list_schedule(g, 6, unbounded_allocation(g))
+        binding = bind_operations(schedule, mutex_sharing=True)
+        by_slot = {}
+        for nid, unit in binding.assignment.items():
+            by_slot.setdefault((unit, schedule.step_of(nid)), []).append(nid)
+        shared = [ops for ops in by_slot.values() if len(ops) > 1]
+        assert any(len(ops) > 2 for ops in shared)
+        for ops in shared:
+            for k, a in enumerate(ops):
+                for b in ops[k + 1:]:
+                    assert are_mutually_exclusive(g, a, b)
+
     def test_wrong_class_detected(self, abs_diff_graph):
         g = abs_diff_graph
         schedule = list_schedule(g, 3, unbounded_allocation(g))

@@ -8,10 +8,10 @@ from repro.analysis.stats import circuit_stats
 from repro.circuits import gcd
 from repro.circuits.diffeq import diffeq
 from repro.core.pm_pass import apply_power_management
-from repro.flow import synthesize
 from repro.ir.compose import unroll
 from repro.ir.graph import CDFGError
 from repro.ir.validate import validate
+from repro.pipeline import FlowConfig, Pipeline
 from repro.power.static import static_power
 from repro.sched.timing import critical_path_length
 from repro.sim.reference import evaluate
@@ -43,7 +43,7 @@ class TestDiffeqNegativeControl:
     def test_full_flow_still_works(self):
         graph = diffeq()
         cp = critical_path_length(graph)
-        result = synthesize(graph, cp + 1, width=16)
+        result = Pipeline().run(graph, FlowConfig(n_steps=cp + 1, width=16))
         vectors = random_vectors(graph, 20, width=8)
         sim = RTLSimulator(result.design)
         outputs, activity = sim.run_many(vectors)
@@ -87,7 +87,8 @@ class TestUnroll:
 
     def test_unrolled_full_flow_equivalence(self):
         g2 = unroll(gcd(), 2, {"gcd": "a", "next_b": "b"})
-        result = synthesize(g2, critical_path_length(g2))
+        result = Pipeline().run(
+            g2, FlowConfig(n_steps=critical_path_length(g2)))
         vectors = random_vectors(g2, 25, seed=17)
         sim = RTLSimulator(result.design)
         outputs, _ = sim.run_many(vectors)

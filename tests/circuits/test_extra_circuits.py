@@ -6,7 +6,7 @@ from repro.analysis.stats import circuit_stats
 from repro.analysis.verify_gating import verify_gating
 from repro.circuits.extra import ewf, sparse_fir
 from repro.core.pm_pass import apply_power_management
-from repro.flow import synthesize
+from repro.pipeline import FlowConfig, Pipeline
 from repro.power.static import static_power
 from repro.sched.timing import critical_path_length
 from repro.sim.reference import evaluate
@@ -29,7 +29,7 @@ class TestEWF:
     def test_full_flow_and_simulation(self):
         graph = ewf()
         cp = critical_path_length(graph)
-        result = synthesize(graph, cp + 1, width=16)
+        result = Pipeline().run(graph, FlowConfig(n_steps=cp + 1, width=16))
         vectors = random_vectors(graph, 10, width=6, seed=2)
         sim = RTLSimulator(result.design)
         outputs, _ = sim.run_many(vectors)
@@ -77,7 +77,7 @@ class TestSparseFIR:
     def test_simulated_equivalence_and_idles(self):
         graph = sparse_fir(6)
         cp = critical_path_length(graph)
-        result = synthesize(graph, cp + 1)
+        result = Pipeline().run(graph, FlowConfig(n_steps=cp + 1))
         vectors = random_vectors(graph, 30, seed=21)
         sim = RTLSimulator(result.design)
         outputs, activity = sim.run_many(vectors)

@@ -16,8 +16,8 @@ from repro.core.pm_pass import (
     REASON_SELECTED,
     apply_power_management,
 )
-from repro.flow import synthesize
 from repro.ir.ops import ResourceClass
+from repro.pipeline import FlowConfig, Pipeline
 from repro.power.static import static_power
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.resources import Allocation
@@ -121,8 +121,8 @@ class TestPartialEquivalence:
 
     def test_simulated_equivalence_one_subtractor(self):
         graph = abs_diff()
-        result = synthesize(graph, 3,
-                            PMOptions(allocation=ONE_SUB, partial=True))
+        result = Pipeline().run(graph, FlowConfig(
+            n_steps=3, pm=PMOptions(allocation=ONE_SUB, partial=True)))
         # The min-resource search should settle on a single subtractor.
         assert result.allocation.get(ResourceClass.SUB) == 1
         vectors = random_vectors(graph, 80, seed=13)
@@ -136,7 +136,8 @@ class TestPartialEquivalence:
     def test_partial_on_benchmarks_equivalent(self, name, steps):
         from repro.circuits import build
         graph = build(name)
-        result = synthesize(graph, steps, PMOptions(partial=True))
+        result = Pipeline().run(graph, FlowConfig(
+            n_steps=steps, pm=PMOptions(partial=True)))
         vectors = random_vectors(graph, 40, seed=steps)
         sim = RTLSimulator(result.design, power_management=True)
         outputs, _ = sim.run_many(vectors)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.circuits import TABLE2_BUDGETS, build
 from repro.core.pm_pass import apply_power_management
-from repro.flow import synthesize_pair
+from repro.pipeline import FlowConfig, run_pair
 from repro.power.static import static_power
 
 
@@ -59,7 +59,7 @@ def test_table3_shape(name, steps):
     static datapath number — the controller penalty the paper reports."""
     from repro.power.simulated import compare_designs
     graph = build(name)
-    pair = synthesize_pair(graph, steps)
+    pair = run_pair(graph, FlowConfig(n_steps=steps))
     cmp = compare_designs(pair.baseline.design, pair.managed.design,
                           n_vectors=128)
     static_pct = static_power(pair.managed.pm).reduction_pct
@@ -74,5 +74,5 @@ def test_table2_area_increase_band():
         if name == "cordic":
             continue  # covered by the slower test below in benches
         for steps in budgets:
-            pair = synthesize_pair(build(name), steps)
+            pair = run_pair(build(name), FlowConfig(n_steps=steps))
             assert 0.9 <= pair.area_increase <= 1.35

@@ -4,13 +4,13 @@ import pytest
 
 from repro.circuits import gcd
 from repro.cli import load_circuit, main
-from repro.flow import synthesize
+from repro.pipeline import FlowConfig, Pipeline
 from repro.report import full_report, register_map, schedule_gantt, utilization
 
 
 @pytest.fixture(scope="module")
 def gcd_result():
-    return synthesize(gcd(), 7)
+    return Pipeline().run(gcd(), FlowConfig(n_steps=7))
 
 
 class TestReport:

@@ -72,6 +72,27 @@ class TestQuality:
         assert result.outcome()["pareto"] == [
             entry.to_dict() for entry in front]
 
+    def test_archive_size_bounds_the_front(self, branchy_graph):
+        kwargs = dict(objective="gated_weight,area=0.05",
+                      budgets=(12, 13, 14), iters=60, seed=3, islands=3,
+                      workers=1)
+        unbounded = portfolio(branchy_graph, **kwargs)
+        bounded = portfolio(branchy_graph, archive_size=1, **kwargs)
+        assert len(unbounded.archive) >= 2
+        assert len(bounded.archive) == 1
+        # The bound shapes the front only, never the scalar search.
+        assert bounded.best == unbounded.best
+        assert bounded.history == unbounded.history
+
+    def test_greedy_seeding_matches_the_single_chain_drivers(
+            self, branchy_graph):
+        from repro.opt.search import anneal
+
+        chain = anneal(branchy_graph, n_steps=12, iters=5, seed=3)
+        islands = portfolio(branchy_graph, **BASE)
+        assert islands.greedy_scores == chain.greedy_scores
+        assert islands.history[0] == chain.history[0]
+
 
 class TestBudgets:
     def test_zero_time_budget_returns_the_greedy_floor(self, branchy_graph):
@@ -132,6 +153,19 @@ class TestResume:
         assert replay.evaluations == 0
         assert replay.resumed > 0
         assert replay.memo_hits > 0  # islands served from the preload
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_path_is_shared_with_the_islands(self, branchy_graph,
+                                                   tmp_path, workers):
+        kwargs = dict(n_steps=12, iters=40, seed=1, islands=2,
+                      workers=workers)
+        cold = portfolio(branchy_graph, store=tmp_path / "store", **kwargs)
+        warm = portfolio(branchy_graph, store=tmp_path / "store", **kwargs)
+        assert warm.outcome() == cold.outcome()
+        assert cold.evaluations > 0
+        assert warm.evaluations == 0  # every island read the store
+        assert warm.store_hits == cold.evaluations + cold.store_hits
 
 
 class TestDispatch:

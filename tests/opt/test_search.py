@@ -15,7 +15,7 @@ from repro.opt.search import (
     optimize,
     random_search,
 )
-from repro.pipeline import DiskArtifactCache, explore
+from repro.pipeline import IndexedArtifactStore, explore
 
 
 def conflict_graph():
@@ -181,10 +181,10 @@ class TestResume:
 
 class TestStoreAwareness:
     def test_warm_store_recomputes_nothing(self, gcd_graph, tmp_path):
-        store = DiskArtifactCache(tmp_path / "store")
+        store = IndexedArtifactStore(tmp_path / "store")
         cold = anneal(gcd_graph, n_steps=7, iters=40, seed=0, store=store)
         warm = anneal(gcd_graph, n_steps=7, iters=40, seed=0,
-                      store=DiskArtifactCache(tmp_path / "store"))
+                      store=IndexedArtifactStore(tmp_path / "store"))
         assert warm.outcome() == cold.outcome()
         assert warm.evaluations == 0
         assert cold.evaluations > 0
@@ -196,14 +196,28 @@ class TestStoreAwareness:
                       store=tmp_path / "store")
         assert warm.evaluations == 0
 
+    def test_evaluator_closes_only_a_store_it_opened(self, gcd_graph,
+                                                     tmp_path, monkeypatch):
+        closed = []
+        monkeypatch.setattr(IndexedArtifactStore, "close",
+                            lambda store: closed.append(store.root))
+        with Evaluator(graph=gcd_graph, objective="gated_weight",
+                       store=tmp_path / "opened") as evaluator:
+            assert isinstance(evaluator.store, IndexedArtifactStore)
+        assert closed == [tmp_path / "opened"]
+        with Evaluator(graph=gcd_graph, objective="gated_weight",
+                       store=IndexedArtifactStore(tmp_path / "given")):
+            pass
+        assert closed == [tmp_path / "opened"]
+
     def test_expensive_objectives_share_stage_artifacts(self, dealer_graph,
                                                         tmp_path):
         """area needs full synthesis; the store doubles as the pipeline
         stage cache so a warm run synthesizes nothing."""
-        store = DiskArtifactCache(tmp_path / "store")
+        store = IndexedArtifactStore(tmp_path / "store")
         cold = anneal(dealer_graph, objective="gated_weight,area=0.01",
                       n_steps=6, iters=15, seed=0, store=store)
-        warm_store = DiskArtifactCache(tmp_path / "store")
+        warm_store = IndexedArtifactStore(tmp_path / "store")
         warm = anneal(dealer_graph, objective="gated_weight,area=0.01",
                       n_steps=6, iters=15, seed=0, store=warm_store)
         assert warm.outcome() == cold.outcome()

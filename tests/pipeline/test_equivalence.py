@@ -2,18 +2,16 @@
 
 The old ``synthesize()`` sequence — validate, PM pass, minimum-resource
 scheduling, elaborate — is inlined here as the reference; the pipeline
-(and the deprecation shims that now wrap it) must produce identical
-``SynthesisResult`` data for every registered circuit, down to the
-generated VHDL text.
+must produce identical ``SynthesisResult`` data for every registered
+circuit, down to the generated VHDL text.
 """
 
 import pytest
 
 from repro.circuits import CIRCUITS, TABLE2_BUDGETS, build
 from repro.core.pm_pass import PMOptions, apply_power_management
-from repro.flow import synthesize, synthesize_pair
 from repro.ir.validate import validate
-from repro.pipeline import FlowConfig, Pipeline, run_pair
+from repro.pipeline import FlowConfig, Pipeline
 from repro.rtl.design import elaborate
 from repro.rtl.vhdl import generate_vhdl
 from repro.sched.minimize import minimize_resources
@@ -66,26 +64,9 @@ def test_pipeline_matches_legacy_flow_with_options(name):
     assert new.design.width == 16
 
 
-def test_shims_still_work_and_warn(dealer_graph):
-    with pytest.deprecated_call():
-        old_style = synthesize(dealer_graph, 6)
-    new_style = Pipeline().run(dealer_graph, FlowConfig(n_steps=6))
-    assert_designs_identical(old_style.design, new_style)
-
-    with pytest.deprecated_call():
-        pair_old = synthesize_pair(dealer_graph, 6)
-    pair_new = run_pair(dealer_graph, FlowConfig(n_steps=6))
-    assert pair_old.area_increase == pair_new.area_increase
-    assert generate_vhdl(pair_old.baseline.design) == \
-        generate_vhdl(pair_new.baseline.design)
-    assert generate_vhdl(pair_old.managed.design) == \
-        generate_vhdl(pair_new.managed.design)
-
-
-def test_pipelined_shim_matches(dealer_graph):
-    with pytest.deprecated_call():
-        old = synthesize(dealer_graph, 6, initiation_interval=3)
+def test_pipelined_pipeline_matches_legacy_flow(dealer_graph):
+    old = legacy_flow(dealer_graph, 6, initiation_interval=3)
     new = Pipeline().run(dealer_graph,
                          FlowConfig(n_steps=6, initiation_interval=3))
     assert new.schedule.initiation_interval == 3
-    assert_designs_identical(old.design, new)
+    assert_designs_identical(old, new)

@@ -9,10 +9,10 @@ import pytest
 from repro.circuits import build
 from repro.core import PMOptions
 from repro.pipeline import (
-    DiskArtifactCache,
     ExplorationPoint,
     ExplorationResult,
     FlowConfig,
+    IndexedArtifactStore,
     clear_explore_cache,
     explore,
     job_key,
@@ -142,7 +142,7 @@ class TestDiskStore:
         for _ in range(2):
             start = time.perf_counter()
             warm = explore(CIRCUITS, BUDGETS,
-                           store=DiskArtifactCache(tmp_path / "store"))
+                           store=IndexedArtifactStore(tmp_path / "store"))
             warm_s = min(warm_s, time.perf_counter() - start)
         assert warm.store_hits > 0
         assert warm.store_misses == 0
@@ -155,10 +155,23 @@ class TestDiskStore:
         assert result.store_misses > 0
         assert (tmp_path / "s").is_dir()
 
+    @pytest.mark.parametrize("search", [None, "random"])
+    def test_store_opened_from_a_path_is_closed(self, tmp_path,
+                                                monkeypatch, search):
+        closed = []
+        monkeypatch.setattr(IndexedArtifactStore, "close",
+                            lambda store: closed.append(store.root))
+        explore(["gcd"], [7], store=tmp_path / "s", search=search)
+        assert closed == [tmp_path / "s"]
+        # A caller's own instance stays open for the caller to reuse.
+        explore(["gcd"], [7], store=IndexedArtifactStore(tmp_path / "t"),
+                search=search)
+        assert closed == [tmp_path / "s"]
+
     def test_store_shared_across_worker_processes(self, tmp_path):
         cold = explore(CIRCUITS, [5, 6], store=tmp_path / "s")
         warm = explore(CIRCUITS, [5, 6], workers=2,
-                       store=DiskArtifactCache(tmp_path / "s"))
+                       store=IndexedArtifactStore(tmp_path / "s"))
         assert warm.store_hits > 0 and warm.store_misses == 0
         assert _shape(cold) == _shape(warm)
 

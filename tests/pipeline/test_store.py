@@ -1,12 +1,9 @@
 """Disk store contract: persistence, sharing, bounding, resilience.
 
-The whole suite runs against both implementations of the
-:class:`repro.pipeline.StageStore` protocol — the mtime-LRU
-:class:`DiskArtifactCache` and the SQLite-indexed
-:class:`IndexedArtifactStore` (which shares the file layout but keeps
-recency/size in an index).  Implementation-specific behaviors live in
-their own tests (``test_large_stores_evict_in_batches`` here,
-``test_index.py`` for the index).
+These run against :class:`IndexedArtifactStore`, the one on-disk
+implementation of the :class:`repro.pipeline.StageStore` protocol;
+``test_index.py`` covers what its SQLite index adds (exact LRU, gc,
+rebuilding the index over an existing tree, concurrent eviction).
 """
 
 import pickle
@@ -16,7 +13,7 @@ import pytest
 
 from repro.circuits import build
 from repro.pipeline import (
-    DiskArtifactCache,
+    ArtifactCache,
     FlowConfig,
     IndexedArtifactStore,
     Pipeline,
@@ -26,24 +23,15 @@ from repro.pipeline import (
 
 CACHEABLE = ("analyze", "power_manage", "schedule", "allocate", "elaborate")
 
-STORE_CLASSES = {
-    "disk": DiskArtifactCache,
-    "indexed": IndexedArtifactStore,
-}
-
-
-@pytest.fixture(params=sorted(STORE_CLASSES))
-def store_cls(request):
-    return STORE_CLASSES[request.param]
-
 
 @pytest.fixture
-def store(store_cls, tmp_path):
-    return store_cls(tmp_path / "store")
+def store(tmp_path):
+    return IndexedArtifactStore(tmp_path / "store")
 
 
-def test_both_implement_the_protocol(store):
+def test_memory_and_disk_stores_implement_the_protocol(store):
     assert isinstance(store, StageStore)
+    assert isinstance(ArtifactCache(), StageStore)
 
 
 class TestContract:
@@ -77,26 +65,35 @@ class TestContract:
         assert store.stats.lookups == 0
         assert store.lookup(("a",)) is None
 
-    def test_bad_max_entries_rejected(self, store_cls, tmp_path):
+    def test_clear_is_seen_by_every_instance(self, tmp_path):
+        first = IndexedArtifactStore(tmp_path / "s")
+        second = IndexedArtifactStore(tmp_path / "s")
+        first.store(("a",), {"v": 1})
+        assert len(second) == 1
+        second.clear()
+        assert len(first) == 0
+        assert first.lookup(("a",)) is None
+
+    def test_bad_max_entries_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_entries"):
-            store_cls(tmp_path, max_entries=0)
+            IndexedArtifactStore(tmp_path, max_entries=0)
 
 
 class TestPersistence:
-    def test_survives_reopening(self, store_cls, tmp_path):
-        first = store_cls(tmp_path / "s")
+    def test_survives_reopening(self, tmp_path):
+        first = IndexedArtifactStore(tmp_path / "s")
         first.store(("k",), {"v": 41})
-        second = store_cls(tmp_path / "s")
+        second = IndexedArtifactStore(tmp_path / "s")
         assert second.lookup(("k",)) == {"v": 41}
         assert second.stats.hits == 1
 
-    def test_pipeline_runs_warm_across_store_instances(self, store_cls,
-                                                       tmp_path, gcd_graph):
-        cold = Pipeline(cache=store_cls(tmp_path / "s"))
+    def test_pipeline_runs_warm_across_store_instances(self, tmp_path,
+                                                       gcd_graph):
+        cold = Pipeline(cache=IndexedArtifactStore(tmp_path / "s"))
         first = cold.run_context(gcd_graph, FlowConfig(n_steps=7))
         assert first.cache_misses == list(CACHEABLE)
 
-        warm = Pipeline(cache=store_cls(tmp_path / "s"))
+        warm = Pipeline(cache=IndexedArtifactStore(tmp_path / "s"))
         second = warm.run_context(gcd_graph, FlowConfig(n_steps=7))
         assert second.cache_hits == list(CACHEABLE)
         assert second.cache_misses == []
@@ -108,22 +105,22 @@ class TestPersistence:
         config = FlowConfig(n_steps=6)
 
         start = time.perf_counter()
-        Pipeline(cache=DiskArtifactCache(tmp_path / "s")).run(graph, config)
+        Pipeline(cache=IndexedArtifactStore(tmp_path / "s")).run(graph,
+                                                                 config)
         cold_s = time.perf_counter() - start
 
         # Best-of-two so a one-off scheduler hiccup can't flake the pin.
         warm_s = float("inf")
         for _ in range(2):
             start = time.perf_counter()
-            Pipeline(cache=DiskArtifactCache(tmp_path / "s")).run(graph,
-                                                                  config)
+            Pipeline(cache=IndexedArtifactStore(tmp_path / "s")).run(
+                graph, config)
             warm_s = min(warm_s, time.perf_counter() - start)
         assert warm_s < cold_s
 
-    def test_content_addressing_spans_equal_graphs(self, store_cls,
-                                                   tmp_path):
+    def test_content_addressing_spans_equal_graphs(self, tmp_path):
         """Two independently built but identical graphs share entries."""
-        store = store_cls(tmp_path / "s")
+        store = IndexedArtifactStore(tmp_path / "s")
         Pipeline(cache=store).run(build("gcd"), FlowConfig(n_steps=7))
         ctx = Pipeline(cache=store).run_context(build("gcd"),
                                                 FlowConfig(n_steps=7))
@@ -132,9 +129,9 @@ class TestPersistence:
     def test_digest_is_stable_across_processes(self):
         # sha256 over the key repr — not Python's salted hash().
         key = ("analyze", graph_fingerprint(build("gcd")), ("width=8",))
-        assert DiskArtifactCache.digest(key) == \
-            DiskArtifactCache.digest(key)
-        assert len(DiskArtifactCache.digest(key)) == 64
+        assert IndexedArtifactStore.digest(key) == \
+            IndexedArtifactStore.digest(key)
+        assert len(IndexedArtifactStore.digest(key)) == 64
 
 
 class TestResilience:
@@ -163,64 +160,27 @@ class TestResilience:
 
 
 class TestBounding:
-    def test_lru_prunes_oldest_entries(self, store_cls, tmp_path):
-        store = store_cls(tmp_path / "s", max_entries=3)
-        now = time.time()
+    def test_lru_prunes_oldest_entries(self, tmp_path):
+        store = IndexedArtifactStore(tmp_path / "s", max_entries=3)
         for k in range(3):
             store.store((f"k{k}",), {"v": k})
-            # Deterministic mtime order without sleeping.
-            import os
-
-            os.utime(store.path_for((f"k{k}",)),
-                     (now + k, now + k))
         store.store(("k3",), {"v": 3})
         assert len(store) == 3
         assert store.stats.evictions == 1
         assert ("k0",) not in store  # oldest went
         assert all((f"k{k}",) in store for k in (1, 2, 3))
 
-    def test_lookup_refreshes_recency(self, store_cls, tmp_path):
-        import os
-
-        store = store_cls(tmp_path / "s", max_entries=2)
-        now = time.time()
+    def test_lookup_refreshes_recency(self, tmp_path):
+        store = IndexedArtifactStore(tmp_path / "s", max_entries=2)
         store.store(("a",), {"v": 1})
         store.store(("b",), {"v": 2})
-        os.utime(store.path_for(("a",)), (now - 100, now - 100))
-        os.utime(store.path_for(("b",)), (now - 50, now - 50))
-        assert store.lookup(("a",)) is not None  # touch refreshes mtime
+        assert store.lookup(("a",)) is not None  # a hit refreshes recency
         store.store(("c",), {"v": 3})
         assert ("a",) in store
         assert ("b",) not in store
 
-    def test_large_stores_evict_in_batches(self, tmp_path):
-        """Past the bound, big caches prune a batch at once so the
-        O(entries) tree scan amortizes instead of running per store.
-
-        DiskArtifactCache-specific: the indexed store evicts exactly
-        (O(1) per store), covered in ``test_index.py``."""
-        import os
-
-        store = DiskArtifactCache(tmp_path / "s", max_entries=32)
-        now = time.time()
-        for k in range(32):
-            store.store((f"k{k}",), {"v": k})
-            # Back-date: k0 oldest ... k31 newest, all before "now".
-            stamp = now - (64 - k)
-            os.utime(store.path_for((f"k{k}",)), (stamp, stamp))
-        store.store(("k32",), {"v": 32})
-        # target = 32 - (32 // 16 - 1) = 31: the two oldest went at once.
-        assert len(store) == 31
-        assert store.stats.evictions == 2
-        assert ("k0",) not in store and ("k1",) not in store
-        assert ("k2",) in store and ("k32",) in store
-        # No further prune until the bound is exceeded again.
-        store.store(("k33",), {"v": 33})
-        assert len(store) == 32 and store.stats.evictions == 2
-
-    def test_restore_of_existing_key_does_not_grow(self, store_cls,
-                                                   tmp_path):
-        store = store_cls(tmp_path / "s", max_entries=2)
+    def test_restore_of_existing_key_does_not_grow(self, tmp_path):
+        store = IndexedArtifactStore(tmp_path / "s", max_entries=2)
         for _ in range(5):
             store.store(("same",), {"v": 1})
         assert len(store) == 1

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.flow import synthesize_pair
+from repro.pipeline import FlowConfig, run_pair
 from repro.power.simulated import compare_designs, measure_power
 
 
 @pytest.fixture(scope="module")
 def dealer_pair():
     from repro.circuits import dealer
-    return synthesize_pair(dealer(), 6)
+    return run_pair(dealer(), FlowConfig(n_steps=6))
 
 
 class TestMeasurePower:
@@ -41,7 +41,7 @@ class TestCompareDesigns:
 
     def test_vender_saves_power(self):
         from repro.circuits import vender
-        pair = synthesize_pair(vender(), 6)
+        pair = run_pair(vender(), FlowConfig(n_steps=6))
         cmp = compare_designs(pair.baseline.design, pair.managed.design,
                               n_vectors=128)
         assert cmp.reduction_pct > 10.0

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.flow import synthesize, synthesize_pair
 from repro.core.pm_pass import PMOptions
+from repro.pipeline import FlowConfig, Pipeline, run_pair
 
 
 class TestController:
     def test_one_load_per_operation(self, dealer_graph):
-        result = synthesize(dealer_graph, 6)
+        result = Pipeline().run(dealer_graph, FlowConfig(n_steps=6))
         controller = result.design.controller
         assert len(controller.loads) == len(dealer_graph.operations())
 
     def test_loads_fire_at_op_finish(self, dealer_graph):
-        result = synthesize(dealer_graph, 6)
+        result = Pipeline().run(dealer_graph, FlowConfig(n_steps=6))
         design = result.design
         for load in design.controller.loads:
             node = design.graph.node(load.op)
@@ -25,7 +25,7 @@ class TestController:
         slightly more complex'."""
         from repro.sched.timing import critical_path_length
         steps = critical_path_length(small_circuit) + 2
-        pair = synthesize_pair(small_circuit, steps)
+        pair = run_pair(small_circuit, FlowConfig(n_steps=steps))
         managed = pair.managed.design
         baseline = pair.baseline.design
         if managed.is_power_managed:
@@ -36,7 +36,7 @@ class TestController:
             assert guard_literals > 0
 
     def test_literal_count_formula(self, abs_diff_graph):
-        result = synthesize(abs_diff_graph, 3)
+        result = Pipeline().run(abs_diff_graph, FlowConfig(n_steps=3))
         controller = result.design.controller
         expected = controller.input_loads
         expected += sum(1 + l.guard.literal_count for l in controller.loads)
@@ -44,7 +44,7 @@ class TestController:
         assert controller.literal_count == expected
 
     def test_loads_in_state_partition(self, vender_graph):
-        result = synthesize(vender_graph, 6)
+        result = Pipeline().run(vender_graph, FlowConfig(n_steps=6))
         controller = result.design.controller
         total = sum(len(controller.loads_in_state(s))
                     for s in range(controller.n_states))
@@ -53,12 +53,12 @@ class TestController:
 
 class TestDesign:
     def test_summary_mentions_kind(self, dealer_graph):
-        pair = synthesize_pair(dealer_graph, 6)
+        pair = run_pair(dealer_graph, FlowConfig(n_steps=6))
         assert "PM" in pair.managed.design.summary()
         assert "baseline" in pair.baseline.design.summary()
 
     def test_area_breakdown_components_positive(self, vender_graph):
-        design = synthesize(vender_graph, 6).design
+        design = Pipeline().run(vender_graph, FlowConfig(n_steps=6)).design
         area = design.area()
         assert area.functional_units > 0
         assert area.registers > 0
@@ -66,9 +66,11 @@ class TestDesign:
         assert area.total == area.datapath + area.controller
 
     def test_is_power_managed_flags(self, abs_diff_graph):
-        assert synthesize(abs_diff_graph, 3).design.is_power_managed
-        assert not synthesize(
-            abs_diff_graph, 3, PMOptions(enabled=False)
-        ).design.is_power_managed
+        def design(config):
+            return Pipeline().run(abs_diff_graph, config).design
+
+        assert design(FlowConfig(n_steps=3)).is_power_managed
+        assert not design(FlowConfig(
+            n_steps=3, pm=PMOptions(enabled=False))).is_power_managed
         # Two steps: no slack, no PM even though the pass ran.
-        assert not synthesize(abs_diff_graph, 2).design.is_power_managed
+        assert not design(FlowConfig(n_steps=2)).is_power_managed

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.flow import synthesize, synthesize_pair
+from repro.pipeline import FlowConfig, Pipeline, run_pair
 from repro.rtl.vhdl import generate_vhdl
 
 
 @pytest.fixture
 def dealer_vhdl(dealer_graph):
-    return generate_vhdl(synthesize(dealer_graph, 6).design)
+    return generate_vhdl(
+        Pipeline().run(dealer_graph, FlowConfig(n_steps=6)).design)
 
 
 class TestStructure:
@@ -24,12 +25,12 @@ class TestStructure:
             assert f"{node.name.lower()} : out signed" in dealer_vhdl
 
     def test_fsm_states_match_steps(self, dealer_graph):
-        design = synthesize(dealer_graph, 6).design
+        design = Pipeline().run(dealer_graph, FlowConfig(n_steps=6)).design
         text = generate_vhdl(design)
         assert "type state_t is (s0, s1, s2, s3, s4, s5);" in text
 
     def test_units_instantiated(self, dealer_graph):
-        design = synthesize(dealer_graph, 6).design
+        design = Pipeline().run(dealer_graph, FlowConfig(n_steps=6)).design
         text = generate_vhdl(design)
         for unit in design.binding.units:
             assert f"{unit.name}_proc" in text
@@ -41,22 +42,23 @@ class TestStructure:
 
 class TestPowerManagementMarkers:
     def test_guarded_loads_only_in_pm_design(self, dealer_graph):
-        pair = synthesize_pair(dealer_graph, 6)
+        pair = run_pair(dealer_graph, FlowConfig(n_steps=6))
         managed = generate_vhdl(pair.managed.design)
         baseline = generate_vhdl(pair.baseline.design)
         assert "power management:" in managed
         assert "power management:" not in baseline
 
     def test_header_names_design_kind(self, dealer_graph):
-        pair = synthesize_pair(dealer_graph, 6)
+        pair = run_pair(dealer_graph, FlowConfig(n_steps=6))
         assert "power-managed design" in generate_vhdl(pair.managed.design)
         assert "baseline design" in generate_vhdl(pair.baseline.design)
 
 
 class TestDeterminism:
     def test_output_is_reproducible(self, vender_graph):
-        a = generate_vhdl(synthesize(vender_graph, 6).design)
-        b = generate_vhdl(synthesize(vender_graph, 6).design)
+        config = FlowConfig(n_steps=6)
+        a = generate_vhdl(Pipeline().run(vender_graph, config).design)
+        b = generate_vhdl(Pipeline().run(vender_graph, config).design)
         assert a == b
 
     def test_identifier_sanitization(self):

@@ -1,26 +1,39 @@
-"""Job state machine, content keys, event feed, registry journal."""
+"""Job state machine, content keys and event feed of the per-server
+registry, driven the way the server drives it: every local job is
+adopted from a claimed :class:`LeaseStore` row."""
 
 import pytest
 
-from repro.opt.journal import load_journal
 from repro.serve.jobs import (
     MAX_EVENTS,
-    Job,
     JobError,
     JobRegistry,
     JobState,
     JobStateError,
+    LeaseStore,
     UnknownJobError,
     job_content_key,
 )
 
+PARAMS = {"circuits": ["gcd"], "budgets": [6, 7]}
+
 
 @pytest.fixture
-def registry(tmp_path):
-    return JobRegistry(tmp_path / "jobs.jsonl")
+def queue(tmp_path):
+    store = LeaseStore(tmp_path / "queue.sqlite")
+    yield store
+    store.close()
 
 
-PARAMS = {"circuits": ["gcd"], "budgets": [6, 7]}
+@pytest.fixture
+def registry():
+    return JobRegistry()
+
+
+def claim(registry, queue, kind="explore", params=PARAMS):
+    """Submit, claim and adopt one job, as a server's claim loop does."""
+    queue.submit(kind, params)
+    return registry.adopt(queue.claim("srv-test"))
 
 
 class TestContentKey:
@@ -40,10 +53,47 @@ class TestContentKey:
             job_content_key("explore", {**PARAMS, "budgets": [6]})
 
 
+class TestAdopt:
+    def test_adopted_job_mirrors_its_row(self, registry, queue):
+        row, _ = queue.submit("explore", PARAMS)
+        job = registry.adopt(queue.claim("srv-test"))
+        assert (job.id, job.kind, job.key) == (row.id, "explore", row.key)
+        assert job.params == PARAMS
+        assert job.state is JobState.QUEUED  # the server moves it on
+        assert registry.get(job.id) is job
+        assert registry.find(job.id) is job
+        assert registry.jobs() == [job]
+
+    def test_adopt_carries_cancel_flag_and_feed_high_water(self, registry,
+                                                           queue):
+        row, _ = queue.submit("explore", PARAMS)
+        claimed = queue.claim("srv-a", now=100.0)
+        assert queue.request_cancel(row.id) == "cooperative"
+        assert queue.heartbeat("srv-a", {row.id: 17}, now=101.0) == [row.id]
+        job = registry.adopt(queue.get(row.id))
+        assert job.cancel_requested
+        assert job.last_seq == 17
+        assert claimed.last_seq == 0
+
+    def test_readopting_replaces_the_stale_local_copy(self, registry,
+                                                     queue):
+        # A server that lost a job's lease and later re-claims it starts
+        # a fresh local job: the abandoned copy's feed is not reused.
+        first = claim(registry, queue)
+        registry.transition(first, JobState.RUNNING)
+        first.abandoned = True
+        queue.release("srv-test")
+        again = registry.adopt(queue.claim("srv-test"))
+        assert again is not first and again.id == first.id
+        assert again.state is JobState.QUEUED and not again.abandoned
+        assert registry.find(first.id) is again
+        assert registry.jobs() == [again]
+
+
 class TestStateMachine:
-    def test_happy_path(self, registry):
-        job, created = registry.submit("explore", PARAMS)
-        assert created and job.state is JobState.QUEUED
+    def test_happy_path(self, registry, queue):
+        job = claim(registry, queue)
+        assert job.state is JobState.QUEUED
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, JobState.DONE, result={"points": 4})
         assert job.state.terminal
@@ -51,66 +101,69 @@ class TestStateMachine:
 
     @pytest.mark.parametrize("terminal", [JobState.DONE, JobState.FAILED,
                                           JobState.CANCELLED])
-    def test_terminal_states_are_final(self, registry, terminal):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_terminal_states_are_final(self, registry, queue, terminal):
+        job = claim(registry, queue)
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, terminal)
         for to in JobState:
             with pytest.raises(JobStateError):
                 registry.transition(job, to)
 
-    def test_queued_cannot_jump_to_done(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_queued_cannot_jump_to_done(self, registry, queue):
+        job = claim(registry, queue)
         with pytest.raises(JobStateError):
             registry.transition(job, JobState.DONE)
 
-    def test_failed_records_the_error(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_failed_records_the_error(self, registry, queue):
+        job = claim(registry, queue)
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, JobState.FAILED, error="boom")
         assert job.error == "boom"
         assert job.snapshot()["error"] == "boom"
 
-    def test_unknown_kind_rejected(self, registry):
+    def test_unknown_kind_rejected(self, queue):
         with pytest.raises(JobError, match="unknown job kind"):
-            registry.submit("frobnicate", PARAMS)
+            queue.submit("frobnicate", PARAMS)
 
     def test_unknown_job_id(self, registry):
         with pytest.raises(UnknownJobError):
             registry.get("j-999-deadbeef")
+        assert registry.find("j-999-deadbeef") is None
 
 
 class TestDedup:
-    def test_identical_inflight_submissions_share_one_job(self, registry):
-        first, created = registry.submit("explore", PARAMS)
-        second, again = registry.submit("explore", dict(PARAMS))
+    def test_identical_inflight_submissions_share_one_job(self, queue):
+        first, created = queue.submit("explore", PARAMS)
+        second, again = queue.submit("explore", dict(PARAMS))
         assert created and not again
-        assert first is second
+        assert first.id == second.id
 
-    def test_terminal_job_does_not_absorb_resubmission(self, registry):
-        first, _ = registry.submit("explore", PARAMS)
+    def test_terminal_job_does_not_absorb_resubmission(self, registry,
+                                                       queue):
+        first = claim(registry, queue)
         registry.transition(first, JobState.RUNNING)
         registry.transition(first, JobState.DONE)
-        second, created = registry.submit("explore", PARAMS)
-        assert created and second is not first
+        assert queue.finish(first.id, "srv-test", JobState.DONE)
+        second, created = queue.submit("explore", PARAMS)
+        assert created and second.id != first.id
         assert second.key == first.key  # same journal -> warm rerun
 
 
 class TestCancel:
-    def test_queued_cancel_is_immediate(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_queued_cancel_is_immediate(self, registry, queue):
+        job = claim(registry, queue)
         assert registry.request_cancel(job) is True
         assert job.state is JobState.CANCELLED
 
-    def test_running_cancel_is_cooperative(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_running_cancel_is_cooperative(self, registry, queue):
+        job = claim(registry, queue)
         registry.transition(job, JobState.RUNNING)
         assert registry.request_cancel(job) is False
         assert job.cancel_requested
         assert job.state is JobState.RUNNING
 
-    def test_terminal_cancel_is_a_noop(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_terminal_cancel_is_a_noop(self, registry, queue):
+        job = claim(registry, queue)
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, JobState.DONE)
         assert registry.request_cancel(job) is False
@@ -118,8 +171,8 @@ class TestCancel:
 
 
 class TestEventFeed:
-    def test_seq_is_monotonic_and_filterable(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_seq_is_monotonic_and_filterable(self, registry, queue):
+        job = claim(registry, queue)
         for k in range(5):
             registry.push(job, {"type": "point", "k": k})
         snapshot = job.snapshot(since=3)
@@ -127,69 +180,27 @@ class TestEventFeed:
         assert job.snapshot()["last_seq"] == 5
         assert "events" not in job.snapshot()  # no since -> no feed
 
-    def test_feed_is_bounded(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_feed_is_bounded(self, registry, queue):
+        job = claim(registry, queue)
         for k in range(MAX_EVENTS + 10):
             registry.push(job, {"type": "point", "k": k})
         assert len(job.events) == MAX_EVENTS
         assert job.events_dropped == 10
         assert job.last_seq == MAX_EVENTS + 10  # seq never rewinds
 
+    def test_events_since_reports_the_aged_out_gap(self, queue):
+        registry = JobRegistry(max_events=3)
+        job = claim(registry, queue)
+        for k in range(5):
+            registry.push(job, {"type": "point", "k": k})
+        events, dropped = registry.events_since(job, 0)
+        assert [e["seq"] for e in events] == [3, 4, 5]
+        assert dropped == 2
 
-class TestRegistryJournal:
-    def test_restart_restores_jobs_and_ids(self, tmp_path):
-        first = JobRegistry(tmp_path / "jobs.jsonl")
-        done, _ = first.submit("explore", PARAMS)
-        first.transition(done, JobState.RUNNING)
-        first.transition(done, JobState.DONE, result={"points": 2})
-        interrupted, _ = first.submit("optimize",
-                                      {"circuit": "gcd", "budgets": [6]})
-        first.transition(interrupted, JobState.RUNNING)
-        first.close()  # process dies here
-
-        second = JobRegistry(tmp_path / "jobs.jsonl")
-        restored = {job.id: job for job in second.jobs()}
-        assert restored[done.id].state is JobState.DONE
-        assert restored[done.id].result == {"points": 2}
-        assert restored[interrupted.id].state is JobState.RUNNING
-
-        revived = second.recoverable()
-        assert [job.id for job in revived] == [interrupted.id]
-        assert revived[0].state is JobState.QUEUED
-
-        # New ids never collide with restored ones.
-        fresh, _ = second.submit("explore", {"circuits": ["vender"],
-                                             "budgets": [6]})
-        assert fresh.id not in restored
-
-    def test_compact_then_append_survives_restart(self, tmp_path):
-        registry = JobRegistry(tmp_path / "jobs.jsonl")
-        job, _ = registry.submit("explore", PARAMS)
+    def test_every_push_and_transition_notifies(self, queue):
+        seen = []
+        registry = JobRegistry(on_event=seen.append)
+        job = claim(registry, queue)
         registry.transition(job, JobState.RUNNING)
-        outcome = registry.compact()  # handle cycled around the replace
-        assert outcome.kept == 1
-        registry.transition(job, JobState.DONE)  # append post-compaction
-        registry.close()
-        reloaded = JobRegistry(tmp_path / "jobs.jsonl")
-        assert reloaded.get(job.id).state is JobState.DONE
-
-    def test_memory_only_registry_works(self):
-        registry = JobRegistry()  # no journal path
-        job, _ = registry.submit("explore", PARAMS)
-        registry.transition(job, JobState.RUNNING)
-        assert registry.compact() is None
-
-    def test_garbage_record_is_skipped(self, tmp_path):
-        path = tmp_path / "jobs.jsonl"
-        path.write_text('{"format": 1, "kind": "serve-jobs"}\n'
-                        '{"key": "j-x", "not-a-job": true}\n')
-        registry = JobRegistry(path)
-        assert registry.jobs() == []
-
-    def test_journal_is_the_shared_format(self, tmp_path):
-        registry = JobRegistry(tmp_path / "jobs.jsonl")
-        job, _ = registry.submit("explore", PARAMS)
-        registry.close()
-        records = load_journal(tmp_path / "jobs.jsonl")
-        assert records[job.id]["state"] == "queued"
-        assert records[job.id]["jkey"] == job.key
+        registry.push(job, {"type": "point"})
+        assert seen == [job, job]

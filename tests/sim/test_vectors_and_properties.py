@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow import synthesize
+from repro.pipeline import FlowConfig, Pipeline
 from repro.sched.timing import critical_path_length
 from repro.sim.reference import evaluate
 from repro.sim.simulator import RTLSimulator
@@ -39,7 +39,7 @@ class TestFullFlowProperty:
            st.integers(min_value=0, max_value=10_000))
     def test_pm_design_equals_reference(self, graph, slack, seed):
         cp = critical_path_length(graph)
-        result = synthesize(graph, cp + slack)
+        result = Pipeline().run(graph, FlowConfig(n_steps=cp + slack))
         vectors = random_vectors(graph, 8, seed=seed)
         sim = RTLSimulator(result.design, power_management=True)
         outputs, _ = sim.run_many(vectors)
@@ -50,7 +50,8 @@ class TestFullFlowProperty:
     def test_baseline_design_equals_reference(self, graph, slack):
         cp = critical_path_length(graph)
         from repro.core.pm_pass import PMOptions
-        result = synthesize(graph, cp + slack, PMOptions(enabled=False))
+        result = Pipeline().run(graph, FlowConfig(
+            n_steps=cp + slack, pm=PMOptions(enabled=False)))
         vectors = random_vectors(graph, 6, seed=0)
         sim = RTLSimulator(result.design, power_management=False)
         outputs, _ = sim.run_many(vectors)
@@ -61,7 +62,7 @@ class TestFullFlowProperty:
     def test_gated_activity_never_exceeds_baseline(self, graph):
         """Power management can only reduce the number of executions."""
         cp = critical_path_length(graph)
-        result = synthesize(graph, cp + 2)
+        result = Pipeline().run(graph, FlowConfig(n_steps=cp + 2))
         vectors = random_vectors(graph, 5, seed=1)
         managed = RTLSimulator(result.design, power_management=True)
         _, act_managed = managed.run_many(vectors)
