@@ -38,6 +38,14 @@ only reflects dispatch overhead.  The block run times vectorized vs
 packed only (the compiled engine would need minutes on 512k vectors)
 and cross-checks their outputs and activity bit-for-bit.
 
+Each circuit also gets **calibration rows**: the compiled and vectorized
+backends at 16 and 128 vectors (the verify check and ``sim_power``
+sizes), next to their 4096-vector rows.  Every ``build_s`` is a cold
+build (compile caches cleared, plan compilation included) and every
+``seconds`` one engine call; with ``plan_ops`` per circuit these rows
+are what :func:`repro.sim.backend.fit_cost_model` fits the ``auto``
+backend's cost model to.
+
 Every circuit row carries ``identical``: all array backends must agree
 bit-for-bit (outputs + full ActivityCounter) with the compiled engine on
 the full batch, and the compiled engine with the interpreter on the
@@ -73,7 +81,12 @@ from repro.circuits import build  # noqa: E402
 from repro.circuits.extra import gated_recurrence, logic_mixer  # noqa: E402
 from repro.pipeline import FlowConfig, run_pair  # noqa: E402
 from repro.sched.timing import critical_path_length  # noqa: E402
-from repro.sim.engine import CompiledEngine  # noqa: E402
+from repro.sim.backend import plan_ops  # noqa: E402
+from repro.sim.engine import (  # noqa: E402
+    CompiledEngine,
+    cached_plan,
+    clear_compile_caches,
+)
 from repro.sim.packed import PackedEngine, PackingError  # noqa: E402
 from repro.sim.simulator import RTLSimulator  # noqa: E402
 from repro.sim.vectorized import VectorizedEngine  # noqa: E402
@@ -86,6 +99,10 @@ FULL_CIRCUITS = {"dealer": 6, "gcd": 7, "vender": 6, "cordic": 48,
 # Smoke keeps one paper circuit plus both stress rows so CI always
 # exercises the hybrid micro-loop and the packed backend.
 SMOKE_CIRCUITS = {"dealer": 6, "gcd": 7, "recurrent": None, "logic": None}
+
+#: Batch sizes of the calibration rows: the verify stage's check and the
+#: ``sim_power`` objective's default.
+CALIBRATION_VECTORS = (16, 128)
 
 #: Circuits the packed-over-vectorized floor is enforced on (pure-logic
 #: dataflow is where bit-packing pays; arithmetic circuits ripple carries
@@ -108,6 +125,18 @@ def _timed(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _cold_build(engine_class, design, repeats: int):
+    """An engine plus its best cold build time: caches cleared before
+    every build, so plan compilation and code generation are included."""
+    best = float("inf")
+    for _ in range(repeats):
+        clear_compile_caches()
+        start = time.perf_counter()
+        engine = engine_class(design)
+        best = min(best, time.perf_counter() - start)
+    return engine, best
 
 
 def _packed_gate_block(vectorized, packed, n_vectors: int,
@@ -147,18 +176,13 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     batch = random_vectors(graph, n_batch)
     small = batch[:n_interp]
 
-    compile_start = time.perf_counter()
-    compiled = CompiledEngine(design)
-    compiled_build_s = time.perf_counter() - compile_start
-    compile_start = time.perf_counter()
-    vectorized = VectorizedEngine(design)
-    vectorized_build_s = time.perf_counter() - compile_start
+    compiled, compiled_build_s = _cold_build(CompiledEngine, design, repeats)
+    vectorized, vectorized_build_s = _cold_build(VectorizedEngine, design,
+                                                 repeats)
     matrix = vectors_to_array(batch, vectorized.input_names)
     packed = packed_build_s = packed_note = None
     try:
-        compile_start = time.perf_counter()
-        packed = PackedEngine(design)
-        packed_build_s = time.perf_counter() - compile_start
+        packed, packed_build_s = _cold_build(PackedEngine, design, repeats)
     except PackingError as exc:
         packed_note = str(exc)
 
@@ -218,6 +242,19 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
              "speedup_vs_interpreter": per_interp / (packed_s / n_batch),
              "speedup_vs_compiled": compiled_s / packed_s,
              "speedup_vs_vectorized": vectorized_s / packed_s})
+    # Calibration rows: sub-millisecond runs, so more repeats.
+    for n in (n for n in CALIBRATION_VECTORS if n <= n_batch):
+        for backend, build_s, run in (
+                ("compiled", compiled_build_s,
+                 lambda: (compiled.reset(), compiled.run_batch(batch[:n]))),
+                ("vectorized", vectorized_build_s,
+                 lambda: (vectorized.reset(),
+                          vectorized.run_array(matrix[:n])))):
+            seconds = _timed(run, 3 * repeats)
+            rows.append({"backend": backend, "n_vectors": n,
+                         "seconds": seconds,
+                         "per_vector_us": seconds / n * 1e6,
+                         "build_s": build_s})
     # The gate metric comes from the block run when one happened; the
     # shared small batch only measures dispatch overhead there.
     packed_speedup = (vectorized_s / packed_s) if packed_s is not None \
@@ -227,6 +264,7 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     return {
         "circuit": name,
         "n_steps": steps,
+        "plan_ops": plan_ops(cached_plan(design)),
         "hybrid": vectorized.hybrid,
         "rows": rows,
         "vectorized_speedup_over_compiled": compiled_s / vectorized_s,

@@ -51,6 +51,7 @@ from repro.power.simulated import compare_designs
 from repro.report import full_report
 from repro.rtl.vhdl import generate_vhdl
 from repro.sched.timing import critical_path_length
+from repro.sim.backend import BACKENDS
 
 # One pipeline per CLI invocation: `simulate` and `explore` style
 # commands synthesize several related designs and share artifacts.
@@ -506,10 +507,11 @@ def make_parser() -> argparse.ArgumentParser:
                             "conservatively (default: per_sample)")
         p.add_argument("--verify", action="store_true",
                        help="run the gating-soundness check")
-        p.add_argument("--sim-backend", default="auto",
-                       choices=("compiled", "vectorized", "packed", "auto"),
+        p.add_argument("--sim-backend", default="auto", choices=BACKENDS,
                        help="batch simulation engine (default: auto = "
-                            "vectorized NumPy where available)")
+                            "compiled or vectorized, whichever a cost "
+                            "model expects to be faster for the vector "
+                            "count)")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("circuit", help="benchmark name or DSL file")
@@ -625,8 +627,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--verify", action="store_true",
                        help="run the gating-soundness check on the "
                             "chosen design")
-    p_opt.add_argument("--sim-backend", default="auto",
-                       choices=("compiled", "vectorized", "packed", "auto"))
+    p_opt.add_argument("--sim-backend", default="auto", choices=BACKENDS)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_serve = sub.add_parser(
@@ -685,7 +686,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--no-pm", action="store_true")
     p_submit.add_argument("--scheduler", default="list")
     p_submit.add_argument("--sim-backend", default="auto",
-                          choices=("compiled", "vectorized", "packed", "auto"))
+                          choices=BACKENDS)
     p_submit.add_argument("--sim-vectors", type=int, default=0)
     p_submit.add_argument("--search", default="anneal",
                           choices=("anneal", "beam", "random", "portfolio"),

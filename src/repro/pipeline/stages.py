@@ -191,9 +191,10 @@ class ElaborateStage(Stage):
 
 class VerifyStage(Stage):
     """Soundness checks (when ``config.verify``): the structural gating
-    argument plus a functional differential — the compiled batch engine
-    runs the elaborated design against the reference model on a seeded
-    vector set, with power management on and off."""
+    argument plus a functional differential — the batch engine
+    ``config.sim_backend`` selects (for ``auto``, the cheapest at this
+    vector count) runs the elaborated design against the reference
+    model on a seeded vector set, with power management on and off."""
 
     name = "verify"
     requires = ("pm", "design", "pipelined_gating")
@@ -218,7 +219,8 @@ class VerifyStage(Stage):
                     for v in vectors]
         for pm in (True, False):
             engine = create_engine(design, power_management=pm,
-                                   backend=ctx.config.sim_backend)
+                                   backend=ctx.config.sim_backend,
+                                   n_vectors=len(vectors))
             outputs, _ = engine.run_many(vectors)
             if outputs != expected:
                 raise StageError(

@@ -12,9 +12,11 @@ convert switching activity into weighted energy:
   controller — which the paper notes is "slightly more complex" — eats
   part of the datapath savings exactly as Table III shows.
 
-Simulation runs on a batch engine selected by ``backend=`` — the
-vectorized NumPy backend by default where available, else the
-:class:`~repro.sim.engine.CompiledEngine`; both are bit-identical to the
+Simulation runs on a batch engine selected by ``backend=`` — by
+default (``"auto"``) whichever of the vectorized NumPy backend and the
+:class:`~repro.sim.engine.CompiledEngine` the cost model in
+:mod:`repro.sim.backend` expects to finish the vector count sooner; both
+are bit-identical to the
 interpreted :class:`~repro.sim.simulator.RTLSimulator` oracle, so every
 estimate below is backend-independent at a fixed seed.  Two estimation
 modes:
@@ -41,7 +43,7 @@ from repro.ir.ops import ResourceClass
 from repro.power.weights import PowerWeights
 from repro.rtl.design import SynthesizedDesign
 from repro.sim.activity import ActivityCounter
-from repro.sim.backend import create_engine
+from repro.sim.backend import create_engine, resolve_backend
 from repro.sim.vectors import (
     iter_random_vectors,
     random_vectors,
@@ -203,16 +205,40 @@ def measure_power(
     returns :class:`MonteCarloPower`.
 
     ``backend`` selects the batch engine (``"compiled"``,
-    ``"vectorized"`` or ``"auto"``, see :func:`repro.sim.create_engine`);
+    ``"vectorized"`` or ``"auto"``, which weighs the two for the vector
+    count this call simulates, see :func:`repro.sim.create_engine`);
     the backends are bit-identical, so reports are byte-equal across
     them at the same seed.  ``engine`` reuses a prebuilt engine instead
     (its persistent state included); by default a cold-state engine is
     built, which reproduces the legacy simulator's numbers exactly.
     """
     weights = weights if weights is not None else PowerWeights()
+    if rel_tol is not None and rel_tol <= 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    is_matrix = vectors is not None and hasattr(vectors, "ndim")
+    if rel_tol is None:
+        if vectors is None:
+            vectors = random_vectors(design.graph, n_vectors,
+                                     width=design.width, seed=seed)
+        elif not is_matrix:
+            vectors = list(vectors)
+        expected, block = len(vectors), None
+    else:
+        # The stopping rule cannot stop before _MIN_BLOCKS full blocks,
+        # so that many samples (capped by max_vectors and by a finite
+        # source) is the one count known before the first block runs.
+        # It is a lower bound (rel_tol=0.01 runs typically take 6-9
+        # blocks), but at the default block_size one more block costs
+        # the compiled engine less than the vectorized one, so a longer
+        # run only strengthens a compiled choice.
+        expected = min(max_vectors, _MIN_BLOCKS * block_size)
+        if hasattr(vectors, "__len__"):
+            expected = min(expected, len(vectors))
+        block = block_size
     if engine is None:
         engine = create_engine(design, power_management=power_management,
-                               backend=backend)
+                               backend=backend, n_vectors=expected,
+                               block_size=block)
     elif engine.design is not design \
             or engine.power_management != power_management:
         raise ValueError(
@@ -220,21 +246,14 @@ def measure_power(
             f"design {engine.design.name!r} with power_management="
             f"{engine.power_management}, but this call asked for "
             f"{design.name!r} with power_management={power_management}")
-    is_matrix = vectors is not None and hasattr(vectors, "ndim")
     if rel_tol is None:
-        if vectors is None:
-            vectors = random_vectors(design.graph, n_vectors,
-                                     width=design.width, seed=seed)
-        batch = _run_block(engine, vectors) if is_matrix \
-            else _run_block(engine, list(vectors))
+        batch = _run_block(engine, vectors)
         fu, reg, ctrl = _power_from_activity(
             batch.activity, batch.samples, design.width, weights)
         return SimulatedPower(fu_energy=fu, register_energy=reg,
                               controller_energy=ctrl, samples=batch.samples,
                               chosen_backend=_engine_name(engine))
 
-    if rel_tol <= 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if is_matrix:
         matrix, offset = vectors, 0
         stream = None
@@ -325,16 +344,22 @@ def compare_designs(
     weights: PowerWeights | None = None,
     backend: str = "auto",
 ) -> PowerComparison:
-    """Simulate both designs on the *same* vector set and compare."""
+    """Simulate both designs on the *same* vector set and compare.
+
+    The backend is resolved once for the pair, so both reports carry the
+    same ``chosen_backend`` even when only one design's runner is cached.
+    """
     weights = weights if weights is not None else PowerWeights()
     vectors = random_vectors(orig.graph, n_vectors, width=orig.width,
                              seed=seed)
-    power_orig = measure_power(orig, vectors=vectors,
-                               power_management=False, weights=weights,
-                               backend=backend)
-    power_new = measure_power(managed, vectors=vectors,
-                              power_management=True, weights=weights,
-                              backend=backend)
+    chosen, reason = resolve_backend(((orig, False), (managed, True)),
+                                     backend, n_vectors=n_vectors)
+    power_orig = measure_power(
+        orig, vectors=vectors, power_management=False, weights=weights,
+        engine=create_engine(orig, False, chosen, reason=reason))
+    power_new = measure_power(
+        managed, vectors=vectors, power_management=True, weights=weights,
+        engine=create_engine(managed, True, chosen, reason=reason))
     return PowerComparison(
         orig=power_orig,
         managed=power_new,

@@ -79,6 +79,7 @@ from repro.serve.jobs import (
     UnknownJobError,
 )
 from repro.serve.work import read_progress, run_optimize_job
+from repro.sim.backend import BACKENDS
 
 SERVER_NAME = "repro-serve/2"
 
@@ -1041,6 +1042,10 @@ def _validate_params(kind, params) -> str | None:
         return f"kind must be 'explore' or 'optimize', got {kind!r}"
     if not isinstance(params, dict):
         return "params must be a JSON object"
+    backend = params.get("sim_backend", "auto")
+    if backend not in BACKENDS:
+        return (f"params.sim_backend must be one of {', '.join(BACKENDS)}, "
+                f"got {backend!r}")
     budgets = params.get("budgets")
     if kind == "explore":
         circuits = params.get("circuits")

@@ -3,26 +3,29 @@
 Three interchangeable, bit-identical batch engines exist:
 
 * ``"compiled"`` — :class:`~repro.sim.engine.CompiledEngine`, generated
-  straight-line Python executed per vector.  No dependencies; the
-  fallback everywhere.
+  straight-line Python executed per vector.  No dependencies; cheap to
+  build, the fallback everywhere.
 * ``"vectorized"`` — :class:`~repro.sim.vectorized.VectorizedEngine`,
   generated NumPy array programs executed per *block*, with a hybrid
   scalar micro-loop covering recurrent guarded state.  Total over valid
-  designs up to the int64 width headroom; needs ``numpy``.
+  designs up to the int64 width headroom; needs ``numpy``.  About twice
+  as costly to build as the compiled engine, with a fixed NumPy
+  dispatch cost per call, and 8-30x faster per vector on 4096-vector
+  blocks.
 * ``"packed"`` — :class:`~repro.sim.packed.PackedEngine`, bit-sliced
   word-parallel logic: 64 Monte Carlo vectors per machine word with
   popcount activity reduction.  Fastest on pure-logic-dominated
   circuits; recurrent designs transparently run hybrid-vectorized.
-* ``"auto"`` — vectorized when NumPy is importable and the design's
-  width fits the array backend's headroom, else compiled.  This is a
-  capability check, not a try/except: since the hybrid plan landed, no
-  valid design is refused by the vectorized backend, so nothing is
-  swallowed silently.
+* ``"auto"`` — a cost model (:data:`COST_MODEL`) weighs the compiled
+  and vectorized backends for the number of vectors the caller is about
+  to simulate; see :func:`resolve_backend`.  It never selects
+  ``"packed"``.
 
-Every engine handed out carries a ``chosen_backend`` attribute naming
-the engine actually constructed (``auto`` and ``packed`` may resolve to
-a different engine than their argument); fallbacks are logged on the
-``repro.sim.backend`` logger.
+Every engine handed out carries ``chosen_backend`` (the engine actually
+constructed: ``auto`` and ``packed`` may resolve to a different engine
+than their argument) and ``backend_reason`` (why: the vector count and
+both cost estimates for ``auto``).  ``auto`` decisions are logged on
+the ``repro.sim.backend`` logger at DEBUG level.
 
 :func:`create_engine` is the single construction point the power
 estimator, the pipeline's verify stage and ``explore()`` go through.
@@ -31,9 +34,17 @@ estimator, the pipeline's verify stage and ``explore()`` go through.
 from __future__ import annotations
 
 import logging
+import math
+from typing import Iterable
 
 from repro.rtl.design import SynthesizedDesign
-from repro.sim.engine import CompiledEngine
+from repro.sim.engine import (
+    _RUNNER_CACHE,
+    CompiledEngine,
+    ExecutionPlan,
+    cached_plan,
+    design_fingerprint,
+)
 
 BACKENDS = ("compiled", "vectorized", "packed", "auto")
 
@@ -42,6 +53,26 @@ BACKENDS = ("compiled", "vectorized", "packed", "auto")
 VECTOR_WIDTH_LIMIT = 62
 
 logger = logging.getLogger("repro.sim.backend")
+
+#: Backends the ``auto`` cost model chooses between.
+MODELED_BACKENDS = ("compiled", "vectorized")
+
+#: The ``auto`` cost model, in milliseconds.  Per backend, three terms,
+#: each ``(intercept, slope)`` in the design's :func:`plan_ops`:
+#: ``build`` is a cold engine build (plan, code generation and
+#: ``compile()``; zero when the runner is already cached), ``call`` the
+#: fixed cost of one engine call and ``vector`` the cost per simulated
+#: vector.  Fitted by :func:`fit_cost_model` to the committed
+#: ``BENCH_sim.json`` rows (16, 128 and 4096 vectors per circuit);
+#: regenerate both with ``python benchmarks/bench_sim.py``.
+COST_MODEL: dict[str, dict[str, tuple[float, float]]] = {
+    "compiled": {"build": (0.525, 0.2204),
+                 "call": (0.006307, 0.0003868),
+                 "vector": (0.001358, 0.00037)},
+    "vectorized": {"build": (2.569, 0.3452),
+                   "call": (0.1475, 0.0238),
+                   "vector": (0.0001549, 1.345e-05)},
+}
 
 
 def numpy_available() -> bool:
@@ -53,61 +84,176 @@ def numpy_available() -> bool:
     return True
 
 
-def _tag(engine, chosen: str):
-    engine.chosen_backend = chosen
-    return engine
+def plan_ops(plan: ExecutionPlan) -> int:
+    """Operations the plan executes per vector: the cost model's size."""
+    return sum(len(step.starts) for step in plan.steps)
 
 
-def create_engine(design: SynthesizedDesign, power_management: bool = True,
-                  backend: str = "auto"):
-    """Build the batch engine ``backend`` names for ``design``.
+def estimate_ms(backend: str, ops: int, n_vectors: int, calls: int = 1,
+                cached: bool = False) -> float:
+    """Modelled milliseconds to build (unless ``cached``) one ``backend``
+    engine for a plan of ``ops`` operations and run ``n_vectors``
+    through it in ``calls`` engine calls."""
+    terms = COST_MODEL[backend]
 
-    ``"auto"`` selects the vectorized backend whenever NumPy is
-    importable and the design's word width fits its numeric envelope,
-    else the compiled one — a decidable capability check with no
-    exception swallowing.  ``"packed"`` tries the bit-parallel engine
-    and drops to the hybrid vectorized engine (logged) for designs whose
-    recurrent state the packed kernels cannot close.  The returned
-    engine's ``chosen_backend`` attribute records the resolution.
+    def term(name: str) -> float:
+        intercept, slope = terms[name]
+        return intercept + slope * ops
+
+    build = 0.0 if cached else term("build")
+    return build + calls * term("call") + n_vectors * term("vector")
+
+
+def _runner_cached(backend: str, design: SynthesizedDesign,
+                   power_management: bool) -> bool:
+    key = (design_fingerprint(design), power_management)
+    if backend == "compiled":
+        return key in _RUNNER_CACHE
+    from repro.sim.vectorized import _VECTOR_CACHE
+
+    return key in _VECTOR_CACHE
+
+
+def resolve_backend(designs: Iterable[tuple[SynthesizedDesign, bool]],
+                    backend: str = "auto", n_vectors: int | None = None,
+                    block_size: int | None = None) -> tuple[str, str]:
+    """The backend to build for ``designs``, and why.
+
+    ``designs`` are ``(design, power_management)`` engines that will all
+    simulate the same ``n_vectors``, ``block_size`` at a time (``None``:
+    in one call).  Resolving a set at once gives every engine of, say, a
+    baseline/managed pair the same backend.  Anything but ``"auto"``
+    resolves to itself.  ``"auto"`` is compiled when NumPy is missing or
+    a design is wider than :data:`VECTOR_WIDTH_LIMIT`, vectorized when
+    the count is unknown (``None``), and otherwise whichever of the
+    compiled and vectorized backends has the lower :func:`estimate_ms`
+    summed over ``designs``; a runner already in the compile cache costs
+    nothing to build.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown simulation backend {backend!r}; "
             f"choose one of {', '.join(BACKENDS)}")
-    if backend == "compiled":
-        return _tag(CompiledEngine(design, power_management=power_management),
-                    "compiled")
-    if backend == "vectorized":
-        from repro.sim.vectorized import VectorizedEngine
+    if backend != "auto":
+        return backend, "requested"
+    designs = tuple(designs)
+    chosen, reason = _auto(designs, n_vectors, block_size)
+    logger.debug("auto backend for %s: %s -> %s",
+                 ", ".join(repr(design.graph.name) for design, _pm in designs),
+                 reason, chosen)
+    return chosen, reason
 
-        return _tag(VectorizedEngine(design,
-                                     power_management=power_management),
-                    "vectorized")
-    if backend == "packed":
+
+def _auto(designs: tuple[tuple[SynthesizedDesign, bool], ...],
+          n_vectors: int | None,
+          block_size: int | None) -> tuple[str, str]:
+    width = max(design.width for design, _pm in designs)
+    if not numpy_available():
+        return "compiled", "auto: numpy unavailable"
+    if width > VECTOR_WIDTH_LIMIT:
+        return "compiled", (f"auto: width {width} exceeds the vectorized "
+                            f"limit {VECTOR_WIDTH_LIMIT}")
+    if n_vectors is None:
+        return "vectorized", "auto: vector count unknown"
+    calls = max(1, math.ceil(n_vectors / block_size)) if block_size else 1
+    costs = dict.fromkeys(MODELED_BACKENDS, 0.0)
+    for design, pm in designs:
+        ops = plan_ops(cached_plan(design))
+        for name in MODELED_BACKENDS:
+            costs[name] += estimate_ms(
+                name, ops, n_vectors, calls,
+                cached=_runner_cached(name, design, pm))
+    estimates = ", ".join(f"{name} {costs[name]:.2f} ms"
+                          for name in MODELED_BACKENDS)
+    return (min(MODELED_BACKENDS, key=costs.__getitem__),
+            f"auto: {n_vectors} vectors, est. {estimates}")
+
+
+def _tag(engine, chosen: str, reason: str):
+    engine.chosen_backend = chosen
+    engine.backend_reason = reason
+    return engine
+
+
+def create_engine(design: SynthesizedDesign, power_management: bool = True,
+                  backend: str = "auto", n_vectors: int | None = None, *,
+                  block_size: int | None = None,
+                  reason: str | None = None):
+    """Build the batch engine ``backend`` names for ``design``.
+
+    ``n_vectors`` is how many vectors the caller is about to simulate
+    (``block_size`` per call, if not all at once); ``"auto"`` resolves
+    through the cost model with it (see :func:`resolve_backend`).
+    ``"packed"`` tries the bit-parallel engine and drops to the hybrid
+    vectorized engine (logged) for designs whose recurrent state the
+    packed kernels cannot close.  The returned engine records the
+    resolution on ``chosen_backend`` and its cause on ``backend_reason``;
+    a caller that resolved ``auto`` itself passes the concrete backend
+    plus its ``reason``.
+    """
+    chosen, why = resolve_backend(((design, power_management),), backend,
+                                  n_vectors, block_size)
+    why = reason or why
+    if chosen == "compiled":
+        return _tag(CompiledEngine(design, power_management=power_management),
+                    "compiled", why)
+    from repro.sim.vectorized import VectorizedEngine
+
+    if chosen == "packed":
         from repro.sim.packed import PackedEngine, PackingError
 
         try:
             return _tag(PackedEngine(design,
                                      power_management=power_management),
-                        "packed")
+                        "packed", why)
         except PackingError as exc:
-            from repro.sim.vectorized import VectorizedEngine
-
             logger.info("packed backend unavailable for %r (%s); "
                         "running hybrid vectorized",
                         design.graph.name, exc)
-            return _tag(VectorizedEngine(design,
-                                         power_management=power_management),
-                        "vectorized")
-    # auto: pure capability check — no VectorizationError to swallow
-    # since the hybrid plan made the vectorized backend total.
-    if numpy_available() and design.width <= VECTOR_WIDTH_LIMIT:
-        from repro.sim.vectorized import VectorizedEngine
+            why = f"packed unavailable: {exc}"
+    return _tag(VectorizedEngine(design, power_management=power_management),
+                "vectorized", why)
 
-        return _tag(VectorizedEngine(design,
-                                     power_management=power_management),
-                    "vectorized")
-    logger.info("auto backend resolved to compiled for %r (width %d)",
-                design.graph.name, design.width)
-    return _tag(CompiledEngine(design, power_management=power_management),
-                "compiled")
+
+def fit_cost_model(report: dict) -> dict[str, dict[str, tuple[float, float]]]:
+    """Fit :data:`COST_MODEL` to a ``BENCH_sim.json`` report.
+
+    Each compiled or vectorized row gives one cold build time
+    (``build_s``) and one single-call run of ``n_vectors`` vectors
+    (``seconds``) on a circuit of ``plan_ops`` operations.  Both fits are
+    least squares on relative error, so millisecond rows weigh as much
+    as second-long ones.  Coefficients are rounded to four significant
+    digits, as committed.
+    """
+    import numpy as np
+
+    def lstsq(features: list[list[float]], targets: list[float]):
+        x = np.array(features, dtype=float)
+        y = np.array(targets, dtype=float)
+        weight = 1.0 / y
+        return np.linalg.lstsq(x * weight[:, None], y * weight,
+                               rcond=None)[0]
+
+    def sig4(value: float) -> float:
+        return float(f"{value:.4g}")
+
+    model = {}
+    for backend in MODELED_BACKENDS:
+        builds: tuple[list, list] = ([], [])
+        runs: tuple[list, list] = ([], [])
+        for result in report["results"]:
+            ops = result["plan_ops"]
+            for row in result["rows"]:
+                if row["backend"] != backend:
+                    continue
+                n = row["n_vectors"]
+                builds[0].append([1.0, ops])
+                builds[1].append(row["build_s"] * 1e3)
+                runs[0].append([1.0, ops, n, n * ops])
+                runs[1].append(row["seconds"] * 1e3)
+        b0, b1 = lstsq(*builds)
+        c0, c1, v0, v1 = lstsq(*runs)
+        model[backend] = {"build": (sig4(b0), sig4(b1)),
+                          "call": (sig4(c0), sig4(c1)),
+                          "vector": (sig4(v0), sig4(v1))}
+    return model

@@ -483,6 +483,9 @@ class _EngineBase:
     # directly.  Surfaced on power results and explore points so ``auto``
     # and ``packed`` resolutions are observable instead of silent.
     chosen_backend: str | None = None
+    # Why it resolved that way: for ``auto``, the vector count and both
+    # cost estimates.
+    backend_reason: str | None = None
 
     def _init_state(self) -> None:
         self._names = _state_names(self.plan)

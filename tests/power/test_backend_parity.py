@@ -14,6 +14,7 @@ from repro.pipeline import FlowConfig, explore, run_pair
 from repro.pipeline.explore import clear_explore_cache
 from repro.power.simulated import MonteCarloPower, compare_designs, \
     measure_power
+from repro.sim.backend import resolve_backend
 from repro.sim.vectors import array_random_vectors
 
 
@@ -87,17 +88,27 @@ class TestMonteCarlo:
     def test_chosen_backend_surfaced(self, gcd_pair):
         """Fallback observability: every report records which engine ran
         it, without perturbing report equality (the field is excluded
-        from comparison so parity checks above stay byte-identical)."""
+        from comparison so parity checks above stay byte-identical).
+        ``auto`` records the cost model's choice for the count it
+        simulates, and a 4096-vector batch runs vectorized."""
         design = gcd_pair.managed.design
         for backend in ("compiled",) + ARRAY_BACKENDS:
             report = measure_power(design, n_vectors=32, backend=backend)
             assert report.chosen_backend == backend
+        expected, _ = resolve_backend(((design, True),), n_vectors=32)
         auto = measure_power(design, n_vectors=32, backend="auto")
-        assert auto.chosen_backend == "vectorized"
+        assert auto.chosen_backend == expected
+        # Monte Carlo counts the _MIN_BLOCKS blocks its rule must run.
+        expected, _ = resolve_backend(((design, True),), n_vectors=4 * 64,
+                                      block_size=64)
         mc = measure_power(design, rel_tol=0.05, seed=7, block_size=64,
                            max_vectors=1024, backend="auto")
         assert isinstance(mc, MonteCarloPower)
-        assert mc.chosen_backend == "vectorized"
+        assert mc.chosen_backend == expected
+        large = measure_power(design, n_vectors=4096, backend="auto")
+        assert large.chosen_backend == "vectorized"
+        assert large == measure_power(design, n_vectors=4096,
+                                      backend="compiled")
 
     def test_monte_carlo_matrix_source(self, gcd_pair):
         """A finite matrix source drains block-wise like a dict stream."""

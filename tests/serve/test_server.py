@@ -114,6 +114,22 @@ class TestAPI:
             client.job("j-999-deadbeef")
         assert err.value.status == 404
 
+    @pytest.mark.parametrize("kind,params", [
+        ("explore", {"circuits": ["gcd"], "budgets": [6],
+                     "sim_vectors": 0}),
+        ("explore", {"circuits": ["gcd"], "budgets": [6],
+                     "sim_vectors": 16}),
+        ("optimize", {"circuit": "gcd", "budgets": [6]}),
+    ])
+    def test_unknown_sim_backend_is_400(self, served, kind, params):
+        """A backend typo is refused at submit, even on an explore job
+        that would never simulate and so never trip over it."""
+        _, _, client = served
+        with pytest.raises(ServeError) as err:
+            client.submit(kind, sim_backend="numpy", **params)
+        assert err.value.status == 400
+        assert "sim_backend" in str(err.value)
+
     def test_failed_job_reports_the_error(self, served):
         _, _, client = served
         job = client.submit("explore", circuits=["no-such-circuit"],
