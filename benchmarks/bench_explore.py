@@ -18,6 +18,13 @@ exits nonzero unless the warm pass reports disk-cache hits, computes
 nothing, returns identical points, and is faster, and unless
 ``store.gc()`` then finds the index and the entry tree in agreement
 (nothing to adopt, nothing to drop).
+
+A second check sweeps gcd@7 over three MUX orderings against another
+cold store.  All three orderings commit the same control edges, and
+stages after the PM pass are keyed on the PM result, so the ``savings``
+point must compute only its PM pass and be served schedule, allocation
+and elaboration from the store.  Every point must equal the same point
+explored without any cache.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.pm_pass import PMOptions  # noqa: E402
 from repro.pipeline import (  # noqa: E402
+    FlowConfig,
     IndexedArtifactStore,
     clear_explore_cache,
     explore,
@@ -147,6 +156,51 @@ def run_store_smoke(root: Path, workers: int = 1) -> int:
     return 1 if failures else 0
 
 
+ORDERINGS = ("output_first", "input_first", "savings")
+#: Cacheable stages after the PM pass, keyed on its result.
+POST_PM_STAGES = ("schedule", "allocate", "elaborate")
+#: Per-point fields that depend on what was cached, not on the design.
+_CACHE_FIELDS = ("cache_hits", "cache_misses", "store_hits", "store_misses")
+
+
+def _design_fields(point) -> dict:
+    return {k: v for k, v in point.to_dict().items()
+            if k not in _CACHE_FIELDS}
+
+
+def run_ordering_smoke() -> int:
+    """gcd@7 over three orderings on a cold store: the later orderings
+    reuse the post-PM stages, and every point equals a cacheless one."""
+    configs = [FlowConfig(pm=PMOptions(ordering=o), label=o)
+               for o in ORDERINGS]
+    with tempfile.TemporaryDirectory(prefix="bench-explore-") as tmp:
+        swept = explore(("gcd",), (7,), configs=configs, store=tmp)
+    savings = swept.points[ORDERINGS.index("savings")]
+    print(f"ordering sweep: savings point computed "
+          f"{savings.store_misses} stage(s), {savings.store_hits} "
+          f"served from the cold store")
+
+    failures = []
+    # Only power_manage may run: analyze and every post-PM stage hit.
+    if savings.store_misses != 1 \
+            or savings.store_hits != 1 + len(POST_PM_STAGES):
+        failures.append(
+            f"savings point did not reuse the post-PM stages "
+            f"({savings.store_hits} hits, {savings.store_misses} misses)")
+    for config, point in zip(configs, swept.points):
+        clear_explore_cache()
+        alone = explore(("gcd",), (7,), configs=[config]).points[0]
+        if _design_fields(point) != _design_fields(alone):
+            failures.append(
+                f"{config.label} point differs from a cacheless explore")
+    clear_explore_cache()
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if not failures:
+        print("ordering smoke OK")
+    return 1 if failures else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -160,9 +214,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("standalone runs need --smoke (or --store DIR); the "
                      "pytest-benchmark entry point is test_bench_explore")
     if args.store is not None:
-        return run_store_smoke(Path(args.store), workers=args.workers)
-    with tempfile.TemporaryDirectory(prefix="bench-explore-") as tmp:
-        return run_store_smoke(Path(tmp), workers=args.workers)
+        status = run_store_smoke(Path(args.store), workers=args.workers)
+    else:
+        with tempfile.TemporaryDirectory(prefix="bench-explore-") as tmp:
+            status = run_store_smoke(Path(tmp), workers=args.workers)
+    return status | run_ordering_smoke()
 
 
 if __name__ == "__main__":

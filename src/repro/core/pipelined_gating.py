@@ -33,6 +33,7 @@ bit-identically across all backends in both modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 from repro.core.pm_pass import MuxDecision, PMResult
 from repro.sched.resources import UNIT_COST
@@ -85,6 +86,15 @@ class PipelinedGatingReport:
     surviving_muxes: list[int] = field(default_factory=list)
     #: Managed MUXes that lost at least one guard to overlap.
     broken_muxes: list[int] = field(default_factory=list)
+
+    def adjusted_for(self, pm: PMResult) -> PMResult:
+        """``adjusted``, re-derived from ``pm``: a PM result with the
+        same content as the analysed one whose decisions may be in
+        another MUX order (a cached schedule is shared by such results).
+        Keeps ``pm``'s own decision order."""
+        if self.mode == "drop" and self.broken_muxes:
+            return _drop_broken(pm, self.adjusted.gating)
+        return pm
 
     @property
     def lost_weight(self) -> float:
@@ -185,7 +195,7 @@ def analyze_pipelined_gating(
 
 def _drop_broken(
     pm: PMResult,
-    surviving: dict[int, list[tuple[int, int]]],
+    surviving: Mapping[int, Sequence[tuple[int, int]]],
 ) -> PMResult:
     """A PMResult with every overlap-broken guard removed.
 

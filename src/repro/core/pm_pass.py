@@ -35,6 +35,7 @@ Two opt-in generalizations beyond the Figure-3 pseudo-code:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -123,12 +124,43 @@ class PMResult:
         return set(self.gating)
 
 
+def pm_digest(pm: PMResult, graph_fingerprint: str) -> str:
+    """Content digest of everything downstream stages read from ``pm``.
+
+    ``graph_fingerprint`` identifies the graph the PM pass ran on.  The
+    pass only adds control edges to a copy of it, so that fingerprint
+    plus ``pm.graph``'s sorted control edges identify the augmented graph
+    without re-serialising it.  The rest is ``n_steps``, the gating map
+    and the decisions (``_drop_broken`` in
+    :mod:`repro.core.pipelined_gating` reads them), all sorted by node
+    or MUX: orderings that commit the same edges, gating and decisions
+    share one digest whatever order they processed the MUXes in.
+
+    Memoized on ``pm``, which is treated as immutable once produced.
+    """
+    memo = pm.__dict__.get("_digest")
+    if memo is not None and memo[0] == graph_fingerprint:
+        return memo[1]
+    payload = repr((
+        graph_fingerprint,
+        pm.n_steps,
+        sorted(pm.graph.control_edges()),
+        sorted(pm.gating.items()),
+        sorted((d.mux, d.selected, d.reason, d.added_edges, sorted(d.gated))
+               for d in pm.decisions),
+    ))
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    pm.__dict__["_digest"] = (graph_fingerprint, digest)
+    return digest
+
+
 @dataclass(frozen=True)
 class PMOptions:
     """Knobs for the PM pass.
 
     ordering:     MUX processing order strategy (see repro.core.ordering).
-    given_order:  explicit order for strategy "given".
+    given_order:  explicit order for strategy "given"; any sequence,
+                  stored as a tuple so options hash and compare by value.
     max_muxes:    stop selecting after this many MUXes (None = unlimited).
     enabled:      False turns the pass into a no-op (the paper's baseline:
                   traditional scheduling, everything always executes).
@@ -145,6 +177,11 @@ class PMOptions:
     enabled: bool = True
     allocation: Allocation | None = None
     partial: bool = False
+
+    def __post_init__(self) -> None:
+        if self.given_order is not None \
+                and not isinstance(self.given_order, tuple):
+            object.__setattr__(self, "given_order", tuple(self.given_order))
 
 
 class _SlackProbe:

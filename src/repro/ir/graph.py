@@ -6,8 +6,9 @@ constraints with no data flow — which is exactly what the paper's step 10
 inserts between a MUX's select driver and the top nodes of its data cones.
 
 Derived analysis (deduplicated adjacency, topological orders, the content
-fingerprint) is memoized and dropped by every mutating method, so the
-PM pass and the schedulers can query it as often as they like.
+fingerprint, a passed validation) is memoized and dropped by every
+mutating method, so the PM pass and the schedulers can query it as often
+as they like.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class _Memo:
     """
 
     __slots__ = ("data_preds", "data_succs", "preds", "succs", "order",
-                 "fingerprint")
+                 "fingerprint", "validated")
 
     def __init__(self) -> None:
         self.data_preds: dict[int, tuple[int, ...]] = {}
@@ -42,6 +43,8 @@ class _Memo:
         self.succs: dict[int, tuple[int, ...]] = {}
         self.order: dict[bool, tuple[int, ...]] = {}
         self.fingerprint: str | None = None
+        #: ``repro.ir.validate.validate`` passed on this structure.
+        self.validated = False
 
 
 class CDFG:

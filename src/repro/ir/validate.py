@@ -20,7 +20,11 @@ def validate(graph: CDFG) -> None:
         * at least one OUTPUT exists and every OUTPUT is fed;
         * every non-structural node reaches some OUTPUT (no dead ops);
         * shift amounts are constant.
+
+    A pass is memoized on the graph until its next mutation.
     """
+    if graph._cache().validated:
+        return
     graph.topological_order()  # raises on cycles
 
     if not graph.outputs():
@@ -51,3 +55,4 @@ def validate(graph: CDFG) -> None:
                 f"node {node.nid} ({node.label()}) does not reach any output; "
                 "run transform.eliminate_dead_nodes or fix the circuit"
             )
+    graph._cache().validated = True

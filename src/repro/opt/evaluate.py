@@ -11,7 +11,9 @@ Evaluations are deterministic per candidate, which enables three layers
 of reuse:
 
 * an in-process **memo**, so a driver revisiting a candidate pays
-  nothing;
+  nothing, plus a design-pair memo for ``sim_power``: candidates whose
+  (baseline, managed) designs are identical — different MUX orders
+  often commit the same control edges — are simulated once;
 * an optional persistent **store** (an
   :class:`~repro.pipeline.store.IndexedArtifactStore`, or a directory
   path the evaluator opens one on and closes again): evaluated metric
@@ -74,6 +76,9 @@ class EvalStats:
     computed: int = 0
     memo_hits: int = 0
     store_hits: int = 0
+    #: Fresh evaluations whose ``sim_power`` came from the design-pair
+    #: memo instead of a simulation (a subset of ``computed``).
+    design_hits: int = 0
     #: Journal records loaded at construction (the resume inheritance).
     resumed: int = 0
 
@@ -112,6 +117,9 @@ class Evaluator:
         if self.pm_base is None:
             self.pm_base = PMOptions()
         self._memo: dict[str, dict[str, float]] = {}
+        #: ``sim_power`` per (baseline, managed) ``design_fingerprint``
+        #: pair; exact because the vector set is fixed per evaluator.
+        self._pair_memo: dict[tuple[str, str], float] = {}
         #: Records produced here this session (computed + store hits).
         self.session: dict[str, dict[str, float]] = {}
         self._pipeline = None
@@ -243,14 +251,25 @@ class Evaluator:
             if result.pipelined_gating is not None
             else metrics["gated_weight"])
         if level >= NEEDS_PAIR:
-            from repro.power.simulated import compare_designs
-
-            baseline = self._pipeline.run(self.graph, config.baseline())
-            comparison = compare_designs(
-                baseline.design, result.design,
-                n_vectors=self.sim_vectors, seed=self.sim_seed)
-            metrics["sim_power"] = float(comparison.reduction_pct)
+            metrics["sim_power"] = self._sim_power(
+                self._pipeline.run(self.graph, config.baseline()).design,
+                result.design)
         return metrics
+
+    def _sim_power(self, baseline, managed) -> float:
+        from repro.power.simulated import compare_designs
+        from repro.sim.engine import design_fingerprint
+
+        pair = (design_fingerprint(baseline), design_fingerprint(managed))
+        reduction = self._pair_memo.get(pair)
+        if reduction is not None:
+            self.stats.design_hits += 1
+            return reduction
+        comparison = compare_designs(
+            baseline, managed, n_vectors=self.sim_vectors,
+            seed=self.sim_seed)
+        reduction = self._pair_memo[pair] = float(comparison.reduction_pct)
+        return reduction
 
     def _pm_metrics(self, pm: PMResult) -> dict[str, float]:
         from repro.power.static import static_power

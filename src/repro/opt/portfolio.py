@@ -158,6 +158,7 @@ def run_island_round(payload: dict) -> dict:
         "computed": stats.computed,
         "memo_hits": stats.memo_hits,
         "store_hits": stats.store_hits,
+        "design_hits": stats.design_hits,
         "exhausted": exhausted,
     }
 
@@ -289,6 +290,7 @@ def _run_islands(run: _Run, *, iters, seed, workers, islands,
                 evaluator.stats.computed += report["computed"]
                 evaluator.stats.memo_hits += report["memo_hits"]
                 evaluator.stats.store_hits += report["store_hits"]
+                evaluator.stats.design_hits += report["design_hits"]
                 for key, metrics in report["session"]:
                     evaluator.absorb(key, metrics)
                 for candidate, metrics in report["visited"]:

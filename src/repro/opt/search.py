@@ -73,8 +73,10 @@ class OptResult:
     label (``output_first@7/list``-style) when no search move beat the
     seeds, ``"search"`` (or ``"island<k>"``) otherwise.  ``evaluations``
     / ``reused`` (split as ``memo_hits`` + ``store_hits``) / ``resumed``
-    are run diagnostics and intentionally *not* part of :meth:`outcome`
-    — a resumed run recomputes less but must find the same answer.
+    and ``design_hits`` (evaluations whose ``sim_power`` reused the
+    simulation of an identical design pair) are run diagnostics and
+    intentionally *not* part of :meth:`outcome` — a resumed run
+    recomputes less but must find the same answer.
     ``archive`` is the run's Pareto front over the objective terms.
     """
 
@@ -94,6 +96,7 @@ class OptResult:
     resumed: int
     memo_hits: int = 0
     store_hits: int = 0
+    design_hits: int = 0
     archive: "ParetoArchive | None" = field(
         default=None, compare=False, repr=False)
 
@@ -167,6 +170,8 @@ class OptResult:
             f"@ {self.best.n_steps} steps / {self.best.scheduler}")
         lines.append(f"  {self.evaluations} evaluated, {self.reused} reused "
                      f"({self.memo_hits} memo, {self.store_hits} store)"
+                     + (f", {self.design_hits} design-pair simulations "
+                        f"reused" if self.design_hits else "")
                      + (f", {self.journal_replays} resumed from journal"
                         if self.journal_replays else ""))
         if self.archive is not None and len(self.archive) > 1:
@@ -252,7 +257,8 @@ class _Run:
             history=tuple(self.history),
             evaluations=stats.computed, reused=stats.reused,
             resumed=stats.resumed, memo_hits=stats.memo_hits,
-            store_hits=stats.store_hits, archive=self.archive)
+            store_hits=stats.store_hits, design_hits=stats.design_hits,
+            archive=self.archive)
 
 
 def random_search(graph: CDFG, objective="gated_weight", *,

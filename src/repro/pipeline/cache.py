@@ -1,12 +1,16 @@
 """Per-stage artifact caching.
 
-Cache keys combine three things: the stage name, a content fingerprint of
-the input CDFG, and the subset of :class:`~repro.pipeline.FlowConfig`
-fields the stage declared as relevant.  Because every stage is a pure
-function of those inputs, a hit can splice the previously-computed
-artifacts straight into a new :class:`~repro.pipeline.FlowContext` —
-which is what makes repeated budget sweeps and baseline/managed pairs
-cheap (the validate/analyze/PM work is shared instead of redone).
+Cache keys combine the stage name, a content fingerprint of the input
+CDFG, and the subset of :class:`~repro.pipeline.FlowConfig` fields the
+stage declared as relevant.  Stages after the PM pass add a digest of
+the PM result and drop the ``pm`` options from their subset (see
+:class:`~repro.pipeline.stages.PostPMStage`), so MUX orderings that
+commit the same control edges share everything downstream of the pass.
+Because every stage is a pure function of its key, a hit can splice the
+previously-computed artifacts straight into a new
+:class:`~repro.pipeline.FlowContext` — which is what makes repeated
+budget sweeps, baseline/managed pairs and ordering searches cheap (the
+analysis, PM and scheduling work is shared instead of redone).
 
 Cached artifacts are returned by reference, not copied: treat them as
 immutable, exactly as you would the return value of any synthesis call.

@@ -3,8 +3,11 @@
 Each stage is a small class declaring the artifacts it consumes
 (``requires``), the artifacts it publishes (``provides``), and the
 :class:`~repro.pipeline.FlowConfig` fields its output depends on
-(``config_fields`` — the basis of its cache key).  The default pipeline
-runs them in the paper's order::
+(``config_fields`` — the basis of its cache key).  Stages after the PM
+pass (:class:`PostPMStage`) key on the content of the PM result instead
+of the ``pm`` options that produced it, so MUX orderings that commit the
+same control edges share their scheduling, allocation and elaboration.
+The default pipeline runs them in the paper's order::
 
     validate -> analyze -> power_manage -> schedule -> allocate
              -> elaborate -> verify -> report
@@ -16,6 +19,7 @@ stage only has to honour the artifact contract.
 
 from __future__ import annotations
 
+from repro.core.pm_pass import pm_digest
 from repro.pipeline.context import FlowContext
 from repro.pipeline.registry import get_scheduler
 from repro.pipeline.result import SynthesisResult
@@ -30,7 +34,8 @@ class Stage:
 
     Subclasses override :meth:`run` to return a dict with exactly the
     keys named in ``provides``.  ``cacheable`` stages must be pure
-    functions of the input graph plus their ``config_fields``.
+    functions of their :meth:`cache_key`: by default the input graph
+    plus their ``config_fields``.
     """
 
     name: str = ""
@@ -56,14 +61,30 @@ class Stage:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+class PostPMStage(Stage):
+    """A stage downstream of the PM pass, keyed on what the pass produced.
+
+    The key is the input fingerprint, the :func:`~repro.core.pm_pass.pm_digest`
+    of the ``pm`` artifact and the ``config_fields`` subset, which must
+    not name ``pm``: such a stage reads PM options only through the
+    ``pm`` artifact, so two orderings with one PM result share its entry.
+    """
+
+    def cache_key(self, ctx: FlowContext) -> tuple:
+        return (self.name, ctx.fingerprint,
+                pm_digest(ctx.get("pm"), ctx.fingerprint),
+                ctx.config.cache_key(self.config_fields))
+
+
 def effective_pm(ctx: FlowContext):
-    """The PM result downstream stages should build on: the schedule
-    stage's overlap-adjusted one when the run is pipelined (identical to
-    the original outside ``pipelined_gating="drop"``), else the PM pass
-    output itself."""
+    """The PM result downstream stages should build on: this run's PM
+    pass output, minus the guards a pipelined ``drop``-mode schedule
+    breaks (see :meth:`PipelinedGatingReport.adjusted_for
+    <repro.core.pipelined_gating.PipelinedGatingReport.adjusted_for>`)."""
+    pm = ctx.get("pm")
     report = ctx.get("pipelined_gating") if ctx.has("pipelined_gating") \
         else None
-    return report.adjusted if report is not None else ctx.get("pm")
+    return report.adjusted_for(pm) if report is not None else pm
 
 
 class ValidateStage(Stage):
@@ -108,8 +129,11 @@ class PowerManageStage(Stage):
         return {"pm": pm}
 
 
-class ScheduleStage(Stage):
+class ScheduleStage(PostPMStage):
     """Resource-minimizing scheduling via the registered strategy.
+
+    Scheduler strategies see the PM pass only through the ``pm``
+    artifact's augmented graph, never through ``config.pm``.
 
     For pipelined schedules (an II on the result) this stage also
     re-checks every PM gating decision against the overlap condition
@@ -120,10 +144,7 @@ class ScheduleStage(Stage):
     name = "schedule"
     requires = ("pm",)
     provides = ("schedule", "allocation", "pipelined_gating")
-    # "pm" options shape the augmented graph this stage schedules, so
-    # they are part of the key even though the stage reads them only
-    # through the pm artifact.
-    config_fields = ("n_steps", "pm", "scheduler", "initiation_interval",
+    config_fields = ("n_steps", "scheduler", "initiation_interval",
                      "pipelined_gating")
     cacheable = True
 
@@ -142,13 +163,13 @@ class ScheduleStage(Stage):
                 "pipelined_gating": gating}
 
 
-class AllocateStage(Stage):
+class AllocateStage(PostPMStage):
     """Bind operations to units and values to registers."""
 
     name = "allocate"
-    requires = ("schedule",)
+    requires = ("pm", "schedule")
     provides = ("binding", "registers")
-    config_fields = ("n_steps", "pm", "scheduler", "initiation_interval",
+    config_fields = ("n_steps", "scheduler", "initiation_interval",
                      "mutex_sharing")
     cacheable = True
 
@@ -163,7 +184,7 @@ class AllocateStage(Stage):
         return {"binding": binding, "registers": registers}
 
 
-class ElaborateStage(Stage):
+class ElaborateStage(PostPMStage):
     """Interconnect, guards, FSM controller: the finished RTL design.
 
     Elaborates from the overlap-adjusted PM result when the schedule is
@@ -175,7 +196,7 @@ class ElaborateStage(Stage):
     requires = ("pm", "schedule", "binding", "registers",
                 "pipelined_gating")
     provides = ("design",)
-    config_fields = ("n_steps", "pm", "scheduler", "initiation_interval",
+    config_fields = ("n_steps", "scheduler", "initiation_interval",
                      "pipelined_gating", "mutex_sharing", "width")
     cacheable = True
 

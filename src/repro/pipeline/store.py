@@ -12,7 +12,8 @@ entries live as sharded pickle files under a root directory, so
 * the store can be shipped to workers and journals by path alone.
 
 Layout: a cache key (stage name, CDFG content fingerprint, per-stage
-config subset) is digested to sha256; the entry is stored at
+config subset, plus the PM-result digest for the stages after the PM
+pass) is digested to sha256; the entry is stored at
 ``<root>/<digest[:2]>/<digest[2:]>.pkl``, giving 256 shard directories
 that keep listings cheap at hundreds of thousands of entries.
 

@@ -101,6 +101,7 @@ def run_optimize_job(payload: dict) -> dict:
         "resumed": result.resumed,
         "memo_hits": result.memo_hits,
         "store_hits": result.store_hits,
+        "design_hits": result.design_hits,
         "pareto_size": len(result.archive) if result.archive else 0,
         "improvement_over_greedy": result.improvement_over_greedy,
     }

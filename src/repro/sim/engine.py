@@ -409,14 +409,18 @@ def design_fingerprint(design: SynthesizedDesign) -> str:
     Covers the graph, schedule, unit binding, register assignment,
     guards, controller complexity and datapath width; memoized on the
     design instance (designs are treated as immutable once elaborated).
+    Control edges are hashed as a set: the order the PM pass happened to
+    add them in changes no plan.
     """
     cached = design.__dict__.get("_sim_fingerprint")
     if cached is not None:
         return cached
     from repro.ir.serialize import graph_to_dict
 
+    graph = graph_to_dict(design.graph)
+    graph["control_edges"].sort()
     payload = {
-        "graph": graph_to_dict(design.graph),
+        "graph": graph,
         "width": design.width,
         "n_steps": design.schedule.n_steps,
         "start": sorted(design.schedule.start.items()),

@@ -54,3 +54,23 @@ def test_constant_shift_accepted():
 
 def test_benchmarks_validate(small_circuit):
     validate(small_circuit)
+
+
+def test_passing_validation_is_memoized_until_a_mutation():
+    g = minimal_valid()
+    validate(g)
+    assert g._cache().validated
+    validate(g)  # served from the memo
+    a = g.inputs()[0].nid
+    g.add_node(Op.ADD, [a, a], name="dead")
+    assert not g._cache().validated
+    with pytest.raises(CDFGError, match="does not reach any output"):
+        validate(g)
+
+
+def test_failed_validation_is_not_memoized():
+    g = CDFG("v")
+    g.add_node(Op.INPUT, name="a")
+    for _ in range(2):
+        with pytest.raises(CDFGError, match="no outputs"):
+            validate(g)
