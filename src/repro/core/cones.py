@@ -17,6 +17,11 @@ For a MUX ``m`` with inputs ``[select, in0, in1]``:
 Cones contain zero-latency wiring nodes too (so a chain op -> shift -> mux
 is gatable end-to-end); only the schedulable members represent execution
 units that can be shut down.
+
+Cones read only data edges, so :func:`compute_cones` memoizes them on the
+graph's data-level memo: the PM pass, which only adds control edges to a
+copy of its input, decomposes each MUX once per input graph, whatever
+order it processes the MUXes in.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ from repro.ir.ops import Op
 
 @dataclass(frozen=True)
 class MuxCones:
-    """Cone decomposition of one multiplexor."""
+    """Cone decomposition of one multiplexor.
+
+    Shared by every graph with the same data structure, so read-only; the
+    schedulable members are filtered once, on the first query.
+    """
 
     mux: int
     control: frozenset[int]       # TFI(select) incl. the driver, non-structural
@@ -41,11 +50,20 @@ class MuxCones:
 
     def shutdown_ops(self, graph: CDFG, side: int) -> frozenset[int]:
         """Schedulable operations gated on ``side`` (what Tables II counts)."""
-        return frozenset(n for n in self.shutdown[side]
-                         if graph.node(n).is_schedulable)
+        return self._ops(graph)[side]
 
     def all_shutdown_ops(self, graph: CDFG) -> frozenset[int]:
-        return self.shutdown_ops(graph, 0) | self.shutdown_ops(graph, 1)
+        return self._ops(graph)[2]
+
+    def _ops(self, graph: CDFG) -> tuple[frozenset[int], ...]:
+        """(side 0, side 1, both) schedulable members, computed once."""
+        ops = self.__dict__.get("_ops_memo")
+        if ops is None:
+            sides = [frozenset(n for n in self.shutdown[side]
+                               if graph.node(n).is_schedulable)
+                     for side in (0, 1)]
+            ops = self.__dict__["_ops_memo"] = (*sides, sides[0] | sides[1])
+        return ops
 
     def top_nodes(self, graph: CDFG, side: int) -> frozenset[int]:
         """Cone nodes with no data predecessor inside the cone — the nodes
@@ -65,7 +83,19 @@ def _non_structural_tfi(graph: CDFG, nid: int) -> set[int]:
 
 
 def compute_cones(graph: CDFG, mux_id: int) -> MuxCones:
-    """Decompose MUX ``mux_id`` into control and per-side shut-down cones."""
+    """Decompose MUX ``mux_id`` into control and per-side shut-down cones.
+
+    Memoized on the graph's data level: the result is shared with every
+    copy of ``graph`` and must be treated as read-only.
+    """
+    memo = graph._data().cones
+    cones = memo.get(mux_id)
+    if cones is None:
+        cones = memo[mux_id] = _decompose(graph, mux_id)
+    return cones
+
+
+def _decompose(graph: CDFG, mux_id: int) -> MuxCones:
     mux = graph.node(mux_id)
     if not mux.is_mux:
         raise ValueError(f"node {mux_id} is not a MUX")

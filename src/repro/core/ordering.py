@@ -9,7 +9,8 @@ suboptimal and proposes reordering.  We implement:
 * ``input_first``  — the reverse (baseline for the ablation);
 * ``savings``      — greedy by estimated gated power weight (§IV-A's
   proposed pre-processing, which the paper lists as work in progress);
-* ``given``        — caller-supplied explicit order.
+* ``given``        — caller-supplied explicit order: every MUX exactly
+  once, nothing else.
 
 ``exhaustive_orderings`` enumerates permutations for small MUX counts so the
 ablation can report the true optimum.
@@ -17,6 +18,7 @@ ablation can report the true optimum.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -52,10 +54,17 @@ def order_muxes(
     if strategy == "given":
         if given is None:
             raise ValueError("strategy 'given' requires an explicit order")
-        missing = set(mux_ids) - set(given)
+        known, named = set(mux_ids), set(given)
+        if named - known:
+            raise ValueError(
+                f"given order names non-mux ids {sorted(named - known)}")
+        if len(named) != len(given):
+            repeated = sorted(m for m, k in Counter(given).items() if k > 1)
+            raise ValueError(f"given order repeats muxes {repeated}")
+        missing = known - named
         if missing:
             raise ValueError(f"given order misses muxes {sorted(missing)}")
-        return [m for m in given if m in set(mux_ids)]
+        return list(given)
     if strategy == "output_first" or strategy == "input_first":
         dist = graph.longest_path_to_output()
         reverse = strategy == "input_first"

@@ -19,6 +19,12 @@ to exactly the values a global recomputation gives, so constraints
 accumulate across MUXes as in the paper, and reverting a rejected MUX is
 just removing its edges.
 
+The pass only adds control edges, so what it reads of the data structure
+is the same for every MUX order: the cones come from the data-level memo
+the working copy shares with the input graph, and the entry frame and
+critical path from the input graph's control-level memo.  An optimizer
+that runs the pass many times on one graph computes them once.
+
 Two opt-in generalizations beyond the Figure-3 pseudo-code:
 
 * ``PMOptions.allocation`` makes the feasibility test *resource-aware*: a
@@ -47,6 +53,7 @@ from repro.sched.timing import (
     TimingFrame,
     critical_path_length,
     edges_fit,
+    entry_frame,
     retime,
 )
 
@@ -188,11 +195,12 @@ class _SlackProbe:
     """The working graph plus its feasible timing frame, kept current as
     MUXes commit control edges."""
 
-    def __init__(self, work: CDFG, n_steps: int, options: PMOptions) -> None:
+    def __init__(self, work: CDFG, frame: TimingFrame,
+                 options: PMOptions) -> None:
         self.work = work
-        self.n_steps = n_steps
+        self.n_steps = frame.n_steps
         self.options = options
-        self.frame = TimingFrame.compute(work, n_steps)
+        self.frame = frame
 
     def feasible(self, driver: int, added: list[int]) -> bool:
         """Slack feasibility of the edges ``driver -> added`` just put into
@@ -239,9 +247,11 @@ def apply_power_management(
     if not options.enabled:
         return result
 
-    order = order_muxes(work, options.ordering, options.given_order)
+    # ``graph`` has ``work``'s structure until the first commit, and its
+    # memo outlives this call.
+    order = order_muxes(graph, options.ordering, options.given_order)
     gating: dict[int, list[tuple[int, int]]] = {}
-    probe = _SlackProbe(work, n_steps, options)
+    probe = _SlackProbe(work, entry_frame(graph, n_steps), options)
 
     for mux_id in order:
         if (options.max_muxes is not None

@@ -5,10 +5,20 @@ list.  In addition the graph carries *control edges* — pure precedence
 constraints with no data flow — which is exactly what the paper's step 10
 inserts between a MUX's select driver and the top nodes of its data cones.
 
-Derived analysis (deduplicated adjacency, topological orders, the content
-fingerprint, a passed validation) is memoized and dropped by every
-mutating method, so the PM pass and the schedulers can query it as often
-as they like.
+Derived analysis is memoized on two levels, so the PM pass, the
+schedulers and the power models can query it as often as they like:
+
+* the **data level** (:class:`_DataMemo`) reads only nodes and operands:
+  data adjacency, the data-only topological order, the schedulable
+  operation ids and the per-MUX cones of :mod:`repro.core.cones`.  Only
+  ``add_node`` drops it, and :meth:`CDFG.copy` shares it, since a copy
+  has the same data structure until one side adds a node;
+* the **control level** (:class:`_ControlMemo`) also reads the control
+  edges: full adjacency and order, the fingerprint, a passed validation,
+  and the timing analysis of :mod:`repro.sched.timing`.  Every mutation
+  drops it, and a copy starts without one.
+
+Pickling drops both levels.
 """
 
 from __future__ import annotations
@@ -26,25 +36,47 @@ class CDFGError(Exception):
     """Raised for structurally invalid CDFG operations."""
 
 
-class _Memo:
-    """Analysis derived from the graph's structure, filled on demand.
+class _DataMemo:
+    """Analysis of the data edges alone, filled on demand.
+
+    It holds only ids, tuples and frozensets (cones are frozen), never
+    :class:`Node` objects, so every graph sharing it reads its own nodes.
+    """
+
+    __slots__ = ("data_preds", "data_succs", "order", "operations", "cones")
+
+    def __init__(self) -> None:
+        self.data_preds: dict[int, tuple[int, ...]] = {}
+        self.data_succs: dict[int, tuple[int, ...]] = {}
+        #: Data-only topological order.
+        self.order: tuple[int, ...] | None = None
+        #: Ids of the schedulable operations, in node order.
+        self.operations: tuple[int, ...] | None = None
+        #: MUX id -> ``repro.core.cones.MuxCones``.
+        self.cones: dict[int, object] = {}
+
+
+class _ControlMemo:
+    """Analysis over data and control edges, filled on demand.
 
     Adjacency entries are tuples, so handing them out internally can never
     corrupt the memo; the public accessors copy them into fresh lists.
     """
 
-    __slots__ = ("data_preds", "data_succs", "preds", "succs", "order",
-                 "fingerprint", "validated")
+    __slots__ = ("preds", "succs", "order", "fingerprint", "validated",
+                 "asap", "frames")
 
     def __init__(self) -> None:
-        self.data_preds: dict[int, tuple[int, ...]] = {}
-        self.data_succs: dict[int, tuple[int, ...]] = {}
         self.preds: dict[int, tuple[int, ...]] = {}
         self.succs: dict[int, tuple[int, ...]] = {}
-        self.order: dict[bool, tuple[int, ...]] = {}
+        self.order: tuple[int, ...] | None = None
         self.fingerprint: str | None = None
         #: ``repro.ir.validate.validate`` passed on this structure.
         self.validated = False
+        #: ``repro.sched.timing``: the ASAP map, and the feasible
+        #: ``TimingFrame`` per step budget.  Shared read-only.
+        self.asap: dict[int, int] | None = None
+        self.frames: dict[int, object] = {}
 
 
 class CDFG:
@@ -56,10 +88,11 @@ class CDFG:
 
     Both kinds constrain scheduling; only data edges carry values.
 
-    All mutation goes through CDFG methods (``add_node`` and the control
-    edge methods), which drop the analysis memo.  ``Node.operands`` must
-    not be mutated after ``add_node``, and a node's other fields not after
-    the graph has been fingerprinted: the memo would not see the change.
+    All mutation goes through CDFG methods: ``add_node`` drops both memo
+    levels, the control edge methods only the control level (see the
+    module docstring).  ``Node`` fields must not be mutated after
+    ``add_node``: the memo, possibly shared with copies, would not see
+    the change.
     """
 
     def __init__(self, name: str = "cdfg") -> None:
@@ -69,26 +102,37 @@ class CDFG:
         self._control_succs: dict[int, set[int]] = {}
         self._control_preds: dict[int, set[int]] = {}
         self._next_id = 0
-        self._memo: _Memo | None = None
+        self._data_memo: _DataMemo | None = None
+        self._control_memo: _ControlMemo | None = None
 
-    def _invalidate(self) -> None:
-        """The one place derived analysis is dropped after a mutation."""
-        self._memo = None
+    def _invalidate(self, data: bool = False) -> None:
+        """The one place derived analysis is dropped after a mutation:
+        the control level always, the data level when ``data``."""
+        self._control_memo = None
+        if data:
+            self._data_memo = None
 
-    def _cache(self) -> _Memo:
-        memo = self._memo
+    def _data(self) -> _DataMemo:
+        memo = self._data_memo
         if memo is None:
-            memo = self._memo = _Memo()
+            memo = self._data_memo = _DataMemo()
+        return memo
+
+    def _control(self) -> _ControlMemo:
+        memo = self._control_memo
+        if memo is None:
+            memo = self._control_memo = _ControlMemo()
         return memo
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_memo"]
+        del state["_data_memo"], state["_control_memo"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._memo = None
+        self._data_memo = None
+        self._control_memo = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -115,7 +159,7 @@ class CDFG:
         self._succs[nid] = []
         for producer in operands:
             self._succs[producer].append(nid)
-        self._invalidate()
+        self._invalidate(data=True)
         return nid
 
     def add_control_edge(self, src: int, dst: int) -> None:
@@ -193,7 +237,12 @@ class CDFG:
 
     def operations(self) -> list[Node]:
         """Schedulable operation nodes (what Tables I/II count)."""
-        return self.nodes(lambda n: n.is_schedulable)
+        memo = self._data()
+        if memo.operations is None:
+            memo.operations = tuple(nid for nid, node in self._nodes.items()
+                                    if node.is_schedulable)
+        nodes = self._nodes
+        return [nodes[nid] for nid in memo.operations]
 
     # ------------------------------------------------------------------
     # Edges
@@ -228,21 +277,21 @@ class CDFG:
     # edges follow in ascending id order.
 
     def _data_preds(self, nid: int) -> tuple[int, ...]:
-        memo = self._cache().data_preds
+        memo = self._data().data_preds
         found = memo.get(nid)
         if found is None:
             found = memo[nid] = tuple(dict.fromkeys(self.node(nid).operands))
         return found
 
     def _data_succs(self, nid: int) -> tuple[int, ...]:
-        memo = self._cache().data_succs
+        memo = self._data().data_succs
         found = memo.get(nid)
         if found is None:
             found = memo[nid] = tuple(dict.fromkeys(self._succs[nid]))
         return found
 
     def _preds(self, nid: int) -> tuple[int, ...]:
-        memo = self._cache().preds
+        memo = self._control().preds
         found = memo.get(nid)
         if found is None:
             found = self._with_control(self._data_preds(nid),
@@ -251,7 +300,7 @@ class CDFG:
         return found
 
     def _succs_of(self, nid: int) -> tuple[int, ...]:
-        memo = self._cache().succs
+        memo = self._control().succs
         found = memo.get(nid)
         if found is None:
             found = self._with_control(self._data_succs(nid),
@@ -272,11 +321,10 @@ class CDFG:
 
     def topological_order(self, include_control: bool = True) -> list[int]:
         """Kahn topological sort; raises CDFGError on cycles."""
-        memo = self._cache().order
-        order = memo.get(include_control)
-        if order is None:
-            order = memo[include_control] = self._kahn(include_control)
-        return list(order)
+        memo = self._control() if include_control else self._data()
+        if memo.order is None:
+            memo.order = self._kahn(include_control)
+        return list(memo.order)
 
     def _kahn(self, include_control: bool) -> tuple[int, ...]:
         succs_of = self._succs_of if include_control else self._data_succs
@@ -368,7 +416,7 @@ class CDFG:
 
         Two independently-built but identical graphs fingerprint equally.
         """
-        memo = self._cache()
+        memo = self._control()
         if memo.fingerprint is None:
             from repro.ir.serialize import graph_to_dict
             payload = json.dumps(graph_to_dict(self), sort_keys=True,
@@ -379,9 +427,13 @@ class CDFG:
 
     def copy(self, name: str | None = None) -> "CDFG":
         """Deep copy (nodes, data and control edges), preserving node ids.
-        The copy starts with an empty analysis memo."""
+
+        The copy shares this graph's data-level memo, so analysis either
+        side fills in is computed once, until one of them adds a node; it
+        starts without a control-level memo."""
         clone = CDFG(name=name or self.name)
         clone._next_id = self._next_id
+        clone._data_memo = self._data()
         for nid, node in self._nodes.items():
             clone._nodes[nid] = Node(
                 nid=node.nid, op=node.op, operands=list(node.operands),

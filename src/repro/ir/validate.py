@@ -23,7 +23,7 @@ def validate(graph: CDFG) -> None:
 
     A pass is memoized on the graph until its next mutation.
     """
-    if graph._cache().validated:
+    if graph._control().validated:
         return
     graph.topological_order()  # raises on cycles
 
@@ -55,4 +55,4 @@ def validate(graph: CDFG) -> None:
                 f"node {node.nid} ({node.label()}) does not reach any output; "
                 "run transform.eliminate_dead_nodes or fix the circuit"
             )
-    graph._cache().validated = True
+    graph._control().validated = True

@@ -107,12 +107,19 @@ def static_power(
     selects: SelectModel = SelectModel(),
 ) -> StaticPowerReport:
     """Expected weighted datapath power per computation, vs the baseline
-    where every operation always executes."""
+    where every operation always executes.
+
+    Only gated operations need an execution probability; every other one
+    executes with probability 1.0, multiplied in at its usual place in the
+    sum so the float result does not depend on this shortcut.
+    """
     graph: CDFG = result.graph
     baseline = weights.total(graph)
-    probs = all_execution_probabilities(result, selects)
+    gating = result.gating
     managed = sum(
-        weights.of(node.resource) * probs[node.nid]
+        weights.of(node.resource)
+        * (execution_probability(result, node.nid, selects)
+           if node.nid in gating else 1.0)
         for node in graph.operations()
     )
     return StaticPowerReport(baseline=baseline, managed=managed)

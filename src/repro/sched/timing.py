@@ -8,6 +8,11 @@ start step and occupy no execution unit.
 All analyses respect both data edges and control edges, so the PM pass's
 added precedence (paper step 10) automatically tightens ASAP/ALAP — this is
 exactly the re-timing of steps 4-5 of the paper's pseudo-code.
+
+The ASAP map and each step budget's :class:`TimingFrame` are memoized on
+the graph's control-level memo (:func:`entry_frame`), so the PM pass reads
+its entry frame and the critical path once per input graph; control-edge
+mutation drops them.
 """
 
 from __future__ import annotations
@@ -34,10 +39,18 @@ def asap_times(graph: CDFG) -> dict[int, int]:
     return asap
 
 
+def _memo_asap(graph: CDFG) -> dict[int, int]:
+    """:func:`asap_times`, memoized on the graph; shared, so read-only."""
+    memo = graph._control()
+    if memo.asap is None:
+        memo.asap = asap_times(graph)
+    return memo.asap
+
+
 def critical_path_length(graph: CDFG) -> int:
     """Minimum number of control steps any schedule needs (paper Table I
     column 2: *Critical Path*)."""
-    asap = asap_times(graph)
+    asap = _memo_asap(graph)
     if not asap:
         return 0
     return max(asap[nid] + graph.node(nid).latency for nid in asap)
@@ -78,7 +91,8 @@ class TimingFrame:
 
     @classmethod
     def compute(cls, graph: CDFG, n_steps: int) -> "TimingFrame":
-        asap = asap_times(graph)
+        """A fresh frame the caller owns (see :func:`entry_frame`)."""
+        asap = _memo_asap(graph)
         alap = alap_times(graph, n_steps)
         for nid, early in asap.items():
             if early > alap[nid]:
@@ -94,6 +108,20 @@ class TimingFrame:
 
     def is_feasible(self) -> bool:
         return all(self.asap[n] <= self.alap[n] for n in self.asap)
+
+
+def entry_frame(graph: CDFG, n_steps: int) -> TimingFrame:
+    """``TimingFrame.compute(graph, n_steps)``, memoized on the graph.
+
+    The frame is shared by every caller until the graph's next mutation,
+    so it is read-only: :func:`retime` returns new dicts.  An infeasible
+    budget raises :class:`InfeasibleScheduleError` and is not memoized.
+    """
+    frames = graph._control().frames
+    frame = frames.get(n_steps)
+    if frame is None:
+        frame = frames[n_steps] = TimingFrame.compute(graph, n_steps)
+    return frame
 
 
 def try_timing(graph: CDFG, n_steps: int) -> TimingFrame | None:

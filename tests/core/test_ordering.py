@@ -8,6 +8,8 @@ from repro.core.ordering import (
     exhaustive_orderings,
     order_muxes,
 )
+from repro.core.pm_pass import PMOptions, apply_power_management
+from repro.opt.objective import gated_weight
 
 
 class TestOutputFirst:
@@ -59,6 +61,35 @@ class TestGivenAndErrors:
     def test_given_must_cover_all_muxes(self, gcd_graph):
         with pytest.raises(ValueError, match="misses"):
             order_muxes(gcd_graph, "given", [gcd_graph.muxes()[0].nid])
+
+    def test_given_rejects_a_repeated_mux(self, gcd_graph):
+        """A repeat used to run the MUX twice and double its guards:
+        gcd@7 in order (7, 7, 4, 5, 8, 9, 12) gated node 6 under
+        ((7, 1), (7, 1), (9, 1)) and counted 3 managed MUXes, not 2."""
+        mux_ids = [m.nid for m in gcd_graph.muxes()]
+        with pytest.raises(ValueError, match=r"repeats muxes \[7\]"):
+            order_muxes(gcd_graph, "given", [7, *mux_ids])
+        with pytest.raises(ValueError, match="repeats"):
+            apply_power_management(gcd_graph, 7, PMOptions(
+                ordering="given", given_order=(7, 7, 4, 5, 8, 9, 12)))
+
+    @pytest.mark.parametrize("stray", [9999, -1, "input"])
+    def test_given_rejects_ids_that_are_not_muxes(self, gcd_graph, stray):
+        if stray == "input":
+            stray = gcd_graph.inputs()[0].nid
+        mux_ids = [m.nid for m in gcd_graph.muxes()]
+        with pytest.raises(ValueError, match=rf"non-mux ids \[{stray}\]"):
+            order_muxes(gcd_graph, "given", [*mux_ids, stray])
+
+    def test_given_order_drives_the_pm_pass(self, gcd_graph):
+        mux_ids = [m.nid for m in gcd_graph.muxes()]
+        order = (7, *[m for m in mux_ids if m != 7])
+        pm = apply_power_management(gcd_graph, 7, PMOptions(
+            ordering="given", given_order=order))
+        assert [d.mux for d in pm.decisions] == list(order)
+        assert pm.gating[6] == ((7, 1), (9, 1))
+        assert pm.managed_count == 2
+        assert gated_weight(pm) == 2.75
 
     def test_unknown_strategy(self, gcd_graph):
         with pytest.raises(ValueError, match="unknown ordering strategy"):

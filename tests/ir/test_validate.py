@@ -59,11 +59,11 @@ def test_benchmarks_validate(small_circuit):
 def test_passing_validation_is_memoized_until_a_mutation():
     g = minimal_valid()
     validate(g)
-    assert g._cache().validated
+    assert g._control().validated
     validate(g)  # served from the memo
     a = g.inputs()[0].nid
     g.add_node(Op.ADD, [a, a], name="dead")
-    assert not g._cache().validated
+    assert not g._control().validated
     with pytest.raises(CDFGError, match="does not reach any output"):
         validate(g)
 
