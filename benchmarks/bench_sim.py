@@ -1,5 +1,4 @@
-"""Simulation-backend benchmark: interpreter vs compiled vs vectorized
-vs packed.
+"""Simulation-backend benchmark: interpreter vs compiled vs vectorized.
 
 Times the simulation backends on each benchmark circuit and emits
 ``BENCH_sim.json`` at the repo root so the speedup trajectory is tracked
@@ -12,10 +11,7 @@ across PRs:
   per vector, timed on the full batch;
 * ``vectorized`` — :class:`VectorizedEngine`, generated NumPy array
   programs per block (hybrid scalar-slot micro-loop on recurrent
-  plans), timed on the same batch fed as one pre-generated input matrix;
-* ``packed`` — :class:`PackedEngine`, 64 Monte-Carlo vectors per machine
-  word as uint64 bit slices; skipped (with a note) on plans it refuses —
-  hybrid recurrences and widths above 64.
+  plans), timed on the same batch fed as one pre-generated input matrix.
 
 The circuit set includes two stress rows beyond the paper suite:
 
@@ -24,19 +20,8 @@ The circuit set includes two stress rows beyond the paper suite:
   micro-loop; its gate is "no slower than compiled", not the vector
   floor (the recurrence serializes one slot by construction).
 * ``logic`` — :func:`repro.circuits.extra.logic_mixer` at 32 stages x
-  8 lanes, pure AND/OR/XOR/NOT/MUX dataflow; the packed backend's
-  showcase and the circuit the ``--min-packed-speedup`` floor (default
-  4x over vectorized) is enforced on.
-
-The packed floor is measured on a dedicated **Monte-Carlo block** batch
-(``--packed-gate-vectors``, default 1M) rather than the shared batch:
-word-packing pays when batches are big enough that the vectorized
-backend's per-statement int64 temporaries (8 bytes/vector) spill out of
-the last-level cache while the packed bit slices (1 bit/vector/slice)
-stay resident — at the shared 4096-vector size both fit and the ratio
-only reflects dispatch overhead.  The block run times vectorized vs
-packed only (the compiled engine would need minutes on 512k vectors)
-and cross-checks their outputs and activity bit-for-bit.
+  8 lanes, pure AND/OR/XOR/NOT/MUX dataflow: the largest plan of the
+  set, which anchors the cost model's slope in ``plan_ops``.
 
 Each circuit also gets **calibration rows**: the compiled and vectorized
 backends at 16 and 128 vectors (the verify check and ``sim_power``
@@ -46,10 +31,10 @@ build (compile caches cleared, plan compilation included) and every
 are what :func:`repro.sim.backend.fit_cost_model` fits the ``auto``
 backend's cost model to.
 
-Every circuit row carries ``identical``: all array backends must agree
-bit-for-bit (outputs + full ActivityCounter) with the compiled engine on
-the full batch, and the compiled engine with the interpreter on the
-reduced batch.
+Every circuit row carries ``identical``: the vectorized backend must
+agree bit-for-bit (outputs + full ActivityCounter) with the compiled
+engine on the full batch, and the compiled engine with the interpreter
+on the reduced batch.
 
 Usage::
 
@@ -58,11 +43,10 @@ Usage::
 
 Exits nonzero if any backend diverges, if the vectorized-over-compiled
 speedup falls below ``--min-speedup`` (default 5x) on a non-hybrid
-circuit, if a hybrid circuit is slower than compiled, or if the packed
-backend misses ``--min-packed-speedup`` on the pure-logic circuit.
-Under ``--smoke`` the perf floors are advisory — millisecond-scale
-timings on shared CI runners are too noisy for a hard gate — while the
-equality checks stay fatal.
+circuit, or if a hybrid circuit is slower than compiled.  Under
+``--smoke`` the perf floors are advisory — millisecond-scale timings on
+shared CI runners are too noisy for a hard gate — while the equality
+checks stay fatal.
 """
 
 from __future__ import annotations
@@ -72,8 +56,6 @@ import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -87,7 +69,6 @@ from repro.sim.engine import (  # noqa: E402
     cached_plan,
     clear_compile_caches,
 )
-from repro.sim.packed import PackedEngine, PackingError  # noqa: E402
 from repro.sim.simulator import RTLSimulator  # noqa: E402
 from repro.sim.vectorized import VectorizedEngine  # noqa: E402
 from repro.sim.vectors import random_vectors, vectors_to_array  # noqa: E402
@@ -97,17 +78,12 @@ from repro.sim.vectors import random_vectors, vectors_to_array  # noqa: E402
 FULL_CIRCUITS = {"dealer": 6, "gcd": 7, "vender": 6, "cordic": 48,
                  "recurrent": None, "logic": None}
 # Smoke keeps one paper circuit plus both stress rows so CI always
-# exercises the hybrid micro-loop and the packed backend.
+# exercises the hybrid micro-loop and the largest plan.
 SMOKE_CIRCUITS = {"dealer": 6, "gcd": 7, "recurrent": None, "logic": None}
 
 #: Batch sizes of the calibration rows: the verify stage's check and the
 #: ``sim_power`` objective's default.
 CALIBRATION_VECTORS = (16, 128)
-
-#: Circuits the packed-over-vectorized floor is enforced on (pure-logic
-#: dataflow is where bit-packing pays; arithmetic circuits ripple carries
-#: slicewise and are only expected to keep parity).
-PACKED_GATE_CIRCUITS = ("logic",)
 
 
 def _graph(name):
@@ -119,56 +95,31 @@ def _graph(name):
 
 
 def _timed(fn, repeats: int) -> float:
-    best = float("inf")
+    return _best_times({"": fn}, repeats)[""]
+
+
+def _best_times(fns: dict, repeats: int) -> dict:
+    """Best wall time of each callable, measured round-robin: the host's
+    speed drifts over a run, and the cost model is fitted to how these
+    entries compare, so each must sample the same stretch of it."""
+    best = dict.fromkeys(fns, float("inf"))
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for key, fn in fns.items():
+            start = time.perf_counter()
+            fn()
+            best[key] = min(best[key], time.perf_counter() - start)
     return best
 
 
-def _cold_build(engine_class, design, repeats: int):
-    """An engine plus its best cold build time: caches cleared before
-    every build, so plan compilation and code generation are included."""
-    best = float("inf")
-    for _ in range(repeats):
-        clear_compile_caches()
-        start = time.perf_counter()
-        engine = engine_class(design)
-        best = min(best, time.perf_counter() - start)
-    return engine, best
-
-
-def _packed_gate_block(vectorized, packed, n_vectors: int,
-                       repeats: int) -> dict[str, object]:
-    """Time vectorized vs packed on one Monte-Carlo-block-sized batch
-    (compiled stays out: straight-line Python on 512k vectors would
-    take minutes) and cross-check the two bit-for-bit."""
-    width = vectorized.plan.width
-    rng = np.random.default_rng(0xB10C)
-    matrix = rng.integers(-(1 << (width - 1)), 1 << (width - 1),
-                          size=(n_vectors, len(vectorized.input_names)),
-                          dtype=np.int64)
-    vec_s = _timed(lambda: (vectorized.reset(),
-                            vectorized.run_array(matrix)), repeats)
-    packed_s = _timed(lambda: (packed.reset(),
-                               packed.run_array(matrix)), repeats)
-    vectorized.reset()
-    vres = vectorized.run_array(matrix)
-    packed.reset()
-    pres = packed.run_array(matrix)
-    identical = (vres.activity == pres.activity
-                 and vres.outputs.keys() == pres.outputs.keys()
-                 and all(np.array_equal(vres.outputs[k], pres.outputs[k])
-                         for k in vres.outputs))
-    return {"n_vectors": n_vectors, "vectorized_s": vec_s,
-            "packed_s": packed_s,
-            "speedup_vs_vectorized": vec_s / packed_s,
-            "identical": identical}
+def _cold_build(engine_class, design):
+    """A build with the compile caches cleared first, so plan
+    compilation and code generation are included."""
+    clear_compile_caches()
+    return engine_class(design)
 
 
 def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
-                  repeats: int, gate_vectors: int = 0) -> dict[str, object]:
+                  repeats: int) -> dict[str, object]:
     graph = _graph(name)
     if steps is None:
         steps = critical_path_length(graph) + 1
@@ -176,27 +127,26 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     batch = random_vectors(graph, n_batch)
     small = batch[:n_interp]
 
-    compiled, compiled_build_s = _cold_build(CompiledEngine, design, repeats)
-    vectorized, vectorized_build_s = _cold_build(VectorizedEngine, design,
-                                                 repeats)
+    builds = _best_times(
+        {"compiled": lambda: _cold_build(CompiledEngine, design),
+         "vectorized": lambda: _cold_build(VectorizedEngine, design)},
+        3 * repeats)
+    compiled_build_s = builds["compiled"]
+    vectorized_build_s = builds["vectorized"]
+    compiled = CompiledEngine(design)
+    vectorized = VectorizedEngine(design)
     matrix = vectors_to_array(batch, vectorized.input_names)
-    packed = packed_build_s = packed_note = None
-    try:
-        packed, packed_build_s = _cold_build(PackedEngine, design, repeats)
-    except PackingError as exc:
-        packed_note = str(exc)
 
     interp_s = _timed(lambda: RTLSimulator(design).run_many(small), repeats)
-    compiled_s = _timed(lambda: (compiled.reset(),
-                                 compiled.run_batch(batch)), repeats)
-    vectorized_s = _timed(lambda: (vectorized.reset(),
-                                   vectorized.run_array(matrix)), repeats)
-    packed_s = None
-    if packed is not None:
-        packed_s = _timed(lambda: (packed.reset(),
-                                   packed.run_array(matrix)), repeats)
+    runs = _best_times(
+        {"compiled": lambda: (compiled.reset(), compiled.run_batch(batch)),
+         "vectorized": lambda: (vectorized.reset(),
+                                vectorized.run_array(matrix))},
+        repeats)
+    compiled_s = runs["compiled"]
+    vectorized_s = runs["vectorized"]
 
-    # Bit-identity: every array backend == compiled on the full batch;
+    # Bit-identity: vectorized == compiled on the full batch;
     # compiled == interpreter on the reduced batch.
     compiled.reset()
     vectorized.reset()
@@ -207,16 +157,6 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     sout, sact = compiled.run_many(small)
     identical = (cout == vout and cact == vact
                  and sout == iout and sact == iact)
-    if packed is not None:
-        packed.reset()
-        pout, pact = packed.run_many(batch)
-        identical = identical and pout == cout and pact == cact
-
-    gate_block = None
-    if packed is not None and gate_vectors and name in PACKED_GATE_CIRCUITS:
-        gate_block = _packed_gate_block(
-            vectorized, packed, gate_vectors, max(1, repeats - 1))
-        identical = identical and gate_block["identical"]
 
     per_interp = interp_s / n_interp
     per_compiled = compiled_s / n_batch
@@ -234,33 +174,19 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
          "speedup_vs_interpreter": per_interp / per_vectorized,
          "speedup_vs_compiled": compiled_s / vectorized_s},
     ]
-    if packed_s is not None:
-        rows.append(
-            {"backend": "packed", "n_vectors": n_batch,
-             "seconds": packed_s, "per_vector_us": packed_s / n_batch * 1e6,
-             "build_s": packed_build_s,
-             "speedup_vs_interpreter": per_interp / (packed_s / n_batch),
-             "speedup_vs_compiled": compiled_s / packed_s,
-             "speedup_vs_vectorized": vectorized_s / packed_s})
     # Calibration rows: sub-millisecond runs, so more repeats.
-    for n in (n for n in CALIBRATION_VECTORS if n <= n_batch):
-        for backend, build_s, run in (
-                ("compiled", compiled_build_s,
-                 lambda: (compiled.reset(), compiled.run_batch(batch[:n]))),
-                ("vectorized", vectorized_build_s,
-                 lambda: (vectorized.reset(),
-                          vectorized.run_array(matrix[:n])))):
-            seconds = _timed(run, 3 * repeats)
-            rows.append({"backend": backend, "n_vectors": n,
-                         "seconds": seconds,
-                         "per_vector_us": seconds / n * 1e6,
-                         "build_s": build_s})
-    # The gate metric comes from the block run when one happened; the
-    # shared small batch only measures dispatch overhead there.
-    packed_speedup = (vectorized_s / packed_s) if packed_s is not None \
-        else None
-    if gate_block is not None:
-        packed_speedup = gate_block["speedup_vs_vectorized"]
+    sizes = [n for n in CALIBRATION_VECTORS if n <= n_batch]
+    calls = {}
+    for n in sizes:
+        calls["compiled", n] = lambda n=n: (compiled.reset(),
+                                            compiled.run_batch(batch[:n]))
+        calls["vectorized", n] = lambda n=n: (
+            vectorized.reset(), vectorized.run_array(matrix[:n]))
+    for (backend, n), seconds in _best_times(calls, 5 * repeats).items():
+        rows.append({"backend": backend, "n_vectors": n,
+                     "seconds": seconds,
+                     "per_vector_us": seconds / n * 1e6,
+                     "build_s": builds[backend]})
     return {
         "circuit": name,
         "n_steps": steps,
@@ -268,9 +194,6 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
         "hybrid": vectorized.hybrid,
         "rows": rows,
         "vectorized_speedup_over_compiled": compiled_s / vectorized_s,
-        "packed_speedup_over_vectorized": packed_speedup,
-        "packed_gate_block": gate_block,
-        "packed_skipped": packed_note,
         "identical": identical,
     }
 
@@ -286,15 +209,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail if vectorized beats compiled by less "
                              "than this on non-hybrid circuits (default "
                              "5.0; advisory under --smoke)")
-    parser.add_argument("--min-packed-speedup", type=float, default=4.0,
-                        help="fail if packed beats vectorized by less "
-                             "than this on the pure-logic circuit "
-                             "(default 4.0; advisory under --smoke)")
-    parser.add_argument("--packed-gate-vectors", type=int, default=None,
-                        help="Monte-Carlo block size for the packed-"
-                             "floor measurement (default 1048576; 0 "
-                             "disables the block run and gates on the "
-                             "shared batch; skipped under --smoke)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default <repo>/BENCH_sim.json)")
     args = parser.parse_args(argv)
@@ -305,30 +219,20 @@ def main(argv: list[str] | None = None) -> int:
     n_batch = args.vectors or (256 if args.smoke else 4096)
     n_interp = min(n_batch, 64 if args.smoke else 256)
     repeats = 3
-    gate_vectors = 0 if args.smoke else (
-        1048576 if args.packed_gate_vectors is None
-        else args.packed_gate_vectors)
     out_path = args.out or (
         Path(__file__).resolve().parent.parent / "BENCH_sim.json")
 
-    results = [bench_circuit(name, steps, n_batch, n_interp, repeats,
-                             gate_vectors=gate_vectors)
+    results = [bench_circuit(name, steps, n_batch, n_interp, repeats)
                for name, steps in circuits.items()]
-    gated = [r for r in results if r["circuit"] in PACKED_GATE_CIRCUITS
-             and r["packed_speedup_over_vectorized"] is not None]
     report = {
         "bench": "sim_backends",
         "mode": "smoke" if args.smoke else "full",
         "n_vectors": n_batch,
         "min_speedup_required": args.min_speedup,
-        "min_packed_speedup_required": args.min_packed_speedup,
         "results": results,
         "min_vectorized_speedup_measured": min(
             r["vectorized_speedup_over_compiled"] for r in results
             if not r["hybrid"]),
-        "min_packed_speedup_measured": min(
-            (r["packed_speedup_over_vectorized"] for r in gated),
-            default=None),
     }
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -349,13 +253,6 @@ def main(argv: list[str] | None = None) -> int:
         notes = [f"identical={result['identical']}"]
         if result["hybrid"]:
             notes.append("hybrid scalar-slot plan")
-        if result["packed_skipped"]:
-            notes.append(f"packed skipped: {result['packed_skipped']}")
-        block = result["packed_gate_block"]
-        if block is not None:
-            notes.append(
-                f"packed block ({block['n_vectors']} vecs): "
-                f"{block['speedup_vs_vectorized']:.1f}x vs vectorized")
         print(f"{'':10s} {'; '.join(notes)}")
     print(f"wrote {out_path}")
 
@@ -374,12 +271,6 @@ def main(argv: list[str] | None = None) -> int:
                  and r["vectorized_speedup_over_compiled"] < 1.0]
     if regressed:
         problems.append(f"hybrid plan slower than compiled on {regressed}")
-    slow_packed = [r["circuit"] for r in gated
-                   if r["packed_speedup_over_vectorized"]
-                   < args.min_packed_speedup]
-    if slow_packed:
-        problems.append(f"packed speedup below {args.min_packed_speedup}x "
-                        f"over vectorized on {slow_packed}")
     if problems:
         if args.smoke:
             # Millisecond-scale smoke timings are noisy on shared CI

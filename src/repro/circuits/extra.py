@@ -20,9 +20,8 @@
   generator-dependent.
 
 * :func:`logic_mixer` — a wide pure-logic benchmark (AND/OR/XOR/NOT/MUX
-  only, no arithmetic).  Every operation is a single word-parallel
-  instruction for the bit-packed backend, which is where packing shows
-  its largest win over the one-column-per-vector array backend.
+  only, no arithmetic): a deep, wide dataflow circuit with no carries,
+  which ``benchmarks/bench_sim.py`` times next to the paper circuits.
 """
 
 from __future__ import annotations
@@ -155,9 +154,8 @@ def logic_mixer(n_stages: int = 12, width: int = 4) -> CDFG:
 
     Each stage rotates the lanes through AND/OR/XOR/NOT and a MUX whose
     select is the previous stage's parity, so activity stays high and no
-    stage folds away.  Contains no arithmetic or comparison nodes: every
-    operation maps to one machine-word instruction per 64 Monte-Carlo
-    vectors under the bit-packed backend.
+    stage folds away.  Contains no arithmetic or comparison nodes, so
+    its simulation cost is pure logic dataflow.
     """
     if n_stages < 1 or width < 2:
         raise ValueError("logic_mixer needs n_stages >= 1 and width >= 2")

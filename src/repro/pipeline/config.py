@@ -41,10 +41,10 @@ class FlowConfig:
     verify:               run the structural gating-soundness check.
     sim_backend:          batch-simulation engine for verification and
                           simulated power (``compiled`` | ``vectorized``
-                          | ``packed`` | ``auto``); the backends are
-                          bit-identical, this only selects the execution
-                          strategy (``packed`` degrades to the hybrid
-                          vectorized engine on recurrent plans).
+                          | ``auto``); the backends are bit-identical,
+                          this only selects the execution strategy
+                          (``auto`` weighs build against run cost for
+                          the vector count, see :mod:`repro.sim.backend`).
     label:                free-form tag used by ``explore()`` reports.
     """
 

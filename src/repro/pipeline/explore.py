@@ -106,7 +106,7 @@ class ExplorationPoint:
     store_misses: int = 0
     #: Simulation backend that actually produced
     #: ``simulated_reduction_pct`` (``create_engine`` resolution —
-    #: ``auto``/``packed`` requests record what they resolved to);
+    #: ``auto`` requests record what they resolved to);
     #: ``None`` when no simulation ran or for pre-existing journals.
     chosen_backend: str | None = None
 

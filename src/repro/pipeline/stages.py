@@ -215,7 +215,9 @@ class VerifyStage(Stage):
     argument plus a functional differential — the batch engine
     ``config.sim_backend`` selects (for ``auto``, the cheapest at this
     vector count) runs the elaborated design against the reference
-    model on a seeded vector set, with power management on and off."""
+    model on a seeded vector set, with power management on and off.
+    On the compiled backend that is one runner, run in both modes: the
+    second engine finds it cached, so ``auto`` keeps it."""
 
     name = "verify"
     requires = ("pm", "design", "pipelined_gating")

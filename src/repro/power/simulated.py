@@ -61,11 +61,10 @@ class SimulatedPower:
     """Average energy per processed sample, by component.
 
     ``chosen_backend`` records which simulation engine actually produced
-    the numbers (``"compiled"``, ``"vectorized"`` or ``"packed"`` —
-    ``auto`` and ``packed`` requests may resolve differently).  It is
-    observability metadata, excluded from equality: reports from
-    different backends at the same seed stay equal, which is exactly the
-    bit-identity guarantee the parity tests pin down."""
+    the numbers (``"compiled"`` or ``"vectorized"``, also for ``auto``
+    requests).  It is observability metadata, excluded from equality:
+    reports from different backends at the same seed stay equal, which
+    is exactly the bit-identity guarantee the parity tests pin down."""
 
     fu_energy: dict[ResourceClass, float]
     register_energy: float
@@ -145,9 +144,9 @@ def _power_from_activity(activity: ActivityCounter, samples: int,
 def _run_block(engine, block) -> object:
     """Run one vector block on ``engine`` the fastest way it supports.
 
-    Lists of vector dicts go to the vectorized backend as a pre-packed
-    input matrix; ``(batch, n_inputs)`` arrays go to the compiled
-    backend as reconstructed dicts (slow path, for API symmetry).
+    Lists of vector dicts go to the vectorized backend as one input
+    matrix; ``(batch, n_inputs)`` arrays go to the compiled backend as
+    reconstructed dicts (slow path, for API symmetry).
     """
     run_array = getattr(engine, "run_array", None)
     if isinstance(block, list):
@@ -196,8 +195,9 @@ def measure_power(
     """Average per-sample energy of ``design``.
 
     Fixed mode (``rel_tol=None``): simulate ``vectors`` (or ``n_vectors``
-    seeded random ones) in one batch.  Monte Carlo mode (``rel_tol``
-    set): draw ``block_size`` vectors at a time — from ``vectors`` if
+    seeded random ones) in one batch; an empty set raises
+    ``ValueError``.  Monte Carlo mode (``rel_tol`` set): draw
+    ``block_size`` vectors at a time — from ``vectors`` if
     given (any iterable of dicts or a pre-generated ``(n, n_inputs)``
     input matrix), else from an endless seeded random stream — until the
     ``confidence`` interval of the per-sample energy is within
@@ -223,6 +223,10 @@ def measure_power(
         elif not is_matrix:
             vectors = list(vectors)
         expected, block = len(vectors), None
+        if expected == 0:
+            raise ValueError(
+                f"fixed-sample power needs at least one vector, "
+                f"got {expected}")
     else:
         # The stopping rule cannot stop before _MIN_BLOCKS full blocks,
         # so that many samples (capped by max_vectors and by a finite

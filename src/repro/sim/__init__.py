@@ -1,6 +1,6 @@
 """Cycle-accurate RTL simulation with switching-activity accounting."""
 
-from repro.sim.activity import ActivityCounter, hamming, packed_toggles
+from repro.sim.activity import ActivityCounter, hamming
 from repro.sim.backend import BACKENDS, create_engine, numpy_available
 from repro.sim.engine import (
     BatchResult,
@@ -61,17 +61,11 @@ __all__ = [
     "iter_gcd_trace_vectors",
     "iter_random_vectors",
     "numpy_available",
-    "packed_toggles",
     "random_vectors",
     "vectors_to_array",
 ]
 
 try:  # the vectorized backend needs numpy; everything above does not
-    from repro.sim.packed import (  # noqa: F401
-        PackedEngine,
-        PackingError,
-        generate_packed_source,
-    )
     from repro.sim.vectorized import (  # noqa: F401
         ArrayBatchResult,
         VectorizationError,
@@ -83,10 +77,7 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
 else:
     __all__ += [
         "ArrayBatchResult",
-        "PackedEngine",
-        "PackingError",
         "VectorizationError",
         "VectorizedEngine",
-        "generate_packed_source",
         "generate_vector_source",
     ]

@@ -20,26 +20,6 @@ def hamming(a: int, b: int, width: int) -> int:
     return ((a ^ b) & mask).bit_count()
 
 
-def packed_toggles(prev, new, lanes) -> int:
-    """Total toggled bits between two bit-sliced packed columns.
-
-    ``prev`` and ``new`` are ``(width, nwords)`` uint64 arrays holding 64
-    vectors per word per bit-slice (:mod:`repro.sim.packed`); ``lanes``
-    is the ``(nwords,)`` lane mask selecting which vectors count (the
-    valid tail mask, optionally AND-ed with a guard mask) — or ``None``
-    when every lane counts, which skips the broadcast AND entirely (this
-    sits on the hottest per-statement path of the packed backend, and
-    batch sizes are usually multiples of 64).  One XOR and one
-    population count per word replaces the per-value :func:`hamming`
-    loop — the packed backend's whole activity model reduces to this."""
-    import numpy as np
-
-    diff = prev ^ new
-    if lanes is not None:
-        diff &= lanes
-    return int(np.bitwise_count(diff).sum())
-
-
 @dataclass
 class ActivityCounter:
     """Accumulated switching activity of one simulation run."""

@@ -1,31 +1,27 @@
 """Simulation backend selection.
 
-Three interchangeable, bit-identical batch engines exist:
+Two interchangeable, bit-identical batch engines exist:
 
 * ``"compiled"`` — :class:`~repro.sim.engine.CompiledEngine`, generated
   straight-line Python executed per vector.  No dependencies; cheap to
-  build, the fallback everywhere.
+  build, the fallback everywhere.  One runner per design fingerprint
+  serves both power-management modes (the mode is a call argument).
 * ``"vectorized"`` — :class:`~repro.sim.vectorized.VectorizedEngine`,
   generated NumPy array programs executed per *block*, with a hybrid
   scalar micro-loop covering recurrent guarded state.  Total over valid
   designs up to the int64 width headroom; needs ``numpy``.  About twice
   as costly to build as the compiled engine, with a fixed NumPy
   dispatch cost per call, and 8-30x faster per vector on 4096-vector
-  blocks.
-* ``"packed"`` — :class:`~repro.sim.packed.PackedEngine`, bit-sliced
-  word-parallel logic: 64 Monte Carlo vectors per machine word with
-  popcount activity reduction.  Fastest on pure-logic-dominated
-  circuits; recurrent designs transparently run hybrid-vectorized.
-* ``"auto"`` — a cost model (:data:`COST_MODEL`) weighs the compiled
-  and vectorized backends for the number of vectors the caller is about
-  to simulate; see :func:`resolve_backend`.  It never selects
-  ``"packed"``.
+  blocks.  Its runners stay specialized per mode.
+* ``"auto"`` — a cost model (:data:`COST_MODEL`) weighs the two for the
+  number of vectors the caller is about to simulate; see
+  :func:`resolve_backend`.
 
 Every engine handed out carries ``chosen_backend`` (the engine actually
-constructed: ``auto`` and ``packed`` may resolve to a different engine
-than their argument) and ``backend_reason`` (why: the vector count and
-both cost estimates for ``auto``).  ``auto`` decisions are logged on
-the ``repro.sim.backend`` logger at DEBUG level.
+constructed: ``auto`` resolves to one of the two) and
+``backend_reason`` (why: the vector count and both cost estimates for
+``auto``).  ``auto`` decisions are logged on the ``repro.sim.backend``
+logger at DEBUG level.
 
 :func:`create_engine` is the single construction point the power
 estimator, the pipeline's verify stage and ``explore()`` go through.
@@ -46,7 +42,7 @@ from repro.sim.engine import (
     design_fingerprint,
 )
 
-BACKENDS = ("compiled", "vectorized", "packed", "auto")
+BACKENDS = ("compiled", "vectorized", "auto")
 
 # Widest design the vectorized backend accepts: intermediate products
 # need 2*width bits inside int64 plus sign headroom.
@@ -66,12 +62,12 @@ MODELED_BACKENDS = ("compiled", "vectorized")
 #: ``BENCH_sim.json`` rows (16, 128 and 4096 vectors per circuit);
 #: regenerate both with ``python benchmarks/bench_sim.py``.
 COST_MODEL: dict[str, dict[str, tuple[float, float]]] = {
-    "compiled": {"build": (0.525, 0.2204),
-                 "call": (0.006307, 0.0003868),
-                 "vector": (0.001358, 0.00037)},
-    "vectorized": {"build": (2.569, 0.3452),
-                   "call": (0.1475, 0.0238),
-                   "vector": (0.0001549, 1.345e-05)},
+    "compiled": {"build": (0.2402, 0.1682),
+                 "call": (0.01689, -0.0008498),
+                 "vector": (0.000219, 0.0003344)},
+    "vectorized": {"build": (0.969, 0.324),
+                   "call": (0.015, 0.02151),
+                   "vector": (0.0002275, 1.296e-05)},
 }
 
 
@@ -104,9 +100,16 @@ def estimate_ms(backend: str, ops: int, n_vectors: int, calls: int = 1,
     return build + calls * term("call") + n_vectors * term("vector")
 
 
-def _runner_cached(backend: str, design: SynthesizedDesign,
-                   power_management: bool) -> bool:
-    key = (design_fingerprint(design), power_management)
+def _runner_key(backend: str, design: SynthesizedDesign,
+                power_management: bool):
+    """Compile-cache key of ``backend``'s runner for ``design``: a
+    compiled runner serves both modes, a vectorized one only its own."""
+    if backend == "compiled":
+        return design_fingerprint(design)
+    return design_fingerprint(design), power_management
+
+
+def _runner_cached(backend: str, key) -> bool:
     if backend == "compiled":
         return key in _RUNNER_CACHE
     from repro.sim.vectorized import _VECTOR_CACHE
@@ -127,8 +130,9 @@ def resolve_backend(designs: Iterable[tuple[SynthesizedDesign, bool]],
     a design is wider than :data:`VECTOR_WIDTH_LIMIT`, vectorized when
     the count is unknown (``None``), and otherwise whichever of the
     compiled and vectorized backends has the lower :func:`estimate_ms`
-    summed over ``designs``; a runner already in the compile cache costs
-    nothing to build.
+    summed over ``designs``.  A runner already in the compile cache
+    costs nothing to build, and a compiled runner is charged once per
+    distinct design, because both modes share it.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -157,12 +161,15 @@ def _auto(designs: tuple[tuple[SynthesizedDesign, bool], ...],
         return "vectorized", "auto: vector count unknown"
     calls = max(1, math.ceil(n_vectors / block_size)) if block_size else 1
     costs = dict.fromkeys(MODELED_BACKENDS, 0.0)
+    charged: set[tuple[str, object]] = set()
     for design, pm in designs:
         ops = plan_ops(cached_plan(design))
         for name in MODELED_BACKENDS:
+            key = _runner_key(name, design, pm)
             costs[name] += estimate_ms(
                 name, ops, n_vectors, calls,
-                cached=_runner_cached(name, design, pm))
+                cached=(name, key) in charged or _runner_cached(name, key))
+            charged.add((name, key))
     estimates = ", ".join(f"{name} {costs[name]:.2f} ms"
                           for name in MODELED_BACKENDS)
     return (min(MODELED_BACKENDS, key=costs.__getitem__),
@@ -183,13 +190,11 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
 
     ``n_vectors`` is how many vectors the caller is about to simulate
     (``block_size`` per call, if not all at once); ``"auto"`` resolves
-    through the cost model with it (see :func:`resolve_backend`).
-    ``"packed"`` tries the bit-parallel engine and drops to the hybrid
-    vectorized engine (logged) for designs whose recurrent state the
-    packed kernels cannot close.  The returned engine records the
-    resolution on ``chosen_backend`` and its cause on ``backend_reason``;
-    a caller that resolved ``auto`` itself passes the concrete backend
-    plus its ``reason``.
+    through the cost model with it (see :func:`resolve_backend`).  The
+    returned engine records the resolution on ``chosen_backend`` and its
+    cause on ``backend_reason``; a caller that resolved ``auto`` itself
+    passes the concrete backend plus its ``reason``.  A compiled engine
+    shares its design's runner with engines in the other mode.
     """
     chosen, why = resolve_backend(((design, power_management),), backend,
                                   n_vectors, block_size)
@@ -199,18 +204,6 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
                     "compiled", why)
     from repro.sim.vectorized import VectorizedEngine
 
-    if chosen == "packed":
-        from repro.sim.packed import PackedEngine, PackingError
-
-        try:
-            return _tag(PackedEngine(design,
-                                     power_management=power_management),
-                        "packed", why)
-        except PackingError as exc:
-            logger.info("packed backend unavailable for %r (%s); "
-                        "running hybrid vectorized",
-                        design.graph.name, exc)
-            why = f"packed unavailable: {exc}"
     return _tag(VectorizedEngine(design, power_management=power_management),
                 "vectorized", why)
 

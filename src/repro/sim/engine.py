@@ -11,11 +11,12 @@ into a flat :class:`ExecutionPlan` — pre-resolved operand sources
 (register index / folded constant / shift chain), per-step start/end op
 tuples, guard-term drivers and FU latch ports as state-array slots — and
 then specializes the plan into straight-line Python (one generated
-``_run`` function per design, built with :func:`exec`).  Register file,
-input latches, FU outputs and all activity counters live in one flat
-state tuple that persists across batches, so switching activity between
-consecutive vectors — and between consecutive *batches* — is modelled
-exactly like one long interpreted run.
+``_run`` function per design, built with :func:`exec`; power management
+is a run-time argument of it, so both modes share the compile).
+Register file, input latches, FU outputs and all activity counters live
+in one flat state tuple that persists across batches, so switching
+activity between consecutive vectors — and between consecutive
+*batches* — is modelled exactly like one long interpreted run.
 
 The engine is bit-for-bit equivalent to the legacy simulator: the same
 outputs and the same merged :class:`~repro.sim.activity.ActivityCounter`
@@ -257,8 +258,15 @@ def _render_op(op: Op, operands: list[str], mask: int, sign: int) -> str:
     raise ValueError(f"cannot compile {op!r}")  # pragma: no cover
 
 
-def generate_source(plan: ExecutionPlan, power_management: bool) -> str:
-    """Python source of the specialized ``_run(vectors, state)`` runner."""
+def generate_source(plan: ExecutionPlan) -> str:
+    """Python source of the ``_run(vectors, state, pm)`` runner.
+
+    Power management is the run-time argument ``pm``, not a codegen
+    specialization, so one runner serves a design in both modes.  A
+    guarded start runs as ``if not _pm or (<guard>):`` (a ``never``
+    guard as ``if not _pm:``) and sets the op's ``g<nid>`` flag, which
+    its end event tests; an ungated run therefore sets every flag.
+    """
     mask = (1 << plan.width) - 1
     sign = 1 << (plan.width - 1)
     names = _state_names(plan)
@@ -266,17 +274,13 @@ def generate_source(plan: ExecutionPlan, power_management: bool) -> str:
     def render(sp: SourcePlan) -> str:
         return _render_source(sp, mask, sign)
 
-    guards_by_nid = {start.nid: start.guard
-                     for step in plan.steps for start in step.starts}
+    guarded = {start.nid for step in plan.steps for start in step.starts
+               if not start.guard.unconditional}
     lines: list[str] = []
     emit = lines.append
-    emit(f"def _run(_vectors, _state):  # compiled from {plan.name!r}")
+    emit(f"def _run(_vectors, _state, _pm):  # compiled from {plan.name!r}")
     emit(f"    ({', '.join(names)},) = _state")
     # Guard-activity flags for gated ops (reset by construction each run).
-    guarded = {
-        nid for nid, guard in guards_by_nid.items()
-        if power_management and not guard.unconditional and not guard.never
-    }
     if guarded:
         emit("    " + " = ".join(f"g{nid}" for nid in sorted(guarded))
              + " = False")
@@ -298,24 +302,26 @@ def generate_source(plan: ExecutionPlan, power_management: bool) -> str:
         emit(f"        _rt += ((r{reg} ^ _in{k}) & {mask}).bit_count()"
              f"; r{reg} = _in{k}")
 
-    # Controller: one FSM cycle per control step, every sample.
-    emit(f"        _cc += {plan.n_steps}")
-    emit(f"        _cl += {plan.n_steps * plan.controller_literals}")
+    # Counts every sample adds alike — one FSM cycle per control step,
+    # one activation per unconditional op — are added once per batch.
+    per_sample = {"_cc": plan.n_steps,
+                  "_cl": plan.n_steps * plan.controller_literals}
 
     for step_index, step in enumerate(plan.steps):
         if step.starts or step.ends:
             emit(f"        # step {step_index}")
         for start in step.starts:
-            gated = power_management and not start.guard.unconditional
-            if power_management and start.guard.never:
-                emit(f"        _id_{start.resource.name} += 1")
-                continue
+            gated = not start.guard.unconditional
             indent = "        "
             if gated:
-                cond = " and ".join(
-                    f"({render(src)})" if value else f"(not ({render(src)}))"
-                    for src, value in start.guard.terms)
-                emit(f"        if {cond}:")
+                if start.guard.never:
+                    emit("        if not _pm:")
+                else:
+                    cond = " and ".join(
+                        f"({render(src)})" if value
+                        else f"(not ({render(src)}))"
+                        for src, value in start.guard.terms)
+                    emit(f"        if not _pm or ({cond}):")
                 indent += "    "
             ts = [f"t{start.nid}_{p}" for p in range(len(start.sources))]
             for t, src in zip(ts, start.sources):
@@ -331,8 +337,6 @@ def generate_source(plan: ExecutionPlan, power_management: bool) -> str:
                 emit(f"        else:")
                 emit(f"            _id_{start.resource.name} += 1")
         for end in step.ends:
-            if power_management and guards_by_nid[end.nid].never:
-                continue  # never-enabled op: no end event
             indent = "        "
             if end.nid in guarded:
                 emit(f"        if g{end.nid}:")
@@ -343,13 +347,21 @@ def generate_source(plan: ExecutionPlan, power_management: bool) -> str:
             emit(f"{indent}_ao_{end.resource.name} += "
                  f"((fo{end.unit} ^ _x) & {mask}).bit_count()"
                  f"; fo{end.unit} = _x")
-            emit(f"{indent}_aa_{end.resource.name} += 1")
+            if end.nid in guarded:
+                emit(f"{indent}_aa_{end.resource.name} += 1")
+            else:
+                name = f"_aa_{end.resource.name}"
+                per_sample[name] = per_sample.get(name, 0) + 1
             emit(f"{indent}_rt += ((r{end.dest_register} ^ _x) & {mask})"
                  f".bit_count(); r{end.dest_register} = _x")
 
     out_items = ", ".join(
         f"{name!r}: {render(src)}" for name, src in plan.outputs)
     emit(f"        _append({{{out_items}}})")
+    emit("    _n = len(_outs)")
+    for name, count in per_sample.items():
+        if count:
+            emit(f"    {name} += {count} * _n")
     emit(f"    return _outs, ({', '.join(names)},)")
     return "\n".join(lines) + "\n"
 
@@ -368,7 +380,8 @@ def generate_source(plan: ExecutionPlan, power_management: bool) -> str:
 # compiled (simulated power builds the baseline and managed engines back
 # to back), so on explore, serve and anneal traffic 128 entries hit as
 # often as an unbounded cache; an ``explore()`` re-run in one process
-# keeps its hits while it spans at most 64 designs (two runners each).
+# keeps its hits while it spans at most 128 designs (64 on the
+# vectorized backend, which caches one runner per mode).
 # At 512, a server worker compiling fresh circuits kept 20+ MB of designs
 # it never looked up again.
 _LRU_MAX = 128
@@ -400,7 +413,7 @@ def _lru_put(cache: OrderedDict, key, value) -> None:
 
 
 _PLAN_CACHE = _make_lru()    # fingerprint -> ExecutionPlan
-_RUNNER_CACHE = _make_lru()  # (fingerprint, pm) -> (plan, source, runner)
+_RUNNER_CACHE = _make_lru()  # fingerprint -> (plan, source, runner)
 
 
 def design_fingerprint(design: SynthesizedDesign) -> str:
@@ -485,7 +498,7 @@ class _EngineBase:
     # Which backend name :func:`repro.sim.backend.create_engine` resolved
     # to when it built this engine; ``None`` for engines constructed
     # directly.  Surfaced on power results and explore points so ``auto``
-    # and ``packed`` resolutions are observable instead of silent.
+    # resolutions are observable instead of silent.
     chosen_backend: str | None = None
     # Why it resolved that way: for ``auto``, the vector count and both
     # cost estimates.
@@ -550,7 +563,9 @@ class CompiledEngine(_EngineBase):
 
     Plan compilation, source generation and the exec-compiled runner are
     cached module-wide by design fingerprint, so constructing many
-    engines for equal designs compiles exactly once.
+    engines for equal designs compiles exactly once.  The runner takes
+    ``power_management`` as a call argument, so engines in both modes
+    share it.
     """
 
     backend = "compiled"
@@ -559,11 +574,11 @@ class CompiledEngine(_EngineBase):
                  power_management: bool = True) -> None:
         self.design = design
         self.power_management = power_management
-        key = (design_fingerprint(design), power_management)
+        key = design_fingerprint(design)
         cached = _lru_get(_RUNNER_CACHE, key)
         if cached is None:
             plan = cached_plan(design)
-            source = generate_source(plan, power_management)
+            source = generate_source(plan)
             namespace: dict[str, object] = {}
             exec(compile(source, f"<engine:{design.graph.name}>", "exec"),
                  namespace)
@@ -575,7 +590,7 @@ class CompiledEngine(_EngineBase):
     def run_batch(self, vectors: Iterable[dict[str, int]]) -> BatchResult:
         """Run ``vectors`` (any iterable, lists or streams) in sequence."""
         before = self._state
-        outputs, after = self._run(vectors, before)
+        outputs, after = self._run(vectors, before, self.power_management)
         self._state = after
         self.samples += len(outputs)
         return BatchResult(outputs=outputs,

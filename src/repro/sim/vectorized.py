@@ -42,6 +42,19 @@ so every valid design runs through this backend, bit-identically to the
 compiled engine.  :class:`VectorizationError` remains only for widths
 beyond the int64 headroom (``backend="auto"`` then selects the compiled
 backend).
+
+Power management stays a codegen specialization
+-----------------------------------------------
+
+The compiled engine takes power management as a run-time argument, so
+one runner serves a design in both modes.  This backend deliberately
+does not: with power management off every guard is unconditional
+(:meth:`_VectorCodegen.guard_mask` returns ``None``), so the ungated
+program has no masked ``ffill`` recurrences and never needs the hybrid
+micro-loop.  A run-time flag would either ship both programs in one
+source, which saves no compile, or run the ungated mode through the
+masked path, which is slower on large blocks.  Its runner cache keys
+on ``(fingerprint, power_management)``.
 """
 
 from __future__ import annotations
@@ -127,7 +140,10 @@ class _VectorCodegen:
         self.pm = power_management
         self.mask = (1 << plan.width) - 1
         self.sign = 1 << (plan.width - 1)
-        self._check_width()
+        if plan.width > 62:
+            raise VectorizationError(
+                f"width {plan.width} exceeds the array backend's "
+                "int64 headroom; use backend='compiled'")
         # Smallest element type with full product headroom (2w bits).
         # Wrap-around ops are congruent mod 2**dtype_bits ⊇ mod 2**width
         # and every column is rewrapped into signed range immediately, so
@@ -155,19 +171,12 @@ class _VectorCodegen:
         self._serial = 0
         self._cse: dict[str, str] = {}      # expr -> existing SSA name
 
-    def _check_width(self) -> None:
-        if self.plan.width > 62:
-            raise VectorizationError(
-                f"width {self.plan.width} exceeds the array backend's "
-                "int64 headroom; use backend='compiled'")
-
-    # -- representation hooks -------------------------------------------
+    # -- column renderers -----------------------------------------------
     #
     # Everything the symbolic pass knows about the column representation
-    # funnels through these small renderers, so the packed backend
-    # (:mod:`repro.sim.packed`) can reuse the whole structural pass —
-    # write folds, guard implication, closed-form state resolution, DCE,
-    # topo sort — by overriding only how a column is spelled.
+    # (dtype, masks, NumPy calls) is spelled by these small renderers;
+    # the structural pass — write folds, guard implication, closed-form
+    # state resolution, DCE, topo sort — never spells a column itself.
 
     def cond_expr(self, expr: str, value: int) -> str:
         """Boolean mask column: ``expr`` nonzero (value=1) / zero (0)."""
@@ -213,14 +222,6 @@ class _VectorCodegen:
         """Shift-by-one start column: ``concat([carry], end[:-1])``."""
         return (f"_np.concatenate((_np.asarray([{slot}__in], "
                 f"dtype={self.dtype}), ({end})[:-1]))")
-
-    def prelude_lines(self) -> list[str]:
-        """Extra setup lines after the state unpack."""
-        return []
-
-    def result_expr(self, name: str) -> str:
-        """Rendering of an output column in the return tuple."""
-        return name
 
     # -- statement plumbing ---------------------------------------------
 
@@ -432,14 +433,6 @@ class _VectorCodegen:
             return f"int(({expr} * {guard}).sum())", deps + (guard,)
         return f"int({expr}.sum())", deps
 
-    def counter_total(self, slot: str,
-                      contribs: list[str]) -> tuple[str, tuple[str, ...]]:
-        """Expression summing a counter's carried-in value with this
-        pass's contributions — a representation hook: a subclass whose
-        :meth:`popcount` emits deferred values rather than ints can
-        reduce them here in one pass."""
-        return " + ".join([f"{slot}__in"] + contribs), tuple(contribs)
-
     # -- pass symbolic execution ----------------------------------------
 
     def guard_mask(self, guard) -> tuple[str | None | bool, frozenset]:
@@ -616,8 +609,9 @@ class _VectorCodegen:
                 if not contribs:
                     state_out.append(f"{slot}__in")
                     continue
-                total, deps = self.counter_total(slot, contribs)
-                state_out.append(self.stmt(f"{slot}__out", total, deps))
+                total = " + ".join([f"{slot}__in"] + contribs)
+                state_out.append(self.stmt(f"{slot}__out", total,
+                                           tuple(contribs)))
                 continue
             end = self._end_column(slot)
             if end is None:
@@ -697,18 +691,16 @@ class _VectorCodegen:
         lines += [f"    {s.target} = {s.expr}" for s in ordered]
         return self._epilogue(lines, out_names, state_out)
 
-    backend_tag = "vectorized"
-
     def _prologue(self) -> list[str]:
         names = _state_names(self.plan)
         return [f"def _run(_m, _state):  "
-                f"# {self.backend_tag} from {self.plan.name!r}",
+                f"# vectorized from {self.plan.name!r}",
                 f"    ({', '.join(f'{n}__in' for n in names)},) = _state",
-                "    _n = _m.shape[0]"] + self.prelude_lines()
+                "    _n = _m.shape[0]"]
 
     def _epilogue(self, lines: list[str], out_names: list[str],
                   state_out: list[str]) -> str:
-        outs = ", ".join(self.result_expr(n) for n in out_names)
+        outs = ", ".join(out_names)
         if out_names:
             outs += ","
         lines.append(f"    return ({outs}), ({', '.join(state_out)},)")
@@ -896,13 +888,6 @@ class VectorizedEngine(_EngineBase):
 
     backend = "vectorized"
 
-    #: Rows per :meth:`run_array` execution chunk; ``None`` runs the
-    #: whole batch in one pass.  Subclasses whose working set per value
-    #: is compact enough that a tile stays cache-resident (the packed
-    #: backend) set this to keep huge Monte-Carlo blocks off main
-    #: memory; tiles carry state exactly like consecutive batch calls.
-    _tile_rows: int | None = None
-
     def __init__(self, design: SynthesizedDesign,
                  power_management: bool = True) -> None:
         self.design = design
@@ -945,24 +930,8 @@ class VectorizedEngine(_EngineBase):
                          for name, _sp in self.plan.outputs},
                 activity=ActivityCounter(width=self.plan.width), samples=0)
         before = self._state
-        tile = self._tile_rows
         n = matrix.shape[0]
-        if tile and n > tile:
-            # Chunked execution with state threaded across tiles — the
-            # same carry semantics as consecutive run_array calls, so
-            # results are bit-identical by construction.  Counters are
-            # monotonic state slots, so one before/after delta covers
-            # the whole span.
-            state = before
-            chunks = []
-            for start in range(0, n, tile):
-                cols, state = self._run(matrix[start:start + tile], state)
-                chunks.append(cols)
-            after = state
-            cols = [np.concatenate([chunk[i] for chunk in chunks])
-                    for i in range(len(self.plan.outputs))]
-        else:
-            cols, after = self._run(matrix, before)
+        cols, after = self._run(matrix, before)
         self._state = after
         self.samples += n
         return ArrayBatchResult(

@@ -83,3 +83,32 @@ class TestSparseFIR:
         outputs, activity = sim.run_many(vectors)
         assert outputs == [evaluate(graph, v) for v in vectors]
         assert activity.total_idles() > 0  # some taps skipped
+
+
+class TestLogicMixer:
+    def test_logic_only(self):
+        from repro.circuits.extra import logic_mixer
+        from repro.ir.ops import Op
+
+        graph = logic_mixer()
+        ops = {node.op for node in graph.operations()}
+        assert ops <= {Op.AND, Op.OR, Op.XOR, Op.NOT, Op.MUX}
+        assert len(list(graph.inputs())) == 4
+
+    @pytest.mark.parametrize("n_stages,width", [(0, 4), (3, 1)])
+    def test_degenerate_shapes_rejected(self, n_stages, width):
+        from repro.circuits.extra import logic_mixer
+
+        with pytest.raises(ValueError, match="n_stages >= 1 and width >= 2"):
+            logic_mixer(n_stages=n_stages, width=width)
+
+    def test_full_flow_and_simulation(self):
+        from repro.circuits.extra import logic_mixer
+
+        graph = logic_mixer(n_stages=6, width=5)
+        cp = critical_path_length(graph)
+        result = Pipeline().run(graph, FlowConfig(n_steps=cp + 1))
+        vectors = random_vectors(graph, 20, seed=4)
+        outputs, _ = RTLSimulator(result.design).run_many(vectors)
+        assert outputs == [evaluate(graph, v, width=result.design.width)
+                           for v in vectors]

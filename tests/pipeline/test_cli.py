@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import load_circuit, main
+from repro.sim.backend import BACKENDS
 
 
 class TestLoadCircuit:
@@ -48,6 +49,19 @@ class TestSchedulerFlag:
     def test_verify_flag(self, capsys):
         assert main(["synthesize", "gcd", "--steps", "7",
                      "--verify"]) == 0
+
+
+class TestSimBackendFlag:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_verifies(self, backend, capsys):
+        assert main(["synthesize", "gcd", "--steps", "7", "--verify",
+                     "--sim-backend", backend]) == 0
+
+    def test_packed_backend_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["synthesize", "gcd", "--steps", "7",
+                  "--sim-backend", "packed"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestPipelineFlags:

@@ -51,8 +51,7 @@ def flow_configs(draw, graph, pm_enabled: bool) -> FlowConfig:
         initiation_interval=ii,
         pipelined_gating=draw(st.sampled_from(("per_sample", "drop"))),
         mutex_sharing=draw(st.booleans()),
-        sim_backend=draw(st.sampled_from(
-            ("compiled", "vectorized", "packed"))))
+        sim_backend=draw(st.sampled_from(("compiled", "vectorized"))))
 
 
 def assert_config_matches_reference(graph, config):

@@ -31,6 +31,23 @@ class TestMeasurePower:
         off = measure_power(design, n_vectors=128, power_management=False)
         assert off.datapath >= on.datapath
 
+    @pytest.mark.parametrize("source", ["list", "iterator", "matrix",
+                                        "n_vectors"])
+    def test_zero_vectors_rejected(self, dealer_pair, source):
+        """Fixed mode divides by the sample count: no vectors is an
+        input error, not a ``ZeroDivisionError``."""
+        import numpy as np
+
+        design = dealer_pair.managed.design
+        kwargs = {"list": {"vectors": []},
+                  "iterator": {"vectors": iter([])},
+                  "matrix": {"vectors": np.empty(
+                      (0, len(list(design.graph.inputs()))),
+                      dtype=np.int64)},
+                  "n_vectors": {"n_vectors": 0}}[source]
+        with pytest.raises(ValueError, match="at least one vector, got 0"):
+            measure_power(design, **kwargs)
+
 
 class TestCompareDesigns:
     def test_dealer_saves_power(self, dealer_pair):
@@ -60,3 +77,8 @@ class TestCompareDesigns:
         assert cmp.area_orig > 0 and cmp.area_new > 0
         assert cmp.area_increase == pytest.approx(
             cmp.area_new / cmp.area_orig)
+
+    def test_compare_designs_rejects_zero_vectors(self, dealer_pair):
+        with pytest.raises(ValueError, match="at least one vector, got 0"):
+            compare_designs(dealer_pair.baseline.design,
+                            dealer_pair.managed.design, n_vectors=0)

@@ -130,6 +130,15 @@ class TestAPI:
         assert err.value.status == 400
         assert "sim_backend" in str(err.value)
 
+    def test_packed_backend_is_refused(self):
+        """The deleted packed backend is no longer a valid name."""
+        from repro.serve.server import _validate_params
+
+        error = _validate_params("explore", {
+            "circuits": ["gcd"], "budgets": [6], "sim_backend": "packed"})
+        assert error == ("params.sim_backend must be one of compiled, "
+                         "vectorized, auto, got 'packed'")
+
     def test_failed_job_reports_the_error(self, served):
         _, _, client = served
         job = client.submit("explore", circuits=["no-such-circuit"],

@@ -13,10 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.circuits import build
-from repro.circuits.extra import gated_recurrence
 from repro.pipeline import FlowConfig, Pipeline, run_pair
 from repro.power.simulated import compare_designs
-from repro.sched import critical_path_length
 from repro.sim.backend import (
     BACKENDS,
     COST_MODEL,
@@ -112,6 +110,19 @@ class TestChoice:
         assert _auto(design, 4096)[0] == "vectorized"
         assert _auto(design, 4096, block_size=64)[0] == "compiled"
 
+    def test_compiled_build_charged_once_per_design(self, gcd_pair):
+        """Both modes of one design share a compiled runner, so a resolve
+        set charges its build once; vectorized runners stay per mode."""
+        design = gcd_pair.managed.design
+        ops = plan_ops(cached_plan(design))
+        _chosen, reason = resolve_backend(((design, True), (design, False)),
+                                          "auto", 16)
+        compiled = (estimate_ms("compiled", ops, 16)
+                    + estimate_ms("compiled", ops, 16, cached=True))
+        vectorized = 2 * estimate_ms("vectorized", ops, 16)
+        assert reason == (f"auto: 16 vectors, est. compiled {compiled:.2f} "
+                          f"ms, vectorized {vectorized:.2f} ms")
+
     def test_compiled_block_is_cheaper_at_default_block_size(self):
         """``measure_power`` counts only the blocks Monte Carlo must run;
         that undercount is safe for a compiled choice only while one
@@ -128,7 +139,7 @@ class TestReason:
                                            n_vectors):
         engine = create_engine(gcd_pair.managed.design, backend=backend,
                                n_vectors=n_vectors)
-        assert engine.chosen_backend in ("compiled", "vectorized", "packed")
+        assert engine.chosen_backend in ("compiled", "vectorized")
         assert engine.backend_reason
         if backend != "auto":
             assert engine.backend_reason == "requested"
@@ -141,24 +152,16 @@ class TestReason:
         assert " ms, vectorized " in reason
         assert reason in caplog.text
 
-    def test_packed_fallback_reason(self):
-        graph = gated_recurrence()
-        steps = critical_path_length(graph) + 1
-        design = run_pair(graph, FlowConfig(n_steps=steps)).managed.design
-        engine = create_engine(design, backend="packed")
-        assert engine.chosen_backend == "vectorized"
-        assert engine.backend_reason.startswith("packed unavailable: ")
-
 
 class TestCallers:
     def test_verify_stage_builds_for_its_count(self):
-        """16 check vectors per mode: ``auto`` builds compiled engines."""
+        """16 check vectors per mode: ``auto`` builds one compiled runner
+        for the design and runs it in both modes."""
         ctx = Pipeline().run_context(build("vender"),
                                      FlowConfig(n_steps=6, verify=True))
-        key = design_fingerprint(ctx.get("design"))
-        for pm in (True, False):
-            assert (key, pm) in _RUNNER_CACHE
-            assert (key, pm) not in _VECTOR_CACHE
+        assert ctx.get("verified") is True
+        assert list(_RUNNER_CACHE) == [design_fingerprint(ctx.get("design"))]
+        assert not _VECTOR_CACHE
 
     def test_compare_designs_one_backend_for_the_pair(self, gcd_pair):
         """A cached runner for one design alone would split the pair."""

@@ -5,6 +5,7 @@ import pytest
 from repro.circuits import build
 from repro.pipeline import FlowConfig, run_pair
 from repro.sim.engine import (
+    _RUNNER_CACHE,
     CompiledEngine,
     cached_plan,
     clear_compile_caches,
@@ -66,12 +67,17 @@ class TestCompileOnce:
         design = _design()
         assert CompiledEngine(design).plan is VectorizedEngine(design).plan
 
-    def test_pm_modes_cached_separately(self):
+    def test_pm_modes_share_one_runner(self):
+        """The compiled runner takes the mode as an argument: one cache
+        entry per design.  The vectorized runner stays per mode."""
         design = _design()
         on = CompiledEngine(design, power_management=True)
         off = CompiledEngine(design, power_management=False)
-        assert on.source != off.source
+        assert on._run is off._run
         assert on.plan is off.plan
+        assert list(_RUNNER_CACHE) == [design_fingerprint(design)]
+        assert VectorizedEngine(design, power_management=True).source \
+            != VectorizedEngine(design, power_management=False).source
 
     def test_cached_engines_stay_independent(self):
         """Shared runners, private state: one engine's batches must not

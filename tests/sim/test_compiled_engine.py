@@ -110,11 +110,12 @@ class TestPlanCompilation:
 
     def test_generated_source_is_python(self, dealer_design):
         plan = compile_plan(dealer_design)
-        source = generate_source(plan, power_management=True)
-        assert source.startswith("def _run(")
+        source = generate_source(plan)
+        assert source.startswith("def _run(_vectors, _state, _pm):")
         compile(source, "<test>", "exec")  # must parse
-        engine = CompiledEngine(dealer_design)
-        assert engine.source == source
+        for pm in (True, False):
+            engine = CompiledEngine(dealer_design, power_management=pm)
+            assert engine.source == source
 
     def test_state_snapshot_named(self, dealer_graph, dealer_design):
         engine = CompiledEngine(dealer_design)
@@ -122,3 +123,52 @@ class TestPlanCompilation:
         assert all(value == 0 for value in state.values())
         engine.run_batch(random_vectors(dealer_graph, 3))
         assert engine.state()["_cc"] == 3 * 6  # 3 samples x 6 steps
+
+
+def _suite_design(name):
+    from repro.circuits import build
+    from repro.circuits.extra import gated_recurrence, logic_mixer
+    from repro.sched.timing import critical_path_length
+
+    graph = {"gated_recurrence": gated_recurrence,
+             "logic_mixer": logic_mixer}.get(name, lambda: build(name))()
+    steps = critical_path_length(graph) + 1
+    return graph, run_pair(graph, FlowConfig(n_steps=steps)).managed.design
+
+
+class TestRunTimeMode:
+    """Power management is an argument of the runner, not of its code."""
+
+    @pytest.mark.parametrize("name", ["dealer", "gcd", "vender", "cordic",
+                                      "gated_recurrence", "logic_mixer"])
+    def test_one_runner_matches_interpreter_per_mode(self, name):
+        graph, design = _suite_design(name)
+        n = 8 if name == "cordic" else 40
+        vectors = random_vectors(graph, n, seed=n)
+        engines = {pm: CompiledEngine(design, power_management=pm)
+                   for pm in (True, False)}
+        assert engines[True]._run is engines[False]._run
+        for pm, engine in engines.items():
+            head = engine.run_batch(vectors[:n // 3])
+            tail = engine.run_batch(vectors[n // 3:])
+            merged = ActivityCounter(width=design.width)
+            merged.merge(head.activity)
+            merged.merge(tail.activity)
+            expected = RTLSimulator(design,
+                                    power_management=pm).run_many(vectors)
+            assert (head.outputs + tail.outputs, merged) == expected, pm
+
+    def test_guarded_start_tests_the_mode(self, dealer_design):
+        source = generate_source(compile_plan(dealer_design))
+        assert any(guard.terms for guard in dealer_design.guards.values())
+        assert "        if not _pm or (" in source
+
+    def test_ungated_design_never_reads_the_mode(self, dealer_graph):
+        design = run_pair(dealer_graph, FlowConfig(n_steps=6)).baseline.design
+        assert all(guard.is_unconditional
+                   for guard in design.guards.values())
+        source = generate_source(compile_plan(design))
+        assert source.count("_pm") == 1  # the signature only
+        assert CompiledEngine(design, power_management=False).run_many(
+            random_vectors(dealer_graph, 12)) == CompiledEngine(
+                design).run_many(random_vectors(dealer_graph, 12))

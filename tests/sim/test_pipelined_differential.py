@@ -2,7 +2,7 @@
 
 A design synthesized with ``scheduler="pipeline"`` must compute the same
 function as the reference model and simulate bit-identically across the
-compiled, vectorized, and packed backends — in both pipelined-gating
+compiled and vectorized backends — in both pipelined-gating
 modes.  Gating only ever skips work whose result the sample discards, so
 neither per-sample guard copies nor dropped guards may change outputs.
 """
@@ -40,10 +40,8 @@ def assert_matches_reference(graph, design, vectors):
     expected = [evaluate(graph, v, width=design.width) for v in vectors]
     compiled, _ = CompiledEngine(design).run_many(vectors)
     assert compiled == expected
-    for backend in ("vectorized", "packed"):
-        engine = create_engine(design, backend=backend)
-        outputs, _ = engine.run_many(vectors)
-        assert outputs == expected, backend
+    outputs, _ = create_engine(design, backend="vectorized").run_many(vectors)
+    assert outputs == expected
 
 
 class TestPipelinedDesignsAreBitIdentical:

@@ -20,7 +20,11 @@ from repro.sim.activity import ActivityCounter
 from repro.sim.backend import create_engine
 from repro.sim.engine import CompiledEngine
 from repro.sim.simulator import RTLSimulator
-from repro.sim.vectorized import VectorizedEngine
+from repro.sim.vectorized import (
+    VectorizationError,
+    VectorizedEngine,
+    _masked_ffill,
+)
 from repro.sim.vectors import (
     array_random_vectors,
     random_vectors,
@@ -52,6 +56,34 @@ def assert_identical(design, vectors, power_management):
     assert vact.controller_cycles == cact.controller_cycles
     assert vact.controller_literals == cact.controller_literals
     assert vact == cact == lact
+
+
+class TestMaskedForwardFill:
+    """``_masked_ffill`` == sequential carry propagation, seeded by the
+    scalar carry of the previous block."""
+
+    @staticmethod
+    def sequential(values, mask, carry):
+        out, cur = [], carry
+        for value, taken in zip(values, mask):
+            if taken:
+                cur = int(value)
+            out.append(cur)
+        return out
+
+    @pytest.mark.parametrize("n,carry,taken", [
+        (1, 0, 0.4), (1, -3, 0.4), (64, 7, 0.4), (65, -1, 0.4),
+        (100, 0, 0.4), (100, -5, 0.4), (130, 3, 0.4),
+        (10, 99, 1.0), (10, -7, 0.0),  # all taken; none: the carry holds
+    ])
+    def test_matches_sequential_scan(self, n, carry, taken):
+        import numpy as np
+
+        rng = np.random.default_rng(n * 1000 + carry % 97)
+        values = rng.integers(-128, 128, size=n, dtype=np.int64)
+        mask = rng.random(n) < taken
+        got = _masked_ffill(values, mask, carry, np.arange(1, n + 1))
+        assert got.tolist() == self.sequential(values, mask, carry)
 
 
 class TestRegisteredCircuits:
@@ -88,6 +120,41 @@ class TestRegisteredCircuits:
         vectors = random_vectors(graph, 24)
         assert_identical(pair.managed.design, vectors, True)
         assert_identical(pair.baseline.design, vectors, False)
+
+
+    @pytest.mark.parametrize("n_stages,width", [(1, 2), (4, 4), (12, 4),
+                                                (6, 8)])
+    def test_pure_logic_circuit(self, n_stages, width):
+        """Logic-only dataflow: no arithmetic, every lane a logic chain."""
+        from repro.circuits.extra import logic_mixer
+
+        graph = logic_mixer(n_stages=n_stages, width=width)
+        pair = run_pair(graph,
+                        FlowConfig(n_steps=critical_path_length(graph) + 1))
+        vectors = random_vectors(graph, 70, seed=n_stages)
+        for result in (pair.managed, pair.baseline):
+            for pm in (True, False):
+                assert_identical(result.design, vectors, pm)
+
+    @pytest.mark.parametrize("name", ["dealer", "gcd", "vender", "cordic"])
+    def test_suite_batch_boundaries(self, name):
+        """A split block threads state like one block, in both modes."""
+        graph = build(name)
+        steps = critical_path_length(graph) + 1
+        design = run_pair(graph, FlowConfig(n_steps=steps)).managed.design
+        n, cut = (8, 3) if name == "cordic" else (150, 70)
+        vectors = random_vectors(graph, n, seed=steps)
+        for pm in (True, False):
+            one = CompiledEngine(design, power_management=pm).run_batch(
+                vectors)
+            split = VectorizedEngine(design, power_management=pm)
+            parts = [split.run_batch(vectors[:cut]),
+                     split.run_batch(vectors[cut:])]
+            assert sum((p.outputs for p in parts), []) == one.outputs
+            merged = ActivityCounter(width=design.width)
+            for p in parts:
+                merged.merge(p.activity)
+            assert merged == one.activity
 
 
 class TestBatchShapes:
@@ -169,15 +236,11 @@ class TestArrayBuilders:
 
 class TestBackendSelection:
     def test_create_engine_backends(self, gcd_graph):
-        from repro.sim.packed import PackedEngine
-
         design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
         assert isinstance(create_engine(design, backend="compiled"),
                           CompiledEngine)
         assert isinstance(create_engine(design, backend="vectorized"),
                           VectorizedEngine)
-        assert isinstance(create_engine(design, backend="packed"),
-                          PackedEngine)
         assert isinstance(create_engine(design, backend="auto"),
                           VectorizedEngine)
 
@@ -185,7 +248,6 @@ class TestBackendSelection:
         design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
         for requested, resolved in [("compiled", "compiled"),
                                     ("vectorized", "vectorized"),
-                                    ("packed", "packed"),
                                     ("auto", "vectorized")]:
             engine = create_engine(design, backend=requested)
             assert engine.chosen_backend == resolved, requested
@@ -194,6 +256,52 @@ class TestBackendSelection:
         design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
         with pytest.raises(ValueError, match="unknown simulation backend"):
             create_engine(design, backend="fortran")
+
+    def test_packed_backend_is_gone(self, gcd_graph):
+        """The bit-packed backend was deleted: naming it is an error."""
+        from repro.sim.backend import BACKENDS, resolve_backend
+
+        design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
+        assert "packed" not in BACKENDS
+        with pytest.raises(ValueError, match="unknown simulation backend"):
+            create_engine(design, backend="packed")
+        with pytest.raises(ValueError, match="unknown simulation backend"):
+            resolve_backend(((design, True),), "packed", 16)
+
+
+class TestWidthEnvelope:
+    """Widths past the int64 headroom refuse to vectorize; ``auto``
+    then builds the compiled engine."""
+
+    @staticmethod
+    def design_at(graph, width):
+        return run_pair(graph, FlowConfig(n_steps=7,
+                                          width=width)).managed.design
+
+    def test_widest_vectorizable_design_identical(self, gcd_graph):
+        from repro.sim.backend import VECTOR_WIDTH_LIMIT
+
+        design = self.design_at(gcd_graph, VECTOR_WIDTH_LIMIT)
+        vectors = random_vectors(gcd_graph, 24, width=VECTOR_WIDTH_LIMIT,
+                                 seed=5)
+        for pm in (True, False):
+            assert_identical(design, vectors, pm)
+
+    def test_too_wide_design_raises(self, gcd_graph):
+        from repro.sim.backend import VECTOR_WIDTH_LIMIT
+
+        design = self.design_at(gcd_graph, VECTOR_WIDTH_LIMIT + 1)
+        with pytest.raises(VectorizationError, match="int64 headroom"):
+            VectorizedEngine(design)
+
+    def test_auto_builds_compiled_past_the_limit(self, gcd_graph):
+        from repro.sim.backend import VECTOR_WIDTH_LIMIT
+
+        design = self.design_at(gcd_graph, VECTOR_WIDTH_LIMIT + 1)
+        engine = create_engine(design, backend="auto")
+        assert isinstance(engine, CompiledEngine)
+        assert engine.chosen_backend == "compiled"
+        assert "exceeds the vectorized limit" in engine.backend_reason
 
 
 class TestGeneratedCircuitFuzz:
@@ -298,17 +406,6 @@ class TestGatedRecurrenceRegression:
         engine = create_engine(design, backend="auto")
         assert isinstance(engine, VectorizedEngine)
         assert engine.chosen_backend == "vectorized"
-
-    def test_packed_falls_back_to_hybrid(self, recurrent_design):
-        """packed cannot run recurrences; it degrades to the hybrid
-        vectorized engine (never to an error)."""
-        graph, design = recurrent_design
-        engine = create_engine(design, backend="packed")
-        assert isinstance(engine, VectorizedEngine)
-        assert engine.chosen_backend == "vectorized"
-        vectors = random_vectors(graph, 16, seed=1)
-        reference = CompiledEngine(design).run_many(vectors)
-        assert engine.run_many(vectors) == reference
 
 
 class TestRandomCircuits:
