@@ -21,15 +21,14 @@ The circuit set includes two stress rows beyond the paper suite:
   floor (the recurrence serializes one slot by construction).
 * ``logic`` — :func:`repro.circuits.extra.logic_mixer` at 32 stages x
   8 lanes, pure AND/OR/XOR/NOT/MUX dataflow: the largest plan of the
-  set, which anchors the cost model's slope in ``plan_ops``.
+  set, and the lowest compiled/vectorized crossover.
 
 Each circuit also gets **calibration rows**: the compiled and vectorized
 backends at 16 and 128 vectors (the verify check and ``sim_power``
 sizes), next to their 4096-vector rows.  Every ``build_s`` is a cold
 build (compile caches cleared, plan compilation included) and every
-``seconds`` one engine call; with ``plan_ops`` per circuit these rows
-are what :func:`repro.sim.backend.fit_cost_model` fits the ``auto``
-backend's cost model to.
+``seconds`` one engine call.  ``tests/sim/test_backend_cost.py`` checks
+the ``auto`` backend's vector-count rule against these rows.
 
 Every circuit row carries ``identical``: the vectorized backend must
 agree bit-for-bit (outputs + full ActivityCounter) with the compiled
@@ -63,10 +62,8 @@ from repro.circuits import build  # noqa: E402
 from repro.circuits.extra import gated_recurrence, logic_mixer  # noqa: E402
 from repro.pipeline import FlowConfig, run_pair  # noqa: E402
 from repro.sched.timing import critical_path_length  # noqa: E402
-from repro.sim.backend import plan_ops  # noqa: E402
 from repro.sim.engine import (  # noqa: E402
     CompiledEngine,
-    cached_plan,
     clear_compile_caches,
 )
 from repro.sim.simulator import RTLSimulator  # noqa: E402
@@ -100,8 +97,9 @@ def _timed(fn, repeats: int) -> float:
 
 def _best_times(fns: dict, repeats: int) -> dict:
     """Best wall time of each callable, measured round-robin: the host's
-    speed drifts over a run, and the cost model is fitted to how these
-    entries compare, so each must sample the same stretch of it."""
+    speed drifts over a run, and the ``auto`` rule is checked against
+    how these entries compare, so each must sample the same stretch of
+    it."""
     best = dict.fromkeys(fns, float("inf"))
     for _ in range(repeats):
         for key, fn in fns.items():
@@ -190,7 +188,6 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     return {
         "circuit": name,
         "n_steps": steps,
-        "plan_ops": plan_ops(cached_plan(design)),
         "hybrid": vectorized.hybrid,
         "rows": rows,
         "vectorized_speedup_over_compiled": compiled_s / vectorized_s,

@@ -51,7 +51,7 @@ from repro.power.simulated import compare_designs
 from repro.report import full_report
 from repro.rtl.vhdl import generate_vhdl
 from repro.sched.timing import critical_path_length
-from repro.sim.backend import BACKENDS
+from repro.sim.backend import BACKENDS, COMPILED_MAX_VECTORS
 
 # One pipeline per CLI invocation: `simulate` and `explore` style
 # commands synthesize several related designs and share artifacts.
@@ -510,9 +510,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="run the gating-soundness check")
         p.add_argument("--sim-backend", default="auto", choices=BACKENDS,
                        help="batch simulation engine (default: auto = "
-                            "compiled or vectorized, whichever a cost "
-                            "model expects to be faster for the vector "
-                            "count)")
+                            f"compiled for at most {COMPILED_MAX_VECTORS} "
+                            "vectors per call, vectorized above)")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("circuit", help="benchmark name or DSL file")

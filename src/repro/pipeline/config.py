@@ -43,8 +43,8 @@ class FlowConfig:
                           simulated power (``compiled`` | ``vectorized``
                           | ``auto``); the backends are bit-identical,
                           this only selects the execution strategy
-                          (``auto`` weighs build against run cost for
-                          the vector count, see :mod:`repro.sim.backend`).
+                          (``auto`` picks by the vectors per engine
+                          call, see :mod:`repro.sim.backend`).
     label:                free-form tag used by ``explore()`` reports.
     """
 

@@ -213,11 +213,10 @@ class ElaborateStage(PostPMStage):
 class VerifyStage(Stage):
     """Soundness checks (when ``config.verify``): the structural gating
     argument plus a functional differential — the batch engine
-    ``config.sim_backend`` selects (for ``auto``, the cheapest at this
+    ``config.sim_backend`` selects (for ``auto``, compiled at this
     vector count) runs the elaborated design against the reference
     model on a seeded vector set, with power management on and off.
-    On the compiled backend that is one runner, run in both modes: the
-    second engine finds it cached, so ``auto`` keeps it."""
+    On the compiled backend that is one runner, run in both modes."""
 
     name = "verify"
     requires = ("pm", "design", "pipelined_gating")

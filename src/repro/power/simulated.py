@@ -13,10 +13,9 @@ convert switching activity into weighted energy:
   part of the datapath savings exactly as Table III shows.
 
 Simulation runs on a batch engine selected by ``backend=`` — by
-default (``"auto"``) whichever of the vectorized NumPy backend and the
-:class:`~repro.sim.engine.CompiledEngine` the cost model in
-:mod:`repro.sim.backend` expects to finish the vector count sooner; both
-are bit-identical to the
+default (``"auto"``) the :class:`~repro.sim.engine.CompiledEngine` for
+small engine calls and the vectorized NumPy backend for large ones (see
+:func:`repro.sim.backend.create_engine`); both are bit-identical to the
 interpreted :class:`~repro.sim.simulator.RTLSimulator` oracle, so every
 estimate below is backend-independent at a fixed seed.  Two estimation
 modes:
@@ -43,7 +42,7 @@ from repro.ir.ops import ResourceClass
 from repro.power.weights import PowerWeights
 from repro.rtl.design import SynthesizedDesign
 from repro.sim.activity import ActivityCounter
-from repro.sim.backend import create_engine, resolve_backend
+from repro.sim.backend import create_engine
 from repro.sim.vectors import (
     iter_random_vectors,
     random_vectors,
@@ -170,14 +169,6 @@ def _run_block(engine, block) -> object:
                              for row in block.tolist()])
 
 
-def _engine_name(engine) -> str | None:
-    """Backend name a power report should carry: the resolution recorded
-    by ``create_engine``, or the engine's own class tag for prebuilt
-    engines passed in directly."""
-    return getattr(engine, "chosen_backend", None) \
-        or getattr(engine, "backend", None)
-
-
 def measure_power(
     design: SynthesizedDesign,
     vectors: Iterable[dict[str, int]] | None = None,
@@ -189,7 +180,6 @@ def measure_power(
     confidence: float = 0.95,
     block_size: int = 64,
     max_vectors: int = 1 << 16,
-    engine=None,
     backend: str = "auto",
 ) -> SimulatedPower:
     """Average per-sample energy of ``design``.
@@ -205,12 +195,12 @@ def measure_power(
     returns :class:`MonteCarloPower`.
 
     ``backend`` selects the batch engine (``"compiled"``,
-    ``"vectorized"`` or ``"auto"``, which weighs the two for the vector
-    count this call simulates, see :func:`repro.sim.create_engine`);
-    the backends are bit-identical, so reports are byte-equal across
-    them at the same seed.  ``engine`` reuses a prebuilt engine instead
-    (its persistent state included); by default a cold-state engine is
-    built, which reproduces the legacy simulator's numbers exactly.
+    ``"vectorized"`` or ``"auto"``, see :func:`repro.sim.create_engine`).
+    ``auto`` decides by the vectors per engine call: the whole batch in
+    fixed mode, ``block_size`` in Monte Carlo mode.  The backends are
+    bit-identical, so reports are byte-equal across them at the same
+    seed.  Every call builds a cold-state engine, which reproduces the
+    legacy simulator's numbers exactly.
     """
     weights = weights if weights is not None else PowerWeights()
     if rel_tol is not None and rel_tol <= 0.0:
@@ -222,41 +212,22 @@ def measure_power(
                                      width=design.width, seed=seed)
         elif not is_matrix:
             vectors = list(vectors)
-        expected, block = len(vectors), None
-        if expected == 0:
+        per_call = len(vectors)
+        if per_call == 0:
             raise ValueError(
                 f"fixed-sample power needs at least one vector, "
-                f"got {expected}")
+                f"got {per_call}")
     else:
-        # The stopping rule cannot stop before _MIN_BLOCKS full blocks,
-        # so that many samples (capped by max_vectors and by a finite
-        # source) is the one count known before the first block runs.
-        # It is a lower bound (rel_tol=0.01 runs typically take 6-9
-        # blocks), but at the default block_size one more block costs
-        # the compiled engine less than the vectorized one, so a longer
-        # run only strengthens a compiled choice.
-        expected = min(max_vectors, _MIN_BLOCKS * block_size)
-        if hasattr(vectors, "__len__"):
-            expected = min(expected, len(vectors))
-        block = block_size
-    if engine is None:
-        engine = create_engine(design, power_management=power_management,
-                               backend=backend, n_vectors=expected,
-                               block_size=block)
-    elif engine.design is not design \
-            or engine.power_management != power_management:
-        raise ValueError(
-            "prebuilt engine does not match: it was compiled for "
-            f"design {engine.design.name!r} with power_management="
-            f"{engine.power_management}, but this call asked for "
-            f"{design.name!r} with power_management={power_management}")
+        per_call = block_size
+    engine = create_engine(design, power_management=power_management,
+                           backend=backend, n_vectors=per_call)
     if rel_tol is None:
         batch = _run_block(engine, vectors)
         fu, reg, ctrl = _power_from_activity(
             batch.activity, batch.samples, design.width, weights)
         return SimulatedPower(fu_energy=fu, register_energy=reg,
                               controller_energy=ctrl, samples=batch.samples,
-                              chosen_backend=_engine_name(engine))
+                              chosen_backend=engine.chosen_backend)
 
     if is_matrix:
         matrix, offset = vectors, 0
@@ -307,7 +278,7 @@ def measure_power(
                                          weights)
     return MonteCarloPower(
         fu_energy=fu, register_energy=reg, controller_energy=ctrl,
-        samples=samples, chosen_backend=_engine_name(engine),
+        samples=samples, chosen_backend=engine.chosen_backend,
         rel_tol=rel_tol, confidence=confidence,
         ci_halfwidth=halfwidth, blocks=len(block_means),
         converged=converged)
@@ -350,20 +321,17 @@ def compare_designs(
 ) -> PowerComparison:
     """Simulate both designs on the *same* vector set and compare.
 
-    The backend is resolved once for the pair, so both reports carry the
-    same ``chosen_backend`` even when only one design's runner is cached.
+    ``auto`` decides by the vector count and the width alone, so designs
+    of one width, such as a baseline/managed pair, get the same
+    ``chosen_backend``.
     """
     weights = weights if weights is not None else PowerWeights()
     vectors = random_vectors(orig.graph, n_vectors, width=orig.width,
                              seed=seed)
-    chosen, reason = resolve_backend(((orig, False), (managed, True)),
-                                     backend, n_vectors=n_vectors)
-    power_orig = measure_power(
-        orig, vectors=vectors, power_management=False, weights=weights,
-        engine=create_engine(orig, False, chosen, reason=reason))
-    power_new = measure_power(
-        managed, vectors=vectors, power_management=True, weights=weights,
-        engine=create_engine(managed, True, chosen, reason=reason))
+    power_orig = measure_power(orig, vectors=vectors, power_management=False,
+                               weights=weights, backend=backend)
+    power_new = measure_power(managed, vectors=vectors, power_management=True,
+                              weights=weights, backend=backend)
     return PowerComparison(
         orig=power_orig,
         managed=power_new,

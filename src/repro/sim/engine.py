@@ -500,8 +500,7 @@ class _EngineBase:
     # directly.  Surfaced on power results and explore points so ``auto``
     # resolutions are observable instead of silent.
     chosen_backend: str | None = None
-    # Why it resolved that way: for ``auto``, the vector count and both
-    # cost estimates.
+    # Why it resolved that way: for ``auto``, the rule that fired.
     backend_reason: str | None = None
 
     def _init_state(self) -> None:

@@ -16,7 +16,10 @@ from repro.pipeline import (
     clear_explore_cache,
     explore,
     job_key,
+    run_pair,
 )
+from repro.power.simulated import compare_designs
+from repro.sim.engine import clear_compile_caches
 
 CIRCUITS = ["dealer", "gcd", "vender"]
 BUDGETS = [5, 6, 7]
@@ -105,6 +108,22 @@ class TestCaching:
         # Budgets 6 and 7 reuse gcd's budget-independent analyze artifact.
         assert cold.cache_hits >= 2
 
+
+
+class TestSimulatedBackend:
+    def test_chosen_backend_ignores_process_history(self):
+        """A point records the same backend in a fresh process and after
+        a 4096-vector power study has left vectorized runners for its
+        designs in the compile caches."""
+        clear_compile_caches()
+        fresh = explore(["gcd"], [7], sim_vectors=128).points[0]
+        clear_explore_cache()
+        pair = run_pair(build("gcd"), FlowConfig(n_steps=7))
+        compare_designs(pair.baseline.design, pair.managed.design,
+                        n_vectors=4096)
+        warm = explore(["gcd"], [7], sim_vectors=128).points[0]
+        assert warm == fresh
+        assert warm.chosen_backend == fresh.chosen_backend == "compiled"
 
 class TestParallel:
     def test_worker_processes_match_serial_results(self):

@@ -103,16 +103,6 @@ class TestMonteCarlo:
         assert mc.blocks == 1
         assert not mc.converged
 
-    def test_mismatched_prebuilt_engine_raises(self, dealer_pair_designs):
-        from repro.sim.engine import CompiledEngine
-
-        baseline, managed = dealer_pair_designs
-        engine = CompiledEngine(managed, power_management=True)
-        with pytest.raises(ValueError, match="prebuilt engine"):
-            measure_power(managed, power_management=False, engine=engine)
-        with pytest.raises(ValueError, match="prebuilt engine"):
-            measure_power(baseline, power_management=True, engine=engine)
-
     def test_empty_stream_raises(self, dealer_pair_designs):
         _, managed = dealer_pair_designs
         with pytest.raises(ValueError, match="no vectors"):

@@ -1,9 +1,10 @@
-"""The ``auto`` backend's cost model: build cost plus per-vector run cost.
+"""The ``auto`` backend's rule: compiled for small engine calls.
 
-The model chooses between the compiled and vectorized engines from the
-vector count a caller is about to simulate.  Its coefficients are fitted
-to the committed ``BENCH_sim.json`` rows, and these tests hold it to
-those measurements.
+``auto`` builds the compiled engine for at most ``COMPILED_MAX_VECTORS``
+vectors per call and the vectorized one above, whatever the compile
+caches hold.  The rule is held to the committed ``BENCH_sim.json`` rows:
+wherever the two backends' measured cost differs clearly, it picks the
+cheaper one.
 """
 
 import json
@@ -14,21 +15,18 @@ import pytest
 
 from repro.circuits import build
 from repro.pipeline import FlowConfig, Pipeline, run_pair
-from repro.power.simulated import compare_designs
+from repro.power.simulated import compare_designs, measure_power
+from repro.sim import backend as backend_module
 from repro.sim.backend import (
     BACKENDS,
-    COST_MODEL,
+    COMPILED_MAX_VECTORS,
     VECTOR_WIDTH_LIMIT,
+    _auto,
     create_engine,
-    estimate_ms,
-    fit_cost_model,
-    plan_ops,
-    resolve_backend,
 )
 from repro.sim.engine import (
     _RUNNER_CACHE,
     CompiledEngine,
-    cached_plan,
     clear_compile_caches,
     design_fingerprint,
 )
@@ -37,7 +35,7 @@ from repro.sim.vectorized import _VECTOR_CACHE, VectorizedEngine
 BENCH_SIM = Path(__file__).resolve().parents[2] / "BENCH_sim.json"
 
 #: Relative gap between the two backends' measured build+run above which
-#: the model must pick the cheaper one.
+#: the rule must pick the cheaper one.
 DECISIVE_GAP = 0.20
 
 
@@ -53,41 +51,50 @@ def gcd_pair():
     return run_pair(build("gcd"), FlowConfig(n_steps=7))
 
 
-def _auto(design, n_vectors, pm=True, **kwargs):
-    return resolve_backend(((design, pm),), "auto", n_vectors, **kwargs)
+def _choice(design, n_vectors, pm=True):
+    engine = create_engine(design, power_management=pm, n_vectors=n_vectors)
+    return engine.chosen_backend, engine.backend_reason
 
 
 class TestChoice:
     def test_monotone_in_vector_count(self, gcd_pair):
-        """Cold, small batches build the cheap compiled engine; once the
-        count passes the crossover every larger count stays vectorized."""
         design = gcd_pair.managed.design
         counts = [2 ** k for k in range(14)]
-        chosen = [_auto(design, n)[0] for n in counts]
+        chosen = [_choice(design, n)[0] for n in counts]
         assert chosen == sorted(chosen)  # "compiled" < "vectorized"
-        assert _auto(design, 16)[0] == "compiled"
-        assert _auto(design, 128)[0] == "compiled"
-        assert _auto(design, 4096)[0] == "vectorized"
+        assert _choice(design, 16)[0] == "compiled"
+        assert _choice(design, 128)[0] == "compiled"
+        assert _choice(design, 4096)[0] == "vectorized"
 
-    def test_cached_runner_costs_no_build(self, gcd_pair):
+    def test_boundary(self, gcd_pair):
         design = gcd_pair.managed.design
-        assert _auto(design, 128)[0] == "compiled"
-        VectorizedEngine(design)  # now in the compile cache
-        chosen, reason = _auto(design, 128)
-        assert chosen == "vectorized"
-        ops = plan_ops(cached_plan(design))
-        cold = estimate_ms("compiled", ops, 128)
-        cached = estimate_ms("vectorized", ops, 128, cached=True)
-        assert reason == (f"auto: 128 vectors, est. compiled {cold:.2f} ms, "
-                          f"vectorized {cached:.2f} ms")
+        assert COMPILED_MAX_VECTORS == 256
+        assert _choice(design, 256) == ("compiled",
+                                        "auto: 256 vectors per call <= 256")
+        assert _choice(design, 257) == ("vectorized",
+                                        "auto: 257 vectors per call > 256")
+
+    @pytest.mark.parametrize("n_vectors", [None, 16, 256, 257, 4096])
+    def test_choice_ignores_cache_state(self, gcd_pair, n_vectors):
+        """Cold and fully warm compile caches give the same choice and
+        the same reason, in both power-management modes."""
+        designs = (gcd_pair.baseline.design, gcd_pair.managed.design)
+        cold = [_choice(design, n_vectors, pm)
+                for design in designs for pm in (False, True)]
+        for design in designs:
+            for pm in (False, True):
+                CompiledEngine(design, power_management=pm)
+                VectorizedEngine(design, power_management=pm)
+        warm = [_choice(design, n_vectors, pm)
+                for design in designs for pm in (False, True)]
+        assert warm == cold
+        assert len(set(cold)) == 1
 
     def test_unknown_count_keeps_vectorized(self, gcd_pair):
         design = gcd_pair.managed.design
-        assert _auto(design, None) == ("vectorized",
-                                       "auto: vector count unknown")
-        engine = create_engine(design)
-        assert isinstance(engine, VectorizedEngine)
-        assert engine.chosen_backend == "vectorized"
+        assert _choice(design, None) == ("vectorized",
+                                         "auto: vector count unknown")
+        assert isinstance(create_engine(design), VectorizedEngine)
 
     def test_wide_design_is_compiled(self):
         graph = build("gcd")
@@ -95,41 +102,31 @@ class TestChoice:
         design = run_pair(graph, FlowConfig(n_steps=7,
                                             width=width)).managed.design
         for n_vectors in (None, 16, 4096):
-            chosen, reason = _auto(design, n_vectors)
+            chosen, reason = _choice(design, n_vectors)
             assert chosen == "compiled"
             assert f"width {width}" in reason
         engine = create_engine(design, n_vectors=4096)
         assert isinstance(engine, CompiledEngine)
 
-    def test_monte_carlo_blocks_count_as_calls(self, gcd_pair):
-        """Each block is one engine call, so small blocks weigh the
-        vectorized engine's fixed per-call cost once per block."""
-        design = gcd_pair.managed.design
-        VectorizedEngine(design)
-        CompiledEngine(design)
-        assert _auto(design, 4096)[0] == "vectorized"
-        assert _auto(design, 4096, block_size=64)[0] == "compiled"
+    @pytest.mark.parametrize("n_vectors", [None, 16, 4096])
+    def test_numpy_unavailable_means_compiled(self, gcd_pair, monkeypatch,
+                                              n_vectors):
+        monkeypatch.setattr(backend_module, "numpy_available", lambda: False)
+        engine = create_engine(gcd_pair.managed.design, n_vectors=n_vectors)
+        assert isinstance(engine, CompiledEngine)
+        assert engine.chosen_backend == "compiled"
+        assert engine.backend_reason == "auto: numpy unavailable"
 
-    def test_compiled_build_charged_once_per_design(self, gcd_pair):
-        """Both modes of one design share a compiled runner, so a resolve
-        set charges its build once; vectorized runners stay per mode."""
+    def test_monte_carlo_decides_by_block_size(self, gcd_pair):
+        """Each Monte Carlo block is one engine call, so the block size
+        is the count ``auto`` decides by."""
         design = gcd_pair.managed.design
-        ops = plan_ops(cached_plan(design))
-        _chosen, reason = resolve_backend(((design, True), (design, False)),
-                                          "auto", 16)
-        compiled = (estimate_ms("compiled", ops, 16)
-                    + estimate_ms("compiled", ops, 16, cached=True))
-        vectorized = 2 * estimate_ms("vectorized", ops, 16)
-        assert reason == (f"auto: 16 vectors, est. compiled {compiled:.2f} "
-                          f"ms, vectorized {vectorized:.2f} ms")
-
-    def test_compiled_block_is_cheaper_at_default_block_size(self):
-        """``measure_power`` counts only the blocks Monte Carlo must run;
-        that undercount is safe for a compiled choice only while one
-        more 64-vector block costs the compiled engine less."""
-        for ops in range(1, 2000):
-            assert (estimate_ms("compiled", ops, 64, cached=True)
-                    < estimate_ms("vectorized", ops, 64, cached=True))
+        small = measure_power(design, rel_tol=0.05, seed=7, block_size=64,
+                              max_vectors=1024)
+        assert small.chosen_backend == "compiled"
+        large = measure_power(design, rel_tol=0.05, seed=7, block_size=4096,
+                              max_vectors=4 * 4096)
+        assert large.chosen_backend == "vectorized"
 
 
 class TestReason:
@@ -144,13 +141,11 @@ class TestReason:
         if backend != "auto":
             assert engine.backend_reason == "requested"
 
-    def test_auto_reason_gives_count_and_estimates(self, gcd_pair, caplog):
+    def test_auto_reason_gives_count_and_limit(self, gcd_pair, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.sim.backend"):
             engine = create_engine(gcd_pair.managed.design, n_vectors=16)
-        reason = engine.backend_reason
-        assert reason.startswith("auto: 16 vectors, est. compiled ")
-        assert " ms, vectorized " in reason
-        assert reason in caplog.text
+        assert engine.backend_reason == "auto: 16 vectors per call <= 256"
+        assert engine.backend_reason in caplog.text
 
 
 class TestCallers:
@@ -164,12 +159,10 @@ class TestCallers:
         assert not _VECTOR_CACHE
 
     def test_compare_designs_one_backend_for_the_pair(self, gcd_pair):
-        """A cached runner for one design alone would split the pair."""
+        """A cached runner for one design alone does not split the pair."""
         orig = gcd_pair.baseline.design
         managed = gcd_pair.managed.design
         VectorizedEngine(managed)
-        assert _auto(managed, 128)[0] == "vectorized"
-        assert _auto(orig, 128, pm=False)[0] == "compiled"
         comparison = compare_designs(orig, managed, n_vectors=128)
         assert comparison.orig.chosen_backend \
             == comparison.managed.chosen_backend
@@ -185,14 +178,6 @@ class TestCalibration:
             "BENCH_sim.json must come from a full bench_sim.py run"
         return report
 
-    def test_coefficients_are_fitted_to_the_bench_rows(self, report):
-        fitted = fit_cost_model(report)
-        assert fitted.keys() == COST_MODEL.keys()
-        for backend, terms in COST_MODEL.items():
-            for name, pair in terms.items():
-                assert fitted[backend][name] == pytest.approx(pair,
-                                                              rel=1e-3)
-
     def test_rows_include_the_calibration_sizes(self, report):
         for result in report["results"]:
             sizes = {(row["backend"], row["n_vectors"])
@@ -201,7 +186,7 @@ class TestCalibration:
                 for n in (16, 128, report["n_vectors"]):
                     assert (backend, n) in sizes, (result["circuit"], n)
 
-    def test_model_picks_the_cheaper_backend(self, report):
+    def test_rule_picks_the_cheaper_backend(self, report):
         decided = 0
         for result in report["results"]:
             measured = {}
@@ -217,9 +202,7 @@ class TestCalibration:
                     continue
                 cheaper = "compiled" if compiled < vectorized \
                     else "vectorized"
-                modelled = min(("compiled", "vectorized"),
-                               key=lambda backend: estimate_ms(
-                                   backend, result["plan_ops"], n))
-                assert modelled == cheaper, (result["circuit"], n)
+                assert _auto(FlowConfig().width, n)[0] == cheaper, \
+                    (result["circuit"], n)
                 decided += 1
         assert decided >= 12

@@ -259,14 +259,12 @@ class TestBackendSelection:
 
     def test_packed_backend_is_gone(self, gcd_graph):
         """The bit-packed backend was deleted: naming it is an error."""
-        from repro.sim.backend import BACKENDS, resolve_backend
+        from repro.sim.backend import BACKENDS
 
         design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
         assert "packed" not in BACKENDS
         with pytest.raises(ValueError, match="unknown simulation backend"):
             create_engine(design, backend="packed")
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend(((design, True),), "packed", 16)
 
 
 class TestWidthEnvelope:
