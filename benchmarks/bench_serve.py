@@ -17,8 +17,8 @@ It exits nonzero unless:
   (zero recomputes) and the store reports warm hits;
 * a killed server restarts, re-claims the interrupted job once its
   lease expires, and finishes it without redoing journaled points;
-* SSE streaming delivers every point event a poll replay sees (the
-  latency of both paths is printed for comparison);
+* SSE streaming delivers every point event and ends on the terminal
+  state event (its latency is printed);
 * two servers sharing one state directory drain one queue — a job
   submitted while server A's worker is busy is claimed by server B;
 * maintenance (journal compaction + store GC) and shutdown both
@@ -113,33 +113,24 @@ def run_smoke(state: Path, workers: int = 2) -> int:
           "warm resubmit resumed every point (zero recomputes)")
     check(stats_after["entries"] > 0, "store holds artifacts")
 
-    # -- SSE vs poll streaming --------------------------------------------
-    def timed_stream(params: dict, mode: str) -> tuple[list, float, float]:
-        job_ = client.submit("explore", **params)
-        t0 = time.perf_counter()
-        first = None
-        events_ = []
-        for event in client.stream(job_["id"], timeout=300, mode=mode):
-            if first is None and event["type"] == "point":
-                first = time.perf_counter() - t0
-            events_.append(event)
-        return events_, first if first is not None else -1.0, \
-            time.perf_counter() - t0
-
-    sse_events, sse_first, sse_total = timed_stream(
-        {"circuits": ["gen:tiny:31"], "budgets": [6, 7]}, "sse")
-    poll_events, poll_first, poll_total = timed_stream(
-        {"circuits": ["gen:tiny:32"], "budgets": [6, 7]}, "poll")
+    # -- SSE streaming ---------------------------------------------------
+    sse_job = client.submit("explore", circuits=["gen:tiny:31"],
+                            budgets=[6, 7])
+    t0 = time.perf_counter()
+    sse_first = -1.0
+    sse_events = []
+    for event in client.stream(sse_job["id"], timeout=300):
+        if sse_first < 0 and event["type"] == "point":
+            sse_first = time.perf_counter() - t0
+        sse_events.append(event)
+    sse_total = time.perf_counter() - t0
     print(f"stream: sse first point {sse_first * 1000:.0f}ms, done "
-          f"{sse_total:.2f}s; poll first point {poll_first * 1000:.0f}ms, "
-          f"done {poll_total:.2f}s")
+          f"{sse_total:.2f}s")
     check([e["type"] for e in sse_events].count("point") == 2,
           "SSE streamed every point event")
     check(sse_events[-1]["type"] == "state"
           and sse_events[-1]["state"] == "done",
           "SSE stream ended on the terminal state event")
-    check([e["type"] for e in poll_events].count("point") == 2,
-          "poll streamed every point event")
 
     # -- maintenance ------------------------------------------------------
     report = client.maintenance()
@@ -147,15 +138,15 @@ def run_smoke(state: Path, workers: int = 2) -> int:
           "store GC: index and tree agree")
 
     # -- kill and restart -------------------------------------------------
-    # A deliberately chunky grid (compiled-simulator points), so the
-    # kill lands mid-job instead of racing a sub-second sweep.
+    # A deliberately chunky grid (64k simulated vectors per point), so
+    # the kill lands mid-job instead of racing a sub-second sweep.
     interrupted = client.submit(
         "explore",
         circuits=["gen:branchy:11", "dealer", "gcd", "vender"],
         budgets={"gen:branchy:11": [10, 11, 12, 13, 14, 15],
                  "dealer": [5, 6, 7], "gcd": [5, 6, 7],
                  "vender": [5, 6, 7]},
-        sim_backend="compiled", sim_vectors=8192)
+        sim_vectors=65536)
     for event in client.stream(interrupted["id"], timeout=300):
         if event["type"] == "point":
             break  # some progress banked; now crash
@@ -192,7 +183,7 @@ def run_smoke(state: Path, workers: int = 2) -> int:
         # A chunky job pins its claimer's only worker...
         busy = ca.submit("explore", circuits=["gen:branchy:11"],
                          budgets=[10, 11, 12, 13, 14, 15],
-                         sim_backend="compiled", sim_vectors=8192)
+                         sim_vectors=65536)
         while (owner := ca.job(busy["id"]).get("server_id")) is None:
             time.sleep(0.02)
         # ...so a job handed to the *idle* peer must be claimed there —

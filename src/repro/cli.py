@@ -51,7 +51,6 @@ from repro.power.simulated import compare_designs
 from repro.report import full_report
 from repro.rtl.vhdl import generate_vhdl
 from repro.sched.timing import critical_path_length
-from repro.sim.backend import BACKENDS, COMPILED_MAX_VECTORS
 
 # One pipeline per CLI invocation: `simulate` and `explore` style
 # commands synthesize several related designs and share artifacts.
@@ -98,7 +97,6 @@ def _flow_config(graph: CDFG, args: argparse.Namespace) -> FlowConfig:
         initiation_interval=args.ii,
         pipelined_gating=args.pipelined_gating,
         verify=args.verify,
-        sim_backend=args.sim_backend,
     )
 
 
@@ -136,8 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _flow_config(graph, args)
     pair = run_pair(graph, config, pipeline=_PIPELINE)
     cmp = compare_designs(pair.baseline.design, pair.managed.design,
-                          n_vectors=args.vectors, seed=args.seed,
-                          backend=args.sim_backend)
+                          n_vectors=args.vectors, seed=args.seed)
     print(f"{graph.name} @ {config.n_steps} steps, {args.vectors} "
           f"random vectors")
     print(f"  baseline : {cmp.orig.total:8.3f} energy/sample, "
@@ -172,8 +169,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     configs = [FlowConfig(pm=_pm_options(args), scheduler=args.scheduler,
                           initiation_interval=args.ii,
                           pipelined_gating=args.pipelined_gating,
-                          verify=args.verify,
-                          sim_backend=args.sim_backend)]
+                          verify=args.verify)]
     circuits = [_explore_spec(spec) for spec in args.circuits]
     from repro.sched.timing import InfeasibleScheduleError
 
@@ -245,8 +241,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     # The base carries the same pm_base the search scored candidates
     # under, so the synthesized design is the one the search selected.
     synthesized = _PIPELINE.run(graph, result.flow_config(
-        FlowConfig(pm=pm_base, verify=args.verify,
-                   sim_backend=args.sim_backend)))
+        FlowConfig(pm=pm_base, verify=args.verify)))
     report = synthesized.static_report()
     print(f"chosen design: {synthesized.pm.managed_count} managed muxes, "
           f"{report.reduction_pct:.2f}% datapath power saved, "
@@ -342,7 +337,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "partial": args.partial,
             "no_pm": args.no_pm,
             "scheduler": args.scheduler,
-            "sim_backend": args.sim_backend,
             "sim_vectors": args.sim_vectors,
         }
     else:
@@ -508,10 +502,6 @@ def make_parser() -> argparse.ArgumentParser:
                             "conservatively (default: per_sample)")
         p.add_argument("--verify", action="store_true",
                        help="run the gating-soundness check")
-        p.add_argument("--sim-backend", default="auto", choices=BACKENDS,
-                       help="batch simulation engine (default: auto = "
-                            f"compiled for at most {COMPILED_MAX_VECTORS} "
-                            "vectors per call, vectorized above)")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("circuit", help="benchmark name or DSL file")
@@ -627,7 +617,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--verify", action="store_true",
                        help="run the gating-soundness check on the "
                             "chosen design")
-    p_opt.add_argument("--sim-backend", default="auto", choices=BACKENDS)
     p_opt.set_defaults(func=cmd_optimize)
 
     p_serve = sub.add_parser(
@@ -685,8 +674,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--partial", action="store_true")
     p_submit.add_argument("--no-pm", action="store_true")
     p_submit.add_argument("--scheduler", default="list")
-    p_submit.add_argument("--sim-backend", default="auto",
-                          choices=BACKENDS)
     p_submit.add_argument("--sim-vectors", type=int, default=0)
     p_submit.add_argument("--search", default="anneal",
                           choices=("anneal", "beam", "random", "portfolio"),

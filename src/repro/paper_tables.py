@@ -106,17 +106,14 @@ class MeasuredTable3Row:
 
 
 def measure_table3(n_vectors: int = 192, seed: int = 1996,
-                   rel_tol: float | None = None,
-                   backend: str = "auto") -> list[MeasuredTable3Row]:
+                   rel_tol: float | None = None) -> list[MeasuredTable3Row]:
     """Measured Table III: simulated power of orig vs PM designs.
 
     dealer/vender use uniform random vectors (the paper's method); gcd uses
     the balanced-condition workload (see EXPERIMENTS.md on why uniform
-    8-bit pairs starve its done-branch).  Simulation runs on the batch
-    engine ``backend`` selects (bit-identical numbers either way);
-    ``rel_tol`` switches from the fixed ``n_vectors`` sample to Monte
-    Carlo estimation, streaming each workload until the energy
-    confidence interval converges.
+    8-bit pairs starve its done-branch).  ``rel_tol`` switches from the
+    fixed ``n_vectors`` sample to Monte Carlo estimation, streaming each
+    workload until the energy confidence interval converges.
     """
     rows = []
     for name, steps in TABLE3_BUDGETS.items():
@@ -139,10 +136,10 @@ def measure_table3(n_vectors: int = 192, seed: int = 1996,
                 graph, n_vectors, seed=seed)
         orig = measure_power(pair.baseline.design, vectors=orig_vectors,
                              power_management=False, seed=seed,
-                             rel_tol=rel_tol, backend=backend)
+                             rel_tol=rel_tol)
         new = measure_power(pair.managed.design, vectors=managed_vectors,
                             power_management=True, seed=seed,
-                            rel_tol=rel_tol, backend=backend)
+                            rel_tol=rel_tol)
         rows.append(MeasuredTable3Row(
             name=name,
             control_steps=steps,

@@ -39,12 +39,6 @@ class FlowConfig:
                           guard-register copies, ``drop`` removes it.
     mutex_sharing:        share units between mutually-exclusive ops.
     verify:               run the structural gating-soundness check.
-    sim_backend:          batch-simulation engine for verification and
-                          simulated power (``compiled`` | ``vectorized``
-                          | ``auto``); the backends are bit-identical,
-                          this only selects the execution strategy
-                          (``auto`` picks by the vectors per engine
-                          call, see :mod:`repro.sim.backend`).
     label:                free-form tag used by ``explore()`` reports.
     """
 
@@ -56,7 +50,6 @@ class FlowConfig:
     pipelined_gating: str = "per_sample"
     mutex_sharing: bool = False
     verify: bool = False
-    sim_backend: str = "auto"
     label: str = field(default="default", compare=False)
 
     @property

@@ -275,8 +275,7 @@ def _run_point(spec: tuple[str, object], config: FlowConfig,
 
         baseline = pipeline.run(graph, config.baseline())
         comparison = compare_designs(baseline.design, result.design,
-                                     n_vectors=sim_vectors,
-                                     backend=config.sim_backend)
+                                     n_vectors=sim_vectors)
         simulated = comparison.reduction_pct
         chosen = comparison.managed.chosen_backend
     return ExplorationPoint(
@@ -440,8 +439,9 @@ def explore(
     each config's ``n_steps`` is overridden per budget.  ``workers > 1``
     distributes job chunks over that many worker processes
     (``chunk_size`` jobs per task; default balances ~4 chunks per
-    worker).  ``sim_vectors > 0`` additionally simulates every point
-    (baseline vs managed, on the batch engine) and fills
+    worker; anything below 1 raises ``ValueError``).  ``sim_vectors > 0``
+    additionally simulates every point (baseline vs managed, on the
+    batch engine ``auto`` picks for ``sim_vectors``) and fills
     ``simulated_reduction_pct``.
 
     ``store`` (an :class:`IndexedArtifactStore` or a directory path)
@@ -474,6 +474,8 @@ def explore(
     order — which is what lets a caller stream incremental results
     instead of waiting for the sweep to finish.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
     if isinstance(store, (str, os.PathLike)):
         opened = IndexedArtifactStore(store)
         try:

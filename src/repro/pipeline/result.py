@@ -41,18 +41,15 @@ class SynthesisResult:
 
     def simulated_report(self, n_vectors: int = 256, seed: int = 1996,
                          weights: PowerWeights | None = None,
-                         rel_tol: float | None = None,
-                         backend: str = "auto"):
-        """Simulated per-sample energy of the design, via the selected
-        batch engine (bit-identical across backends); ``rel_tol``
+                         rel_tol: float | None = None):
+        """Simulated per-sample energy of the design; ``rel_tol``
         switches to Monte Carlo estimation (see
         :func:`repro.power.simulated.measure_power`)."""
         from repro.power.simulated import measure_power
 
         return measure_power(
             self.design, n_vectors=n_vectors, seed=seed, weights=weights,
-            power_management=self.design.is_power_managed, rel_tol=rel_tol,
-            backend=backend)
+            power_management=self.design.is_power_managed, rel_tol=rel_tol)
 
 
 @dataclass

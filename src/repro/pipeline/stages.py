@@ -212,11 +212,10 @@ class ElaborateStage(PostPMStage):
 
 class VerifyStage(Stage):
     """Soundness checks (when ``config.verify``): the structural gating
-    argument plus a functional differential — the batch engine
-    ``config.sim_backend`` selects (for ``auto``, compiled at this
-    vector count) runs the elaborated design against the reference
-    model on a seeded vector set, with power management on and off.
-    On the compiled backend that is one runner, run in both modes."""
+    argument plus a functional differential — the batch engine ``auto``
+    picks for this vector count (compiled) runs the elaborated design
+    against the reference model on a seeded vector set, with power
+    management on and off: one runner, run in both modes."""
 
     name = "verify"
     requires = ("pm", "design", "pipelined_gating")
@@ -241,7 +240,6 @@ class VerifyStage(Stage):
                     for v in vectors]
         for pm in (True, False):
             engine = create_engine(design, power_management=pm,
-                                   backend=ctx.config.sim_backend,
                                    n_vectors=len(vectors))
             outputs, _ = engine.run_many(vectors)
             if outputs != expected:

@@ -12,22 +12,19 @@ convert switching activity into weighted energy:
   controller — which the paper notes is "slightly more complex" — eats
   part of the datapath savings exactly as Table III shows.
 
-Simulation runs on a batch engine selected by ``backend=`` — by
-default (``"auto"``) the :class:`~repro.sim.engine.CompiledEngine` for
-small engine calls and the vectorized NumPy backend for large ones (see
-:func:`repro.sim.backend.create_engine`); both are bit-identical to the
+Simulation runs on the batch engine ``auto`` picks per call (see
+:func:`repro.sim.backend.create_engine`): the
+:class:`~repro.sim.engine.CompiledEngine` for small engine calls and the
+vectorized NumPy backend for large ones.  Both are bit-identical to the
 interpreted :class:`~repro.sim.simulator.RTLSimulator` oracle, so every
-estimate below is backend-independent at a fixed seed.  Two estimation
-modes:
+estimate below is engine-independent at a fixed seed.  Vectors are
+input dicts, given as any iterable.  Two estimation modes:
 
 * fixed-sample (``vectors``/``n_vectors``): one batch, exact legacy
   numbers — what the golden Table III regression pins;
 * Monte Carlo (``rel_tol=...``): draw vector blocks from a stream until
   the per-sample energy estimate's confidence interval is tighter than
-  ``rel_tol`` of the mean, and report the CI achieved.  On the
-  vectorized backend every block is materialized as a pre-generated
-  ``(block, n_inputs)`` array before simulation, so the hot loop is
-  array code end to end.
+  ``rel_tol`` of the mean, and report the CI achieved.
 """
 
 from __future__ import annotations
@@ -140,33 +137,12 @@ def _power_from_activity(activity: ActivityCounter, samples: int,
     return fu_energy, register_energy, controller_energy
 
 
-def _run_block(engine, block) -> object:
-    """Run one vector block on ``engine`` the fastest way it supports.
-
-    Lists of vector dicts go to the vectorized backend as one input
-    matrix; ``(batch, n_inputs)`` arrays go to the compiled backend as
-    reconstructed dicts (slow path, for API symmetry).
-    """
-    run_array = getattr(engine, "run_array", None)
-    if isinstance(block, list):
-        if run_array is not None:
-            return run_array(vectors_to_array(block, engine.input_names))
-        return engine.run_batch(block)
-    if run_array is not None:
-        return run_array(block)
-    import numpy as np
-
-    if not np.issubdtype(np.asarray(block).dtype, np.integer):
-        raise TypeError(
-            f"input matrix must have an integer dtype, "
-            f"got {np.asarray(block).dtype}")
-    names = engine.input_names
-    if block.ndim != 2 or block.shape[1] != len(names):
-        raise ValueError(
-            f"expected a (batch, {len(names)}) input matrix, "
-            f"got shape {block.shape}")
-    return engine.run_batch([dict(zip(names, row))
-                             for row in block.tolist()])
+def _run_block(engine, block: list[dict[str, int]]):
+    """Run one list of vector dicts: as one input matrix on the
+    vectorized engine, per vector on the compiled one."""
+    if hasattr(engine, "run_array"):
+        return engine.run_array(vectors_to_array(block, engine.input_names))
+    return engine.run_batch(block)
 
 
 def measure_power(
@@ -187,30 +163,30 @@ def measure_power(
     Fixed mode (``rel_tol=None``): simulate ``vectors`` (or ``n_vectors``
     seeded random ones) in one batch; an empty set raises
     ``ValueError``.  Monte Carlo mode (``rel_tol`` set): draw
-    ``block_size`` vectors at a time — from ``vectors`` if
-    given (any iterable of dicts or a pre-generated ``(n, n_inputs)``
-    input matrix), else from an endless seeded random stream — until the
-    ``confidence`` interval of the per-sample energy is within
-    ``rel_tol`` of the mean or ``max_vectors`` have been simulated;
-    returns :class:`MonteCarloPower`.
+    ``block_size`` vectors at a time — from ``vectors`` if given (any
+    iterable of input dicts), else from an endless seeded random stream
+    — until the ``confidence`` interval of the per-sample energy is
+    within ``rel_tol`` of the mean or ``max_vectors`` have been
+    simulated; returns :class:`MonteCarloPower`.  ``confidence`` must
+    lie strictly between 0 and 1, and ``block_size`` and ``max_vectors``
+    must be at least 1; bad values raise ``ValueError`` before anything
+    is simulated.
 
-    ``backend`` selects the batch engine (``"compiled"``,
-    ``"vectorized"`` or ``"auto"``, see :func:`repro.sim.create_engine`).
-    ``auto`` decides by the vectors per engine call: the whole batch in
-    fixed mode, ``block_size`` in Monte Carlo mode.  The backends are
-    bit-identical, so reports are byte-equal across them at the same
-    seed.  Every call builds a cold-state engine, which reproduces the
-    legacy simulator's numbers exactly.
+    The batch engine is the one ``auto`` picks for the vectors per
+    engine call: the whole batch in fixed mode, ``block_size`` in Monte
+    Carlo mode.  ``backend`` forces one (``"compiled"`` or
+    ``"vectorized"``, see :func:`repro.sim.create_engine`); it exists
+    for the parity tests, since the engines are bit-identical and
+    reports are byte-equal across them at the same seed.  Every call
+    builds a cold-state engine, which reproduces the legacy simulator's
+    numbers exactly.
     """
     weights = weights if weights is not None else PowerWeights()
-    if rel_tol is not None and rel_tol <= 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    is_matrix = vectors is not None and hasattr(vectors, "ndim")
     if rel_tol is None:
         if vectors is None:
             vectors = random_vectors(design.graph, n_vectors,
                                      width=design.width, seed=seed)
-        elif not is_matrix:
+        else:
             vectors = list(vectors)
         per_call = len(vectors)
         if per_call == 0:
@@ -218,6 +194,17 @@ def measure_power(
                 f"fixed-sample power needs at least one vector, "
                 f"got {per_call}")
     else:
+        if rel_tol <= 0.0:
+            raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+        if not 0.0 < confidence < 1.0:
+            raise ValueError(f"confidence must lie strictly between 0 "
+                             f"and 1, got {confidence}")
+        if block_size < 1:
+            raise ValueError(f"block_size must be at least 1, "
+                             f"got {block_size}")
+        if max_vectors < 1:
+            raise ValueError(f"max_vectors must be at least 1, "
+                             f"got {max_vectors}")
         per_call = block_size
     engine = create_engine(design, power_management=power_management,
                            backend=backend, n_vectors=per_call)
@@ -229,13 +216,9 @@ def measure_power(
                               controller_energy=ctrl, samples=batch.samples,
                               chosen_backend=engine.chosen_backend)
 
-    if is_matrix:
-        matrix, offset = vectors, 0
-        stream = None
-    else:
-        stream = iter(vectors) if vectors is not None \
-            else iter_random_vectors(design.graph, None, width=design.width,
-                                     seed=seed)
+    stream = iter(vectors) if vectors is not None \
+        else iter_random_vectors(design.graph, None, width=design.width,
+                                 seed=seed)
     total = ActivityCounter(width=design.width)
     block_means: list[float] = []
     samples = 0
@@ -243,16 +226,9 @@ def measure_power(
     converged = False
     while samples < max_vectors:
         # max_vectors is a hard simulation budget: clamp the last block.
-        take = min(block_size, max_vectors - samples)
-        if stream is None:
-            block = matrix[offset:offset + take]
-            offset += block.shape[0]
-            if block.shape[0] == 0:
-                break  # finite matrix ran dry
-        else:
-            block = list(islice(stream, take))
-            if not block:
-                break  # finite stream ran dry
+        block = list(islice(stream, min(block_size, max_vectors - samples)))
+        if not block:
+            break  # finite stream ran dry
         result = _run_block(engine, block)
         total.merge(result.activity)
         samples += result.samples

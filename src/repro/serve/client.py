@@ -5,7 +5,7 @@
 keep-alive connection per thread (reopened transparently when the
 server closes it); :meth:`stream` follows a job's events live over the
 server's SSE endpoint, reconnecting with ``Last-Event-ID`` after a
-drop, with the old ``?since=`` poll loop kept as ``mode="poll"``.
+drop.
 
     >>> client = ServeClient(port=8642)
     >>> job = client.submit("explore", circuits=["gcd"], budgets=[6, 7])
@@ -191,53 +191,19 @@ class ServeClient:
                     f"{timeout:.0f}s")
             time.sleep(poll)
 
-    def stream(self, job_id: str, timeout: float = 300.0,
-               poll: float = 0.05, mode: str = "sse", since: int = 0,
+    def stream(self, job_id: str, timeout: float = 300.0, since: int = 0,
                raise_on_gap: bool = False):
         """Yield the job's events incrementally until it terminates.
 
-        ``mode="sse"`` (the default) holds the server's
-        ``/jobs/<id>/events`` stream open and yields events the moment
-        the server pushes them, resuming with ``Last-Event-ID`` if the
-        connection drops.  ``mode="poll"`` is the legacy ``?since=``
-        loop.  Either way events carry a monotonic ``seq`` and are
-        never yielded twice; events that aged out of the server's
-        bounded ring before they could be seen surface as an explicit
-        ``{"type": "gap", "dropped": n}`` event — or as
-        :class:`EventGapError` with ``raise_on_gap=True`` — instead of
-        being silently skipped.
+        Holds the server's ``/jobs/<id>/events`` stream open and yields
+        events the moment the server pushes them, resuming with
+        ``Last-Event-ID`` if the connection drops.  Events carry a
+        monotonic ``seq`` and are never yielded twice; events that aged
+        out of the server's bounded ring before they could be seen
+        surface as an explicit ``{"type": "gap", "dropped": n}`` event —
+        or as :class:`EventGapError` with ``raise_on_gap=True`` —
+        instead of being silently skipped.
         """
-        if mode == "sse":
-            return self._stream_sse(job_id, timeout, since, raise_on_gap)
-        if mode == "poll":
-            return self._stream_poll(job_id, timeout, poll, since,
-                                     raise_on_gap)
-        raise ValueError(f"mode must be 'sse' or 'poll', got {mode!r}")
-
-    def _stream_poll(self, job_id: str, timeout: float, poll: float,
-                     since: int, raise_on_gap: bool):
-        deadline = time.monotonic() + timeout
-        while True:
-            snapshot = self.job(job_id, since=since)
-            events = snapshot.get("events", ())
-            if events and events[0]["seq"] > since + 1:
-                dropped = events[0]["seq"] - since - 1
-                if raise_on_gap:
-                    raise EventGapError(job_id, dropped)
-                yield {"type": "gap", "dropped": dropped}
-            for event in events:
-                since = max(since, event["seq"])
-                yield event
-            if snapshot["state"] in TERMINAL \
-                    and snapshot.get("last_seq", 0) <= since:
-                return
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still streaming after {timeout:.0f}s")
-            time.sleep(poll)
-
-    def _stream_sse(self, job_id: str, timeout: float, since: int,
-                    raise_on_gap: bool):
         deadline = time.monotonic() + timeout
         while True:
             conn = http.client.HTTPConnection(self.host, self.port,

@@ -79,7 +79,6 @@ from repro.serve.jobs import (
     UnknownJobError,
 )
 from repro.serve.work import read_progress, run_optimize_job
-from repro.sim.backend import BACKENDS
 
 SERVER_NAME = "repro-serve/2"
 
@@ -402,7 +401,6 @@ class JobServer:
                 partial=bool(params.get("partial", False)),
                 enabled=not params.get("no_pm", False)),
             scheduler=params.get("scheduler", "list"),
-            sim_backend=params.get("sim_backend", "auto"),
             label=params.get("label", "serve"))
 
     async def _run_explore(self, job: Job) -> None:
@@ -1042,10 +1040,9 @@ def _validate_params(kind, params) -> str | None:
         return f"kind must be 'explore' or 'optimize', got {kind!r}"
     if not isinstance(params, dict):
         return "params must be a JSON object"
-    backend = params.get("sim_backend", "auto")
-    if backend not in BACKENDS:
-        return (f"params.sim_backend must be one of {', '.join(BACKENDS)}, "
-                f"got {backend!r}")
+    if "sim_backend" in params:
+        return ("params.sim_backend was removed: the simulation engine "
+                "is chosen per call")
     budgets = params.get("budgets")
     if kind == "explore":
         circuits = params.get("circuits")

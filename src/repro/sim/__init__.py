@@ -15,8 +15,6 @@ from repro.sim.engine import (
 from repro.sim.reference import evaluate, evaluate_all
 from repro.sim.simulator import RTLSimulator, SampleResult
 from repro.sim.vectors import (
-    array_exhaustive_vectors,
-    array_random_vectors,
     exhaustive_vectors,
     input_names,
     iter_random_vectors,
@@ -24,8 +22,6 @@ from repro.sim.vectors import (
     vectors_to_array,
 )
 from repro.sim.workloads import (
-    array_balanced_condition_vectors,
-    array_gcd_trace_vectors,
     balanced_condition_vectors,
     gcd_trace_vectors,
     iter_balanced_condition_vectors,
@@ -40,10 +36,6 @@ __all__ = [
     "ExecutionPlan",
     "RTLSimulator",
     "SampleResult",
-    "array_balanced_condition_vectors",
-    "array_exhaustive_vectors",
-    "array_gcd_trace_vectors",
-    "array_random_vectors",
     "balanced_condition_vectors",
     "cached_plan",
     "clear_compile_caches",

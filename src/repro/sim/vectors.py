@@ -4,11 +4,11 @@ The paper validates with "random input vectors"; we provide a seeded
 generator (reproducible runs) and an exhaustive enumerator for tiny
 widths (used by equivalence tests).  The ``iter_*`` variant streams
 vectors lazily — Monte Carlo power estimation draws from it block by
-block without materializing a full list.  The ``array_*`` variant
-materializes a block as a ``(batch, n_inputs)`` int64 matrix for the
-vectorized backend; it draws from the same seeded stream, so the
-``array_``, ``iter_`` and list forms produce identical value sequences
-at the same seed (what keeps Monte Carlo estimates backend-independent).
+block without materializing a full list — and its first ``n`` draws equal
+the list form's at the same seed.  Vectors are input dicts everywhere;
+:func:`vectors_to_array` packs them into the ``(batch, n_inputs)`` int64
+matrix that :meth:`~repro.sim.vectorized.VectorizedEngine.run_array`
+takes.
 """
 
 from __future__ import annotations
@@ -67,18 +67,6 @@ def random_vectors(graph: CDFG, count: int, width: int = 8,
     return list(iter_random_vectors(graph, count, width=width, seed=seed))
 
 
-def array_random_vectors(graph: CDFG, count: int, width: int = 8,
-                         seed: int = 1996):
-    """``count`` seeded random vectors as a ``(count, n_inputs)`` matrix.
-
-    Row ``i`` holds the same values as ``random_vectors(graph, count)[i]``
-    at the same seed, in :func:`input_names` column order.
-    """
-    return vectors_to_array(
-        iter_random_vectors(graph, count, width=width, seed=seed),
-        input_names(graph))
-
-
 def exhaustive_vectors(graph: CDFG, width: int = 3) -> list[dict[str, int]]:
     """Every input assignment at a reduced width (keeps the count small)."""
     names = [n.name for n in graph.inputs()]
@@ -89,9 +77,3 @@ def exhaustive_vectors(graph: CDFG, width: int = 3) -> list[dict[str, int]]:
         dict(zip(names, combo))
         for combo in itertools.product(values, repeat=len(names))
     ]
-
-
-def array_exhaustive_vectors(graph: CDFG, width: int = 3):
-    """Every input assignment at a reduced width, as an int64 matrix."""
-    return vectors_to_array(exhaustive_vectors(graph, width=width),
-                            input_names(graph))

@@ -8,11 +8,9 @@ iterating implementation would actually present to the circuit, including
 the terminating equal pair — which is the honest way to exercise gcd's
 done-branch in power simulation.
 
-Each workload comes in three forms: an ``iter_*`` generator that streams
-vectors lazily (what the batch engine and the Monte Carlo estimator
-consume), a list-returning wrapper, and an ``array_*`` builder that
-materializes the identical sequence as a ``(batch, n_inputs)`` int64
-matrix for the vectorized backend.
+Each workload comes in two forms: an ``iter_*`` generator that streams
+vectors lazily (what the Monte Carlo estimator consumes) and a
+list-returning wrapper over the identical sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Iterator
 
 from repro.ir.graph import CDFG
 from repro.sim.reference import evaluate
-from repro.sim.vectors import input_names, vectors_to_array
 
 
 def iter_gcd_trace_vectors(graph: CDFG, n_runs: int | None = 32,
@@ -103,22 +100,3 @@ def balanced_condition_vectors(graph: CDFG, count: int = 256,
     return list(iter_balanced_condition_vectors(
         graph, count, seed=seed, width=width,
         equal_fraction=equal_fraction))
-
-
-def array_gcd_trace_vectors(graph: CDFG, n_runs: int = 32, seed: int = 1996,
-                            width: int = 8, max_iterations: int = 64):
-    """The :func:`gcd_trace_vectors` sequence as an int64 input matrix."""
-    return vectors_to_array(
-        iter_gcd_trace_vectors(graph, n_runs, seed=seed, width=width,
-                               max_iterations=max_iterations),
-        input_names(graph))
-
-
-def array_balanced_condition_vectors(graph: CDFG, count: int = 256,
-                                     seed: int = 1996, width: int = 8,
-                                     equal_fraction: float = 0.5):
-    """The :func:`balanced_condition_vectors` sequence as an input matrix."""
-    return vectors_to_array(
-        iter_balanced_condition_vectors(graph, count, seed=seed, width=width,
-                                        equal_fraction=equal_fraction),
-        input_names(graph))

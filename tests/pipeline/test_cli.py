@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import load_circuit, main
-from repro.sim.backend import BACKENDS
 
 
 class TestLoadCircuit:
@@ -52,16 +51,12 @@ class TestSchedulerFlag:
 
 
 class TestSimBackendFlag:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_backend_verifies(self, backend, capsys):
-        assert main(["synthesize", "gcd", "--steps", "7", "--verify",
-                     "--sim-backend", backend]) == 0
-
-    def test_packed_backend_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["synthesize", "gcd", "--steps", "7",
-                  "--sim-backend", "packed"])
-        assert "invalid choice" in capsys.readouterr().err
+    def test_sim_backend_flag_is_gone(self, capsys):
+        """The flow picks the engine itself: argparse refuses the flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synthesize", "gcd", "--sim-backend", "compiled"])
+        assert excinfo.value.code == 2
+        assert "--sim-backend" in capsys.readouterr().err
 
 
 class TestPipelineFlags:

@@ -2,14 +2,15 @@
 
 One Hypothesis strategy draws the whole knob cross-product at once —
 scheduler, MUX ordering, partial PM, mutex sharing, initiation interval,
-pipelined-gating mode, datapath width and simulation backend — over
-``gen:*`` and ``chstone:*`` circuits, with the power-management pass on
-and off.  Whatever the draw, the synthesized design must simulate
-bit-identically to the reference model: gating and scheduling only ever
-change *when* work happens, never what the circuit computes.  The one
-permitted refusal is the exact scheduler's documented node limit: it is
-a reference implementation for small graphs, and on some larger draws
-it raises instead of searching without end.
+pipelined-gating mode and datapath width — over ``gen:*`` and
+``chstone:*`` circuits, with the power-management pass on and off, and
+simulates the result on a drawn batch engine.  Whatever the draw, the
+synthesized design must simulate bit-identically to the reference
+model: gating and scheduling only ever change *when* work happens,
+never what the circuit computes.  The one permitted refusal is the
+exact scheduler's documented node limit: it is a reference
+implementation for small graphs, and on some larger draws it raises
+instead of searching without end.
 """
 
 import pytest
@@ -50,11 +51,14 @@ def flow_configs(draw, graph, pm_enabled: bool) -> FlowConfig:
         width=draw(st.sampled_from((8, 16))),
         initiation_interval=ii,
         pipelined_gating=draw(st.sampled_from(("per_sample", "drop"))),
-        mutex_sharing=draw(st.booleans()),
-        sim_backend=draw(st.sampled_from(("compiled", "vectorized"))))
+        mutex_sharing=draw(st.booleans()))
 
 
-def assert_config_matches_reference(graph, config):
+#: Batch engines the synthesized design is simulated on.
+ENGINES = st.sampled_from(("compiled", "vectorized"))
+
+
+def assert_config_matches_reference(graph, config, backend):
     try:
         design = Pipeline().run(graph, config).design
     except RuntimeError as exc:
@@ -63,9 +67,9 @@ def assert_config_matches_reference(graph, config):
         raise
     vectors = random_vectors(graph, 16, width=config.width, seed=7)
     expected = [evaluate(graph, v, width=config.width) for v in vectors]
-    engine = create_engine(design, backend=config.sim_backend)
+    engine = create_engine(design, backend=backend)
     outputs, _ = engine.run_many(vectors)
-    assert outputs == expected, config
+    assert outputs == expected, (config, backend)
 
 
 @pytest.mark.parametrize("pm_enabled", [True, False], ids=["pm", "no_pm"])
@@ -75,7 +79,8 @@ def assert_config_matches_reference(graph, config):
                                 max_seed=999))
 def test_gen_configs_match_reference(pm_enabled, data, graph):
     config = data.draw(flow_configs(graph, pm_enabled), label="config")
-    assert_config_matches_reference(graph, config)
+    backend = data.draw(ENGINES, label="backend")
+    assert_config_matches_reference(graph, config, backend)
 
 
 @pytest.mark.parametrize("pm_enabled", [True, False], ids=["pm", "no_pm"])
@@ -84,4 +89,5 @@ def test_gen_configs_match_reference(pm_enabled, data, graph):
 def test_chstone_configs_match_reference(pm_enabled, data, spec):
     graph = build(spec)
     config = data.draw(flow_configs(graph, pm_enabled), label="config")
-    assert_config_matches_reference(graph, config)
+    backend = data.draw(ENGINES, label="backend")
+    assert_config_matches_reference(graph, config, backend)

@@ -140,6 +140,13 @@ class TestParallel:
         assert [(p.circuit, p.n_steps, p.area) for p in whole.points] == \
                [(p.circuit, p.n_steps, p.area) for p in tiny.points]
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_chunk_size_rejected(self, bad):
+        """A chunk size below 1 used to drop every point (negative) or
+        fail inside ``range()`` (zero)."""
+        with pytest.raises(ValueError, match="chunk_size"):
+            explore(["gcd", "dealer"], [6, 7], workers=2, chunk_size=bad)
+
 
 def _shape(result):
     return [(p.circuit, p.n_steps, p.managed_muxes, p.area,

@@ -1,10 +1,10 @@
 """Backend parity: power reports are byte-identical across sim backends.
 
 The acceptance bar for the vectorized backend: ``measure_power`` (fixed
-and Monte Carlo modes), ``compare_designs`` and ``explore(...,
-sim_vectors=N)`` must produce *identical* — not merely close — numbers
-on every backend at the same seed, because the engines are bit-exact and
-the estimator arithmetic is shared.
+and Monte Carlo modes) and ``compare_designs`` must produce *identical*
+— not merely close — numbers on every backend at the same seed, and
+``explore(..., sim_vectors=N)`` must match them, because the engines are
+bit-exact and the estimator arithmetic is shared.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.pipeline import FlowConfig, explore, run_pair
 from repro.pipeline.explore import clear_explore_cache
 from repro.power.simulated import MonteCarloPower, compare_designs, \
     measure_power
-from repro.sim.vectors import array_random_vectors
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +34,6 @@ class TestFixedMode:
         assert compiled == other
 
     @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
-    def test_matrix_input_identical(self, gcd_pair, backend):
-        """A pre-generated input matrix is just another vector source."""
-        design = gcd_pair.managed.design
-        matrix = array_random_vectors(design.graph, 96)
-        from_lists = measure_power(design, n_vectors=96, backend="compiled")
-        from_matrix = measure_power(design, vectors=matrix, backend=backend)
-        from_matrix_c = measure_power(design, vectors=matrix,
-                                      backend="compiled")
-        assert from_matrix == from_lists
-        assert from_matrix_c == from_lists
-
-    @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
     def test_ungated_mode_identical(self, backend):
         """A managed design with its gating off: the compiled runner it
         shares with the gated mode reports what ``backend`` does."""
@@ -59,25 +46,6 @@ class TestFixedMode:
                               power_management=False)
         assert compiled == other
         assert compiled != gated
-
-    def test_mismatched_matrix_rejected_on_all_backends(self, gcd_pair):
-        import numpy as np
-
-        design = gcd_pair.managed.design
-        bad = np.zeros((8, 3), dtype=np.int64)
-        for backend in ("compiled",) + ARRAY_BACKENDS:
-            with pytest.raises(ValueError, match="input matrix"):
-                measure_power(design, vectors=bad, backend=backend)
-
-    def test_float_matrix_rejected_on_all_backends(self, gcd_pair):
-        """No silent truncation: a float matrix fails loudly everywhere."""
-        import numpy as np
-
-        design = gcd_pair.managed.design
-        floats = np.zeros((8, 2), dtype=np.float64)
-        for backend in ("compiled",) + ARRAY_BACKENDS:
-            with pytest.raises(TypeError, match="integer dtype"):
-                measure_power(design, vectors=floats, backend=backend)
 
 
 class TestMonteCarlo:
@@ -120,19 +88,6 @@ class TestMonteCarlo:
         assert large == measure_power(design, n_vectors=4096,
                                       backend="compiled")
 
-    def test_monte_carlo_matrix_source(self, gcd_pair):
-        """A finite matrix source drains block-wise like a dict stream."""
-        design = gcd_pair.managed.design
-        matrix = array_random_vectors(design.graph, 200)
-        rows = [dict(zip(("a", "b"), row)) for row in matrix.tolist()]
-        from_matrix = measure_power(design, vectors=matrix, rel_tol=1e-9,
-                                    block_size=64, backend="vectorized")
-        from_stream = measure_power(design, vectors=iter(rows),
-                                    rel_tol=1e-9, block_size=64,
-                                    backend="compiled")
-        assert from_matrix == from_stream
-        assert from_matrix.samples == 200  # ran the matrix dry
-
     @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
     def test_compare_designs_identical(self, gcd_pair, backend):
         compiled = compare_designs(gcd_pair.baseline.design,
@@ -145,13 +100,16 @@ class TestMonteCarlo:
 
 
 class TestExplore:
-    def test_explore_sim_vectors_identical(self):
-        points = {}
+    def test_explore_sim_vectors_identical(self, gcd_pair):
+        """explore() runs the engine ``auto`` picks; its simulated saving
+        equals compare_designs on every forced engine."""
+        clear_explore_cache()
+        point = explore(["gcd"], [7], sim_vectors=48).points[0]
+        assert point.chosen_backend == "compiled"
         for backend in ("compiled",) + ARRAY_BACKENDS:
-            clear_explore_cache()
-            config = FlowConfig(sim_backend=backend, label="parity")
-            result = explore(["gcd"], [7], configs=[config], sim_vectors=48)
-            point = result.points[0]
-            assert point.chosen_backend == backend
-            points[backend] = point.simulated_reduction_pct
-        assert len(set(points.values())) == 1, points
+            comparison = compare_designs(gcd_pair.baseline.design,
+                                         gcd_pair.managed.design,
+                                         n_vectors=48, backend=backend)
+            assert comparison.managed.chosen_backend == backend
+            assert point.simulated_reduction_pct \
+                == comparison.reduction_pct, backend

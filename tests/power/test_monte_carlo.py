@@ -58,6 +58,25 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="rel_tol"):
                 measure_power(managed, rel_tol=bad)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("confidence", 0.0), ("confidence", 1.0), ("confidence", 1.5),
+        ("confidence", -0.2), ("block_size", 0), ("block_size", -3),
+        ("max_vectors", 0), ("max_vectors", -1)])
+    def test_invalid_monte_carlo_argument_raises_before_simulating(
+            self, dealer_pair_designs, monkeypatch, name, bad):
+        """Nonsense confidence/block/budget values are rejected up front,
+        naming the parameter, instead of converging on a zero-width CI
+        or failing after blocks have run."""
+        import repro.power.simulated as simulated
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(simulated, "create_engine", no_engine)
+        _, managed = dealer_pair_designs
+        with pytest.raises(ValueError, match=name):
+            measure_power(managed, rel_tol=0.05, **{name: bad})
+
     def test_max_vectors_caps_unconvergeable_run(self, dealer_pair_designs):
         _, managed = dealer_pair_designs
         mc = measure_power(managed, rel_tol=1e-9, max_vectors=256,

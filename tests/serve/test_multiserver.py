@@ -309,7 +309,8 @@ class TestMultiServerRecovery:
 
 
 class TestServerSentEvents:
-    def test_sse_matches_poll_and_resumes_by_last_event_id(self, tmp_path):
+    def test_sse_matches_feed_snapshot_and_resumes_by_last_event_id(
+            self, tmp_path):
         handle = start_in_thread(tmp_path / "state", workers=2)
         try:
             client = ServeClient(port=handle.port)
@@ -319,10 +320,9 @@ class TestServerSentEvents:
             assert kinds.count("point") == 2
             assert "pareto" in kinds
             assert kinds[-1] == "state" and events[-1]["state"] == "done"
-            # The finished feed replays identically over both modes.
-            replayed = list(client.stream(job["id"], timeout=60,
-                                          mode="poll"))
-            assert [e for e in replayed if e["type"] != "state"] == \
+            # The SSE stream carries exactly the server's feed.
+            feed = client.job(job["id"], since=0)["events"]
+            assert [e for e in feed if e["type"] != "state"] == \
                    [e for e in events if e["type"] != "state"]
             # Resume: events up to seq N are not replayed.
             seqs = [e["seq"] for e in events if "seq" in e]
@@ -406,17 +406,19 @@ class TestServerSentEvents:
             job = client.submit("explore", circuits=["gcd"],
                                 budgets=[5, 6, 7])
             client.wait(job["id"], timeout=120)
-            # The feed outgrew the ring; a from-zero poll must say so.
-            events = list(client.stream(job["id"], timeout=60,
-                                        mode="poll"))
-            assert events[0]["type"] == "gap"
-            assert events[0]["dropped"] >= 1
+            # The feed outgrew the ring; a from-zero snapshot shows the
+            # hole as a first seq past 1.
+            snapshot = client.job(job["id"], since=0)
+            dropped = snapshot["events"][0]["seq"] - 1
+            assert dropped >= 1
+            assert snapshot["events_dropped"] == dropped
             with pytest.raises(EventGapError):
-                list(client.stream(job["id"], timeout=60, mode="poll",
+                list(client.stream(job["id"], timeout=60,
                                    raise_on_gap=True))
             # The SSE replay surfaces the same gap.
             sse = list(client.stream(job["id"], timeout=60))
             assert sse[0]["type"] == "gap"
+            assert sse[0]["dropped"] == dropped
         finally:
             handle.stop()
 

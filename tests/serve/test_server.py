@@ -121,23 +121,15 @@ class TestAPI:
                      "sim_vectors": 16}),
         ("optimize", {"circuit": "gcd", "budgets": [6]}),
     ])
-    def test_unknown_sim_backend_is_400(self, served, kind, params):
-        """A backend typo is refused at submit, even on an explore job
-        that would never simulate and so never trip over it."""
+    @pytest.mark.parametrize("backend", ["auto", "compiled"])
+    def test_sim_backend_param_is_400(self, served, kind, params, backend):
+        """The engine is chosen per call: a client that still forces one
+        is refused at submit instead of silently running on another."""
         _, _, client = served
         with pytest.raises(ServeError) as err:
-            client.submit(kind, sim_backend="numpy", **params)
+            client.submit(kind, sim_backend=backend, **params)
         assert err.value.status == 400
-        assert "sim_backend" in str(err.value)
-
-    def test_packed_backend_is_refused(self):
-        """The deleted packed backend is no longer a valid name."""
-        from repro.serve.server import _validate_params
-
-        error = _validate_params("explore", {
-            "circuits": ["gcd"], "budgets": [6], "sim_backend": "packed"})
-        assert error == ("params.sim_backend must be one of compiled, "
-                         "vectorized, auto, got 'packed'")
+        assert "params.sim_backend was removed" in str(err.value)
 
     def test_failed_job_reports_the_error(self, served):
         _, _, client = served

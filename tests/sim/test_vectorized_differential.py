@@ -25,17 +25,8 @@ from repro.sim.vectorized import (
     VectorizedEngine,
     _masked_ffill,
 )
-from repro.sim.vectors import (
-    array_random_vectors,
-    random_vectors,
-    vectors_to_array,
-)
-from repro.sim.workloads import (
-    array_balanced_condition_vectors,
-    array_gcd_trace_vectors,
-    balanced_condition_vectors,
-    gcd_trace_vectors,
-)
+from repro.sim.vectors import random_vectors, vectors_to_array
+from repro.sim.workloads import balanced_condition_vectors, gcd_trace_vectors
 from tests.strategies import circuits
 
 
@@ -216,22 +207,14 @@ class TestBatchShapes:
         with pytest.raises(ValueError, match="input matrix"):
             engine.run_array(np.zeros((4, 7), dtype=np.int64))
 
+    def test_float_matrix_raises(self, gcd_graph):
+        """No silent truncation: a float matrix fails loudly."""
+        import numpy as np
 
-class TestArrayBuilders:
-    """array_* builders draw the identical sequence as the list forms."""
-
-    def test_array_random_vectors(self, gcd_graph):
-        matrix = array_random_vectors(gcd_graph, 50, seed=7)
-        rows = [dict(zip(("a", "b"), row)) for row in matrix.tolist()]
-        assert rows == random_vectors(gcd_graph, 50, seed=7)
-
-    def test_array_workloads(self, gcd_graph):
-        matrix = array_gcd_trace_vectors(gcd_graph, n_runs=5, seed=3)
-        rows = [dict(zip(("a", "b"), row)) for row in matrix.tolist()]
-        assert rows == gcd_trace_vectors(gcd_graph, n_runs=5, seed=3)
-        matrix = array_balanced_condition_vectors(gcd_graph, count=40)
-        rows = [dict(zip(("a", "b"), row)) for row in matrix.tolist()]
-        assert rows == balanced_condition_vectors(gcd_graph, count=40)
+        design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
+        engine = VectorizedEngine(design)
+        with pytest.raises(TypeError, match="integer dtype"):
+            engine.run_array(np.zeros((8, 2), dtype=np.float64))
 
 
 class TestBackendSelection:
