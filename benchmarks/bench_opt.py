@@ -24,7 +24,8 @@ Four claims, checked against live synthesis:
   covered by a long run's archive of the same configuration.
 
 Run standalone for the CI smoke check, or the full large-scenario gate
-(which writes ``BENCH_opt.json`` at the repo root)::
+(which writes ``BENCH_opt.json`` at the repo root; the smoke check only
+prints its rows)::
 
     python benchmarks/bench_opt.py --smoke
     python benchmarks/bench_opt.py --full
@@ -280,9 +281,9 @@ def _print_portfolio_rows(rows) -> None:
               f"{gain}  {status}")
 
 
-def _write_report(mode: str, rows, anytime, failures) -> None:
+def _write_report(rows, anytime, failures) -> None:
     report = {
-        "mode": mode,
+        "mode": "full",
         "workers": PORTFOLIO_WORKERS,
         "criterion": ("equal wall-clock vs a single-chain anneal "
                       "(same seed): scalar parity everywhere, strict "
@@ -296,7 +297,7 @@ def _write_report(mode: str, rows, anytime, failures) -> None:
     }
     BENCH_OUT.write_text(json.dumps(report, indent=2) + "\n",
                          encoding="utf-8")
-    print(f"wrote {BENCH_OUT.name} ({mode} mode, "
+    print(f"wrote {BENCH_OUT.name} (full mode, "
           f"{'OK' if not failures else 'FAILED'})")
 
 
@@ -309,7 +310,6 @@ def run_portfolio_smoke() -> list[str]:
           f"({anytime['short_score']:.4f}) covered by "
           f"{anytime['long_s']}s ({anytime['long_score']:.4f}): "
           f"{'OK' if anytime['covered'] and anytime['monotone'] else 'FAIL'}")
-    _write_report("smoke", rows, anytime, failures)
     return failures
 
 
@@ -322,7 +322,7 @@ def run_portfolio_full() -> list[str]:
           f"({anytime['short_score']:.4f}) covered by "
           f"{anytime['long_s']}s ({anytime['long_score']:.4f}): "
           f"{'OK' if anytime['covered'] and anytime['monotone'] else 'FAIL'}")
-    _write_report("full", rows, anytime, failures)
+    _write_report(rows, anytime, failures)
     return failures
 
 

@@ -40,6 +40,10 @@ Usage::
     python benchmarks/bench_sim.py            # full run (4096-vector batches)
     python benchmarks/bench_sim.py --smoke    # CI-fast run (256 vectors)
 
+The full run writes ``BENCH_sim.json``; ``--smoke`` writes a report only
+to an explicit ``--out``, so it never replaces the committed full-run
+report.
+
 Exits nonzero if any backend diverges, if the vectorized-over-compiled
 speedup falls below ``--min-speedup`` (default 5x) on a non-hybrid
 circuit, or if a hybrid circuit is slower than compiled.  Under
@@ -207,7 +211,9 @@ def main(argv: list[str] | None = None) -> int:
                              "than this on non-hybrid circuits (default "
                              "5.0; advisory under --smoke)")
     parser.add_argument("--out", type=Path, default=None,
-                        help="output path (default <repo>/BENCH_sim.json)")
+                        help="output path (default <repo>/BENCH_sim.json; "
+                             "--smoke writes a report only to an "
+                             "explicit --out)")
     args = parser.parse_args(argv)
 
     circuits = SMOKE_CIRCUITS if args.smoke else FULL_CIRCUITS
@@ -216,8 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     n_batch = args.vectors or (256 if args.smoke else 4096)
     n_interp = min(n_batch, 64 if args.smoke else 256)
     repeats = 3
-    out_path = args.out or (
-        Path(__file__).resolve().parent.parent / "BENCH_sim.json")
+    out_path = args.out
+    if out_path is None and not args.smoke:
+        out_path = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
     results = [bench_circuit(name, steps, n_batch, n_interp, repeats)
                for name, steps in circuits.items()]
@@ -231,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
             r["vectorized_speedup_over_compiled"] for r in results
             if not r["hybrid"]),
     }
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    if out_path is not None:
+        out_path.write_text(json.dumps(report, indent=2) + "\n")
 
     header = (f"{'circuit':<10s} {'backend':<12s} {'vecs':>6s} "
               f"{'seconds':>9s} {'us/vec':>8s} {'vs interp':>9s} "
@@ -251,7 +259,8 @@ def main(argv: list[str] | None = None) -> int:
         if result["hybrid"]:
             notes.append("hybrid scalar-slot plan")
         print(f"{'':10s} {'; '.join(notes)}")
-    print(f"wrote {out_path}")
+    if out_path is not None:
+        print(f"wrote {out_path}")
 
     failures = [r["circuit"] for r in results if not r["identical"]]
     if failures:

@@ -213,11 +213,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         budgets = (_steps_for(graph, args),)
     iters = args.iters
-    if (args.search == "portfolio" and args.time_budget is not None
-            and iters == 150):
-        # Pure anytime run: the wall clock, not an iteration count, is
-        # the budget (passing --iters explicitly keeps both caps).
-        iters = None
+    if iters is None and not (args.search == "portfolio"
+                              and args.time_budget is not None):
+        # Without --iters a portfolio --time-budget run is purely
+        # anytime (the wall clock is the budget); everything else gets
+        # the default move count.  An explicit --iters keeps both caps.
+        iters = 150
     spec = SearchSpec(driver=args.search, objective=args.objective,
                       iters=iters, seed=args.seed,
                       restarts=args.restarts, beam_width=args.beam_width,
@@ -583,8 +584,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--objective", default="gated_weight",
                        help="weighted metric terms 'name[=weight],...', "
                             "e.g. 'gated_weight' or 'sim_power,area=0.1'")
-    p_opt.add_argument("--iters", type=int, default=150,
-                       help="search iterations (anneal/random)")
+    p_opt.add_argument("--iters", type=int, default=None,
+                       help="search moves (anneal/random; per island "
+                            "for portfolio).  Default 150, or no move "
+                            "cap for a portfolio run with --time-budget")
     p_opt.add_argument("--seed", type=int, default=0,
                        help="search RNG seed (default 0)")
     p_opt.add_argument("--restarts", type=int, default=2,

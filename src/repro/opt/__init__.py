@@ -1,23 +1,24 @@
 """Stochastic PM-aware optimizer subsystem (paper §IV-A, generalized).
 
-Three layers:
+The layers:
 
 * :mod:`repro.opt.objective` — the shared metric registry, weighted
   scalarization (:class:`Objective`) and Pareto helpers used by the
   reordering search, ``explore().pareto()`` and the drivers alike;
 * :mod:`repro.opt.space` — the joint (MUX ordering, budget, scheduler)
   search space with seeded sampling and annealing moves;
-* :mod:`repro.opt.search` — the drivers: :func:`anneal`,
-  :func:`beam_search`, :func:`random_search`, dispatched by
-  :func:`optimize`, resumable through the explore-style JSONL journal
-  and cache-aware through :class:`~repro.pipeline.IndexedArtifactStore`;
+* :mod:`repro.opt.search` — the drivers :func:`anneal`,
+  :func:`beam_search`, :func:`random_search` on one chain loop
+  (:class:`~repro.opt.search.Chain`), and :func:`optimize`, which
+  dispatches all four by name; resumable through the explore-style JSONL journal and
+  cache-aware through :class:`~repro.pipeline.IndexedArtifactStore`;
 * :mod:`repro.opt.archive` — the NSGA-II Pareto layer
   (:class:`ParetoArchive`, :func:`nondominated_sort`,
   :func:`crowding_distances`) every driver maintains alongside its
   scalarized best;
-* :mod:`repro.opt.portfolio` — the island-model parallel
-  :func:`portfolio` driver: heterogeneous chains in worker processes
-  with elite migration at deterministic round barriers.
+* :mod:`repro.opt.portfolio` — the island-model parallel ``portfolio``
+  driver: heterogeneous chains in worker processes with elite
+  migration at deterministic round barriers.
 
 Quick start::
 
@@ -53,8 +54,7 @@ _EVALUATE_NAMES = ("EvaluationBudgetExceeded", "Evaluator", "EvalStats",
                    "OPT_FORMAT")
 _ARCHIVE_NAMES = ("ArchiveEntry", "ParetoArchive", "crowding_distances",
                   "nondominated_sort", "nsga_select")
-_PORTFOLIO_NAMES = ("ISLAND_PROFILES", "IslandState", "portfolio_search",
-                    "run_island_round")
+_PORTFOLIO_NAMES = ("ISLAND_PROFILES", "run_island_round")
 
 __all__ = [
     "Candidate",

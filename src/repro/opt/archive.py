@@ -166,10 +166,8 @@ class ParetoArchive:
     and vector ties keep the lexicographically smallest candidate key.
     ``max_size`` (``None`` = unbounded, the default) truncates by
     crowding distance; bounding the archive trades the strict anytime
-    coverage guarantee for memory.
-
-    The reuse counters mirror :class:`~repro.opt.evaluate.EvalStats`,
-    aggregated across islands by the portfolio driver.
+    coverage guarantee for memory.  Run counters (evaluations, reuse,
+    journal replays) live on :class:`~repro.opt.search.OptResult`.
     """
 
     def __init__(self, objective: "Objective | str",
@@ -179,10 +177,6 @@ class ParetoArchive:
             raise ValueError(f"max_size must be >= 1, got {max_size}")
         self.max_size = max_size
         self._entries: list[ArchiveEntry] = []
-        self.evaluations = 0
-        self.memo_hits = 0
-        self.store_hits = 0
-        self.journal_replays = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -242,19 +236,11 @@ class ParetoArchive:
                 for v in theirs)
             for mine in self._entries)
 
-    @property
-    def counters(self) -> dict[str, int]:
-        return {"evaluations": self.evaluations,
-                "memo_hits": self.memo_hits,
-                "store_hits": self.store_hits,
-                "journal_replays": self.journal_replays}
-
     def to_dict(self) -> dict:
         """JSON form (``repro optimize --pareto-out``, serve events)."""
         return {"objective": self.objective.signature(),
                 "size": len(self._entries),
-                "front": [entry.to_dict() for entry in self._entries],
-                **self.counters}
+                "front": [entry.to_dict() for entry in self._entries]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ParetoArchive":
@@ -262,9 +248,6 @@ class ParetoArchive:
         archive._entries = [ArchiveEntry.from_dict(raw)
                             for raw in data.get("front", ())]
         archive._entries.sort(key=lambda e: (e.vector, e.candidate.key()))
-        for name in ("evaluations", "memo_hits", "store_hits",
-                     "journal_replays"):
-            setattr(archive, name, int(data.get(name, 0)))
         return archive
 
     def merged(self, entries: Iterable[ArchiveEntry]) -> int:

@@ -11,9 +11,11 @@ processes, and periodically exchange information.
 The run is organized in **rounds** (migration epochs), which are the
 determinism unit:
 
-1. the coordinator ships every island its state, a shared memo
+1. the coordinator ships every island its chain, a shared memo
    snapshot, and a per-round move quota (``migration_every``);
-2. each island walks its chain for the round in its own process,
+2. each island walks its :class:`~repro.opt.search.Chain` for the
+   round in its own process — the same loop as the single-chain
+   drivers, a cooling Metropolis walk or uniform draws by profile —
    evaluating through a :class:`~repro.opt.evaluate.Evaluator` backed
    by the shared store and the shipped memo;
 3. the coordinator collects all islands (sorted by island index, so
@@ -41,16 +43,15 @@ so far — never an error.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from repro.ir.graph import CDFG
 from repro.ir.serialize import graph_from_dict, graph_to_dict
+from repro.opt.archive import ParetoArchive
 from repro.opt.evaluate import EvaluationBudgetExceeded, Evaluator
-from repro.opt.search import OptResult, _Run
+from repro.opt.search import Chain, OptResult, _Run
 from repro.opt.space import Candidate, SearchSpace
 
 #: The heterogeneous chain profiles, cycled over island indices:
@@ -63,14 +64,6 @@ ISLAND_PROFILES = (
     {"kind": "random"},
     {"kind": "anneal", "t_scale": 0.60, "cool": 0.85},
 )
-
-
-@dataclass(frozen=True)
-class IslandState:
-    """One island's chain position between rounds (picklable)."""
-
-    current: "Candidate | None" = None
-    score: float = -math.inf
 
 
 def _island_rng(seed: int, island: int, round_index: int) -> random.Random:
@@ -96,17 +89,17 @@ def run_island_round(payload: dict) -> dict:
     """One island, one round, in a worker process (top-level so the
     pool can pickle it).
 
-    Walks ``moves`` chain steps from the shipped state, evaluating
-    against the shared store with the coordinator's memo snapshot
-    preloaded; ``max_fresh`` bounds fresh computations (crossing it
-    ends the round early, never errors).  Returns the new state, every
-    visited ``(candidate, metrics)`` in trajectory order, the session
-    records to journal, and this round's stats deltas.
+    Walks the shipped chain ``moves`` steps, evaluating against the
+    shared store with the coordinator's memo snapshot preloaded;
+    ``max_fresh`` bounds fresh computations (crossing it ends the round
+    early, never errors).  Returns the moved chain, every visited
+    ``(candidate, metrics)`` in trajectory order, the session records
+    to journal, and this round's stats deltas.
     """
     graph = _payload_graph(payload)
     profile = payload["profile"]
     space: SearchSpace = payload["space"]
-    state: IslandState = payload["state"]
+    chain: Chain = payload["chain"]
     rng = _island_rng(payload["seed"], payload["island"],
                       payload["round_index"])
     evaluator = Evaluator(
@@ -122,37 +115,23 @@ def run_island_round(payload: dict) -> dict:
         visited.append((candidate, metrics))
         return score
 
-    current, cur_score = state.current, state.score
     try:
-        if current is None:
-            current = space.random_candidate(rng)
-            cur_score = evaluate(current)
-        if profile["kind"] == "random":
-            for _ in range(payload["moves"]):
-                candidate = space.random_candidate(rng)
-                score = evaluate(candidate)
-                if score > cur_score:
-                    current, cur_score = candidate, score
-        else:
-            moves = payload["moves"]
-            t_hot = max(1.0, profile["t_scale"] * abs(cur_score))
+        if chain.current is None:
+            chain.current = space.random_candidate(rng)
+            chain.score = evaluate(chain.current)
+        temperature = None
+        if profile["kind"] == "anneal":
+            t_hot = max(1.0, profile["t_scale"] * abs(chain.score))
             t_hot *= profile["cool"] ** payload["round_index"]
-            cooling = 0.1 ** (1.0 / max(1, moves - 1))
             temperature = max(1e-9, t_hot)
-            for _ in range(moves):
-                candidate = space.neighbor(current, rng)
-                score = evaluate(candidate)
-                delta = score - cur_score
-                if delta >= 0 or rng.random() < math.exp(
-                        max(-700.0, delta / temperature)):
-                    current, cur_score = candidate, score
-                temperature *= cooling
+        chain.walk(space, rng, evaluate, payload["moves"],
+                   temperature=temperature, final=0.1)
     except EvaluationBudgetExceeded:
         exhausted = True
     stats = evaluator.stats
     return {
         "island": payload["island"],
-        "state": IslandState(current=current, score=cur_score),
+        "chain": chain,
         "visited": visited,
         "session": list(evaluator.session.items()),
         "computed": stats.computed,
@@ -164,21 +143,18 @@ def run_island_round(payload: dict) -> dict:
 
 
 def portfolio(graph: CDFG, objective="gated_weight", *,
-              n_steps: int | None = None, budgets=None,
-              schedulers=("list",), iters: "int | None" = 240,
-              seed: int = 0, workers: int = 4, islands: "int | None" = None,
-              migration_every: int = 30, store=None, journal=None,
+              iters: "int | None" = 240, workers: int = 4,
+              islands: "int | None" = None, migration_every: int = 30,
               max_evaluations: "int | None" = None,
-              sim_vectors: int = 128, pm_base=None,
-              time_budget: "float | None" = None,
-              archive_size: "int | None" = None,
-              durability: str = "batch",
-              progress=None, front_progress=None) -> OptResult:
+              archive_size: "int | None" = None, front_progress=None,
+              **options) -> OptResult:
     """Island-model parallel portfolio search (see module docstring).
 
     ``iters`` is the per-island move budget (``None`` = unbounded, for
     pure ``time_budget`` / ``max_evaluations`` runs); ``islands``
-    defaults to ``workers``.  The outcome depends only on (arguments,
+    defaults to ``workers``.  ``archive_size`` bounds the Pareto
+    archive and ``front_progress(round, archive)`` is called whenever a
+    round changes the front.  The outcome depends only on (arguments,
     seed, islands) — never on worker scheduling.
     """
     if workers < 1:
@@ -189,26 +165,26 @@ def portfolio(graph: CDFG, objective="gated_weight", *,
     if migration_every < 1:
         raise ValueError(
             f"migration_every must be >= 1, got {migration_every}")
-    if iters is None and time_budget is None and max_evaluations is None:
+    if (iters is None and options.get("time_budget") is None
+            and max_evaluations is None):
         raise ValueError("an unbounded portfolio needs iters=, "
                          "time_budget= or max_evaluations=")
     # The coordinator owns all journaling (group-committed); islands
     # never write, so concurrent appends cannot interleave records.  Its
     # own evaluator only scores the greedy seeds, so it runs uncapped:
     # max_evaluations is split across the islands round by round.
-    with _Run(graph, objective, n_steps, budgets, schedulers, store,
-              journal, None, sim_vectors, pm_base, progress=progress,
-              time_budget=time_budget, durability=durability,
-              archive_size=archive_size) as run:
-        _run_islands(run, iters=iters, seed=seed, workers=workers,
-                     islands=islands, migration_every=migration_every,
+    with _Run(graph, objective, **options) as run:
+        # Replaces _Run's unbounded archive: only the portfolio bounds it.
+        run.archive = ParetoArchive(run.objective, max_size=archive_size)
+        _run_islands(run, iters=iters, workers=workers, islands=islands,
+                     migration_every=migration_every,
                      max_evaluations=max_evaluations,
                      front_progress=front_progress)
-        return run.result("portfolio", seed)
+        return run.result("portfolio")
 
 
-def _run_islands(run: _Run, *, iters, seed, workers, islands,
-                 migration_every, max_evaluations, front_progress) -> None:
+def _run_islands(run: _Run, *, iters, workers, islands, migration_every,
+                 max_evaluations, front_progress) -> None:
     """Seed greedily, then run migration rounds until a budget is spent;
     every island's visits and fresh counts fold into ``run``."""
     evaluator, archive = run.evaluator, run.archive
@@ -216,8 +192,8 @@ def _run_islands(run: _Run, *, iters, seed, workers, islands,
     if front_progress is not None:
         front_progress(0, archive)
 
-    states = [IslandState() for _ in range(islands)]
-    states[0] = IslandState(current=run.best, score=run.best_score)
+    chains = [Chain() for _ in range(islands)]
+    chains[0] = Chain(run.best, run.best_score)
     profiles = [ISLAND_PROFILES[k % len(ISLAND_PROFILES)]
                 for k in range(islands)]
     graph_dict = graph_to_dict(run.graph)
@@ -264,8 +240,8 @@ def _run_islands(run: _Run, *, iters, seed, workers, islands,
             payloads = [{
                 "graph": graph_dict, "fingerprint": fingerprint,
                 "objective": run.objective.signature(), "space": run.space,
-                "state": states[k], "profile": profiles[k],
-                "island": k, "seed": seed, "round_index": round_index,
+                "chain": chains[k], "profile": profiles[k],
+                "island": k, "seed": run.seed, "round_index": round_index,
                 "moves": moves, "memo": memo, "max_fresh": caps[k],
                 "store": evaluator.store,
                 "sim_vectors": evaluator.sim_vectors,
@@ -286,7 +262,7 @@ def _run_islands(run: _Run, *, iters, seed, workers, islands,
             front_changed = False
             for report in reports:
                 k = report["island"]
-                states[k] = report["state"]
+                chains[k] = report["chain"]
                 evaluator.stats.computed += report["computed"]
                 evaluator.stats.memo_hits += report["memo_hits"]
                 evaluator.stats.store_hits += report["store_hits"]
@@ -307,16 +283,10 @@ def _run_islands(run: _Run, *, iters, seed, workers, islands,
                     if profiles[k]["kind"] == "random":
                         continue
                     elite = elites[k % len(elites)]
-                    if elite.score > states[k].score:
-                        states[k] = IslandState(current=elite.candidate,
-                                                score=elite.score)
+                    if elite.score > chains[k].score:
+                        chains[k] = Chain(elite.candidate, elite.score)
             if front_progress is not None and front_changed:
                 front_progress(round_index, archive)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-#: Package-level alias: ``repro.opt.portfolio`` names this module, so
-#: the package exports the driver function under this name instead.
-portfolio_search = portfolio

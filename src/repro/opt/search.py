@@ -17,6 +17,15 @@ shared cache-aware :class:`~repro.opt.evaluate.Evaluator`:
   parallel driver: heterogeneous chains in worker processes with
   periodic elite migration through the shared journal/store.
 
+``anneal``, ``random_search`` and every portfolio island walk the one
+chain loop, :meth:`Chain.walk`.  Every driver has the signature
+``(graph, objective="gated_weight", *, <its own knobs>, **options)``: the
+shared run arguments (``n_steps``/``budgets``, ``schedulers``,
+``seed``, ``store``, ``journal``, ``durability``, ``max_evaluations``,
+``time_budget``, ``sim_vectors``, ``pm_base``, ``progress``) are
+declared once, on :class:`_Run`, and :func:`optimize` reads each
+driver's valid options from those signatures.
+
 Every driver first evaluates the built-in greedy strategies
 (``output_first`` / ``input_first`` / ``savings``) at every (budget,
 scheduler), so its result is **never worse than the best greedy
@@ -33,15 +42,19 @@ terms and attaches it to :attr:`OptResult.archive` — multi-term
 objectives get the whole nondominated trade-off curve, not just the
 weighted winner.  ``time_budget=`` (seconds of wall clock) makes any
 driver *anytime*: it stops cleanly at the deadline with the best front
-found so far, and a longer budget never returns a dominated front.
+found so far, and a longer budget never returns a dominated front.  A
+spent ``max_evaluations`` raises
+:class:`~repro.opt.evaluate.EvaluationBudgetExceeded` here; the
+portfolio returns instead.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
 from repro.ir.graph import CDFG
@@ -103,11 +116,6 @@ class OptResult:
     @property
     def metrics(self) -> dict[str, float]:
         return dict(self.best_metrics)
-
-    @property
-    def journal_replays(self) -> int:
-        """Alias for ``resumed`` under its observable name."""
-        return self.resumed
 
     @property
     def best_greedy_score(self) -> float:
@@ -172,22 +180,78 @@ class OptResult:
                      f"({self.memo_hits} memo, {self.store_hits} store)"
                      + (f", {self.design_hits} design-pair simulations "
                         f"reused" if self.design_hits else "")
-                     + (f", {self.journal_replays} resumed from journal"
-                        if self.journal_replays else ""))
+                     + (f", {self.resumed} resumed from journal"
+                        if self.resumed else ""))
         if self.archive is not None and len(self.archive) > 1:
             lines.append(f"  pareto front: {len(self.archive)} points over "
                          f"{self.objective}")
         return "\n".join(lines)
 
 
-class _Run:
-    """Shared driver plumbing: space, evaluator, greedy seeds, best."""
+class Chain:
+    """One search chain's position: a candidate and its score.
 
-    def __init__(self, graph: CDFG, objective, n_steps, budgets, schedulers,
-                 store, journal, max_evaluations, sim_vectors, pm_base,
-                 progress=None, time_budget=None, durability="batch",
-                 archive_size=None):
+    Mutable, so an exception raised mid-:meth:`walk` (an
+    :class:`~repro.opt.evaluate.EvaluationBudgetExceeded` from
+    ``evaluate``) leaves the last accepted candidate in place; picklable,
+    so the portfolio ships it to island workers between rounds.
+    ``current`` is ``None`` before the chain has been placed.
+    """
+
+    def __init__(self, current: "Candidate | None" = None,
+                 score: float = -math.inf) -> None:
+        self.current = current
+        self.score = score
+
+    def walk(self, space: SearchSpace, rng: random.Random,
+             evaluate: Callable[[Candidate], float], moves: int, *,
+             temperature: "float | None" = None, final: float = 0.01,
+             stop: "Callable[[], bool] | None" = None) -> None:
+        """Make up to ``moves`` moves, scoring each with ``evaluate``.
+
+        Without ``temperature`` every move is a uniform random draw and
+        the chain keeps the best one seen.  With it, every move is a
+        neighbor of the current position, accepted by the Metropolis
+        rule at a temperature cooling geometrically from ``temperature``
+        to ``final`` times it over the walk.  ``stop`` is checked before
+        each move and ends the walk when it returns True.
+        """
+        # One loop for both modes, so every chain stops, and keeps its
+        # position on a budget error, the same way.
+        cooling = final ** (1.0 / max(1, moves - 1))
+        for _ in range(moves):
+            if stop is not None and stop():
+                return
+            if temperature is None:
+                candidate = space.random_candidate(rng)
+                score = evaluate(candidate)
+                if score > self.score:
+                    self.current, self.score = candidate, score
+                continue
+            candidate = space.neighbor(self.current, rng)
+            score = evaluate(candidate)
+            delta = score - self.score
+            if delta >= 0 or rng.random() < math.exp(delta / temperature):
+                self.current, self.score = candidate, score
+            temperature *= cooling
+
+
+class _Run:
+    """Shared driver plumbing: space, evaluator, greedy seeds, best.
+
+    Its keyword-only arguments are the run arguments every driver
+    forwards as ``**options`` (see the module docstring).
+    """
+
+    def __init__(self, graph: CDFG, objective="gated_weight", *,
+                 n_steps: "int | None" = None, budgets=None,
+                 schedulers=("list",), seed: int = 0, store=None,
+                 journal=None, max_evaluations: "int | None" = None,
+                 sim_vectors: int = 128, pm_base=None,
+                 time_budget: "float | None" = None,
+                 durability: str = "batch", progress=None):
         self.graph = graph
+        self.seed = seed
         self.progress = progress
         self.objective = Objective.parse(objective)
         self.space = SearchSpace.for_graph(
@@ -196,7 +260,7 @@ class _Run:
             graph=graph, objective=self.objective, store=store,
             journal=journal, max_evaluations=max_evaluations,
             sim_vectors=sim_vectors, pm_base=pm_base, durability=durability)
-        self.archive = ParetoArchive(self.objective, max_size=archive_size)
+        self.archive = ParetoArchive(self.objective)
         self.deadline = (None if time_budget is None
                          else time.monotonic() + float(time_budget))
         self.best: Candidate | None = None
@@ -205,6 +269,7 @@ class _Run:
         self.best_label = ""
         self.history: list[tuple[int, float]] = []
         self.greedy_scores: list[tuple[str, float]] = []
+        self.steps = 0
 
     def out_of_time(self) -> bool:
         """The anytime wall-clock budget is spent (always False without
@@ -225,6 +290,13 @@ class _Run:
             self.greedy_scores.append((label, score))
             self.offer(candidate, score, metrics, step=0, label=label)
 
+    def step(self, candidate: Candidate) -> float:
+        """Evaluate one search move, count it and offer it; its score."""
+        score, metrics = self.evaluator.evaluate(candidate)
+        self.steps += 1
+        self.offer(candidate, score, metrics, self.steps)
+        return score
+
     def offer(self, candidate: Candidate, score: float,
               metrics: Mapping[str, float], step: int,
               label: str = "search") -> bool:
@@ -239,17 +311,13 @@ class _Run:
                 self.progress(step, score, candidate)
         return changed
 
-    def result(self, driver: str, seed: int) -> OptResult:
+    def result(self, driver: str) -> OptResult:
         self.evaluator.close()
         assert self.best is not None
         stats = self.evaluator.stats
-        self.archive.evaluations = stats.computed
-        self.archive.memo_hits = stats.memo_hits
-        self.archive.store_hits = stats.store_hits
-        self.archive.journal_replays = stats.resumed
         return OptResult(
             circuit=self.graph.name, driver=driver,
-            objective=self.objective.signature(), seed=seed,
+            objective=self.objective.signature(), seed=self.seed,
             best=self.best, best_score=self.best_score,
             best_metrics=tuple(sorted(self.best_metrics.items())),
             best_label=self.best_label,
@@ -262,35 +330,17 @@ class _Run:
 
 
 def random_search(graph: CDFG, objective="gated_weight", *,
-                  n_steps: int | None = None, budgets=None,
-                  schedulers=("list",), iters: int = 100, seed: int = 0,
-                  store=None, journal=None, max_evaluations=None,
-                  sim_vectors: int = 128, pm_base=None,
-                  time_budget=None, durability="batch",
-                  progress=None) -> OptResult:
+                  iters: int = 100, **options) -> OptResult:
     """Uniform random sampling of the space — the honesty baseline."""
-    with _Run(graph, objective, n_steps, budgets, schedulers,
-              store, journal, max_evaluations, sim_vectors, pm_base,
-              progress=progress, time_budget=time_budget,
-              durability=durability) as run:
-        rng = random.Random(seed)
+    with _Run(graph, objective, **options) as run:
         run.seed_greedy()
-        for step in range(1, iters + 1):
-            if run.out_of_time():
-                break
-            candidate = run.space.random_candidate(rng)
-            score, metrics = run.evaluator.evaluate(candidate)
-            run.offer(candidate, score, metrics, step)
-        return run.result("random", seed)
+        Chain().walk(run.space, random.Random(run.seed), run.step, iters,
+                     stop=run.out_of_time)
+        return run.result("random")
 
 
-def anneal(graph: CDFG, objective="gated_weight", *,
-           n_steps: int | None = None, budgets=None, schedulers=("list",),
-           iters: int = 150, seed: int = 0, restarts: int = 2,
-           store=None, journal=None, max_evaluations=None,
-           sim_vectors: int = 128, pm_base=None,
-           time_budget=None, durability="batch",
-           progress=None) -> OptResult:
+def anneal(graph: CDFG, objective="gated_weight", *, iters: int = 150,
+           restarts: int = 2, **options) -> OptResult:
     """Seeded simulated annealing with a restart schedule.
 
     ``iters`` total neighborhood moves are split evenly across
@@ -301,13 +351,9 @@ def anneal(graph: CDFG, objective="gated_weight", *,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    with _Run(graph, objective, n_steps, budgets, schedulers,
-              store, journal, max_evaluations, sim_vectors, pm_base,
-              progress=progress, time_budget=time_budget,
-              durability=durability) as run:
-        rng = random.Random(seed)
+    with _Run(graph, objective, **options) as run:
+        rng = random.Random(run.seed)
         run.seed_greedy()
-        step = 0
         for restart in range(restarts):
             if run.out_of_time():
                 break
@@ -316,36 +362,18 @@ def anneal(graph: CDFG, objective="gated_weight", *,
             if chain_iters == 0:
                 continue
             if restart == 0:
-                current, cur_score = run.best, run.best_score
+                chain = Chain(run.best, run.best_score)
             else:
-                current = run.space.random_candidate(rng)
-                cur_score, metrics = run.evaluator.evaluate(current)
-                step += 1
-                run.offer(current, cur_score, metrics, step)
-            t_hot = max(1.0, 0.3 * abs(run.best_score))
-            cooling = (0.01) ** (1.0 / max(1, chain_iters - 1))
-            temperature = t_hot
-            for _ in range(chain_iters):
-                if run.out_of_time():
-                    break
-                candidate = run.space.neighbor(current, rng)
-                score, metrics = run.evaluator.evaluate(candidate)
-                step += 1
-                run.offer(candidate, score, metrics, step)
-                delta = score - cur_score
-                if delta >= 0 or rng.random() < math.exp(delta / temperature):
-                    current, cur_score = candidate, score
-                temperature *= cooling
-        return run.result("anneal", seed)
+                start = run.space.random_candidate(rng)
+                chain = Chain(start, run.step(start))
+            chain.walk(run.space, rng, run.step, chain_iters,
+                       temperature=max(1.0, 0.3 * abs(run.best_score)),
+                       final=0.01, stop=run.out_of_time)
+        return run.result("anneal")
 
 
 def beam_search(graph: CDFG, objective="gated_weight", *,
-                n_steps: int | None = None, budgets=None,
-                schedulers=("list",), beam_width: int = 4, seed: int = 0,
-                store=None, journal=None, max_evaluations=None,
-                sim_vectors: int = 128, pm_base=None,
-                time_budget=None, durability="batch",
-                progress=None) -> OptResult:
+                beam_width: int = 4, **options) -> OptResult:
     """Deterministic beam search over MUX-ordering prefixes.
 
     A prefix is scored by evaluating the full candidate it induces —
@@ -358,13 +386,9 @@ def beam_search(graph: CDFG, objective="gated_weight", *,
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     from repro.core.ordering import order_muxes
 
-    with _Run(graph, objective, n_steps, budgets, schedulers,
-              store, journal, max_evaluations, sim_vectors, pm_base,
-              progress=progress, time_budget=time_budget,
-              durability=durability) as run:
+    with _Run(graph, objective, **options) as run:
         run.seed_greedy()
         completion = tuple(order_muxes(graph, "savings"))
-        step = 0
         for steps_budget in run.space.budgets:
             for scheduler in run.space.schedulers:
                 beam: list[tuple[int, ...]] = [()]
@@ -381,79 +405,63 @@ def beam_search(graph: CDFG, objective="gated_weight", *,
                             head = set(new_prefix)
                             order = new_prefix + tuple(
                                 m for m in completion if m not in head)
-                            candidate = Candidate(order=order,
-                                                  n_steps=steps_budget,
-                                                  scheduler=scheduler)
-                            score, metrics = \
-                                run.evaluator.evaluate(candidate)
-                            step += 1
-                            run.offer(candidate, score, metrics, step)
+                            score = run.step(Candidate(
+                                order=order, n_steps=steps_budget,
+                                scheduler=scheduler))
                             extensions.append((score, new_prefix))
                     extensions.sort(key=lambda pair: (-pair[0], pair[1]))
                     beam = [prefix for _, prefix in extensions[:beam_width]]
-        return run.result("beam", seed)
+        return run.result("beam")
 
 
-def _portfolio(graph: CDFG, **kwargs) -> OptResult:
-    # Imported lazily: repro.opt.portfolio builds on this module.
-    from repro.opt.portfolio import portfolio
-
-    return portfolio(graph, **kwargs)
+_LOCAL = {"anneal": anneal, "beam": beam_search, "random": random_search}
+#: The driver names :func:`optimize` dispatches on.
+DRIVERS = tuple(sorted([*_LOCAL, "portfolio"]))
 
 
-DRIVERS: dict[str, Callable[..., OptResult]] = {
-    "anneal": anneal,
-    "beam": beam_search,
-    "random": random_search,
-    "portfolio": _portfolio,
-}
+def _driver(name: str) -> Callable[..., OptResult]:
+    if name == "portfolio":
+        # Imported lazily: repro.opt.portfolio builds on this module.
+        from repro.opt.portfolio import portfolio
 
-#: Keyword arguments every driver accepts.
-COMMON_KNOBS = ("objective", "n_steps", "budgets", "schedulers", "seed",
-                "store", "journal", "max_evaluations", "sim_vectors",
-                "pm_base", "time_budget", "durability", "progress")
+        return portfolio
+    return _LOCAL[name]
 
-#: Per-driver tuning knobs on top of :data:`COMMON_KNOBS`.  A
-#: :class:`SearchSpec` knob outside the chosen driver's set is dropped
-#: (one spec fits every driver); any *other* unknown kwarg is an error.
-DRIVER_KNOBS = {
-    "anneal": ("iters", "restarts"),
-    "beam": ("beam_width",),
-    "random": ("iters",),
-    "portfolio": ("iters", "workers", "islands", "migration_every",
-                  "archive_size", "front_progress"),
-}
 
-_SPEC_KNOBS = ("iters", "restarts", "beam_width", "workers")
+def _options(driver: Callable[..., OptResult]) -> set[str]:
+    """The keyword options ``driver`` takes: its own plus the shared
+    run arguments of :class:`_Run`."""
+    params = [*inspect.signature(driver).parameters.values(),
+              *inspect.signature(_Run).parameters.values()]
+    return {p.name for p in params
+            if p.name != "graph" and p.kind is not p.VAR_KEYWORD}
 
 
 def optimize(graph: CDFG, search: "SearchSpec | str" = SearchSpec(),
              **kwargs) -> OptResult:
     """Run one driver described by ``search`` (a :class:`SearchSpec` or
-    a driver name); extra keyword arguments go to the driver."""
+    a driver name); extra keyword arguments go to the driver.
+
+    A :class:`SearchSpec` field the chosen driver does not take (say
+    ``beam_width`` for ``anneal``) is dropped, so one spec fits every
+    driver; any other unknown option is an error.
+    """
     spec = SearchSpec(driver=search) if isinstance(search, str) else search
     if spec.driver not in DRIVERS:
         raise ValueError(f"unknown search driver {spec.driver!r}; choose "
                          f"from {sorted(DRIVERS)}")
-    wanted = DRIVER_KNOBS[spec.driver]
-    unknown = sorted(set(kwargs)
-                     - set(COMMON_KNOBS) - set(wanted) - set(_SPEC_KNOBS))
+    driver = _driver(spec.driver)
+    valid = _options(driver)
+    spec_fields = {f.name for f in fields(SearchSpec)} - {"driver"}
+    unknown = sorted(set(kwargs) - valid - spec_fields)
     if unknown:
         raise ValueError(
             f"unknown option(s) {', '.join(repr(k) for k in unknown)} for "
             f"driver {spec.driver!r}; valid options: "
-            f"{', '.join(sorted(set(COMMON_KNOBS) | set(wanted)))}")
-    kwargs.setdefault("objective", spec.objective)
-    kwargs.setdefault("seed", spec.seed)
-    if spec.time_budget is not None:
-        kwargs.setdefault("time_budget", spec.time_budget)
-    # Each driver takes only its own tuning knobs; the spec's others are
-    # dropped here so one SearchSpec (or kwargs pile) fits every driver.
-    spec_defaults = {"iters": spec.iters, "restarts": spec.restarts,
-                     "beam_width": spec.beam_width, "workers": spec.workers}
-    for knob in _SPEC_KNOBS:
-        if knob in wanted:
-            kwargs.setdefault(knob, spec_defaults[knob])
+            f"{', '.join(sorted(valid))}")
+    for name in spec_fields:
+        if name in valid:
+            kwargs.setdefault(name, getattr(spec, name))
         else:
-            kwargs.pop(knob, None)
-    return DRIVERS[spec.driver](graph, **kwargs)
+            kwargs.pop(name, None)
+    return driver(graph, **kwargs)

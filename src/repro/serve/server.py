@@ -47,6 +47,7 @@ optimizer improves, one terminal ``state`` event at the end.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import threading
 import traceback
@@ -356,11 +357,18 @@ class JobServer:
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             detail = "".join(traceback.format_exception_only(error)).strip()
             if not job.state.terminal:
-                self.registry.transition(job, JobState.FAILED, error=detail)
-                await self._q(self.queue.finish, job.id, self.server_id,
-                              JobState.FAILED, error=detail,
-                              completed=job.completed, resumed=job.resumed,
-                              total=job.total, last_seq=job.last_seq)
+                await self._finish(job, JobState.FAILED, error=detail)
+
+    async def _finish(self, job: Job, state: JobState, *,
+                      error: str | None = None,
+                      result: dict | None = None) -> None:
+        """The one terminal write: the local transition (and its
+        ``state`` event), then the lease-guarded queue row."""
+        self.registry.transition(job, state, error=error, result=result)
+        await self._q(self.queue.finish, job.id, self.server_id, state,
+                      error=error, result=result, completed=job.completed,
+                      resumed=job.resumed, total=job.total,
+                      last_seq=job.last_seq)
 
     async def _cancelled(self, job: Job) -> bool:
         """Local cancel flag, or — checked at chunk boundaries — the
@@ -381,11 +389,7 @@ class JobServer:
                     self._abandon(job)
                     return True
         if job.cancel_requested and not job.state.terminal:
-            self.registry.transition(job, JobState.CANCELLED)
-            await self._q(self.queue.finish, job.id, self.server_id,
-                          JobState.CANCELLED, completed=job.completed,
-                          resumed=job.resumed, total=job.total,
-                          last_seq=job.last_seq)
+            await self._finish(job, JobState.CANCELLED)
             return True
         return False
 
@@ -489,11 +493,7 @@ class JobServer:
             "pareto": [p.to_dict() for p in front.points],
             "best": best.to_dict(),
         }
-        self.registry.transition(job, JobState.DONE, result=payload)
-        await self._q(self.queue.finish, job.id, self.server_id,
-                      JobState.DONE, result=payload,
-                      completed=job.completed, resumed=job.resumed,
-                      total=job.total, last_seq=job.last_seq)
+        await self._finish(job, JobState.DONE, result=payload)
 
     def _push_pareto(self, job: Job,
                      points: dict[int, ExplorationPoint]) -> None:
@@ -514,12 +514,12 @@ class JobServer:
     # -- optimize jobs ---------------------------------------------------
 
     async def _run_optimize(self, job: Job) -> None:
+        from repro.opt.search import SearchSpec
+
         params = job.params
-        search = {name: params[name]
-                  for name in ("driver", "objective", "iters", "seed",
-                               "restarts", "beam_width", "workers",
-                               "time_budget")
-                  if name in params}
+        search = {spec_field.name: params[spec_field.name]
+                  for spec_field in dataclasses.fields(SearchSpec)
+                  if spec_field.name in params}
         progress_path = self.journal_dir / f"{job.key}.progress.jsonl"
         try:
             progress_path.unlink()  # each run streams afresh
@@ -569,11 +569,7 @@ class JobServer:
         if await self._cancelled(job):
             return
         job.total = summary["evaluations"] + summary["reused"]
-        self.registry.transition(job, JobState.DONE, result=summary)
-        await self._q(self.queue.finish, job.id, self.server_id,
-                      JobState.DONE, result=summary,
-                      completed=job.completed, resumed=job.resumed,
-                      total=job.total, last_seq=job.last_seq)
+        await self._finish(job, JobState.DONE, result=summary)
 
     # -- maintenance -----------------------------------------------------
 

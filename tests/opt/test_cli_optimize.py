@@ -85,6 +85,35 @@ circuit pgate {
         assert "+1.2500 over greedy" in out
 
 
+class TestIterationsFlag:
+    """``--iters`` reaches the driver as given; only an omitted flag on a
+    pure ``--time-budget`` portfolio run means "no move cap"."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 150),
+        (["--search", "portfolio"], 150),
+        (["--search", "portfolio", "--time-budget", "1"], None),
+        (["--search", "portfolio", "--time-budget", "1",
+          "--iters", "150"], 150),
+        (["--search", "portfolio", "--time-budget", "1",
+          "--iters", "149"], 149),
+    ])
+    def test_iters_reaching_the_driver(self, monkeypatch, argv, expected):
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_optimize(graph, spec, **kwargs):
+            seen["iters"] = spec.iters
+            raise Stop
+
+        monkeypatch.setattr("repro.opt.search.optimize", fake_optimize)
+        with pytest.raises(Stop):
+            main(["optimize", "gcd", "--steps", "7", *argv])
+        assert seen["iters"] == expected
+
+
 class TestExploreSearchFlag:
     def test_search_mode_prints_one_point_per_circuit(self, capsys):
         assert main(["explore", "dealer", "gcd", "--budgets", "6,7",

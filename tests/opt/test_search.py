@@ -1,6 +1,7 @@
 """Search drivers: greedy floor, determinism, resume, cache-awareness."""
 
 import json
+import random
 
 import pytest
 
@@ -9,12 +10,14 @@ from repro.core.reordering import exhaustive_search, gated_weight
 from repro.opt.evaluate import EvaluationBudgetExceeded, Evaluator
 from repro.opt.search import (
     DRIVERS,
+    Chain,
     SearchSpec,
     anneal,
     beam_search,
     optimize,
     random_search,
 )
+from repro.opt.space import SearchSpace
 from repro.pipeline import IndexedArtifactStore, explore
 
 
@@ -34,6 +37,56 @@ def conflict_graph():
     m1 = b.mux(c1, small, mid, name="m1")
     b.output(m1, "out")
     return b.build()
+
+
+class TestChain:
+    """The one chain loop every stochastic driver walks."""
+
+    @pytest.fixture
+    def space(self, gcd_graph):
+        return SearchSpace.for_graph(gcd_graph, n_steps=7)
+
+    @pytest.mark.parametrize("temperature", [None, 1.0])
+    def test_error_mid_walk_leaves_the_last_accepted(self, space,
+                                                     temperature):
+        rng = random.Random(0)
+        chain = Chain(space.random_candidate(rng), 0.0)
+        seen = []
+
+        def evaluate(candidate):
+            if len(seen) == 3:
+                raise EvaluationBudgetExceeded("spent")
+            seen.append(candidate)
+            return float(len(seen))  # every move improves: all accepted
+
+        with pytest.raises(EvaluationBudgetExceeded):
+            chain.walk(space, rng, evaluate, 10, temperature=temperature)
+        assert chain.current == seen[-1]
+        assert chain.score == 3.0
+
+    def test_random_walk_keeps_the_best(self, space):
+        scores = iter([2.0, 5.0, 1.0, 3.0])
+        chain = Chain()
+        chain.walk(space, random.Random(1), lambda c: next(scores), 4)
+        assert chain.score == 5.0
+
+    def test_cold_walk_rejects_worse_moves(self, space):
+        rng = random.Random(2)
+        start = space.random_candidate(rng)
+        chain = Chain(start, 10.0)
+        chain.walk(space, rng, lambda c: 0.0, 5, temperature=1e-9)
+        assert (chain.current, chain.score) == (start, 10.0)
+
+    def test_stop_is_checked_before_every_move(self, space):
+        moves = []
+
+        def evaluate(candidate):
+            moves.append(candidate)
+            return 0.0
+
+        Chain().walk(space, random.Random(3), evaluate, 10,
+                     stop=lambda: len(moves) == 4)
+        assert len(moves) == 4
 
 
 class TestDriverQuality:
