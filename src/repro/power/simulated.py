@@ -25,6 +25,12 @@ input dicts, given as any iterable.  Two estimation modes:
 * Monte Carlo (``rel_tol=...``): draw vector blocks from a stream until
   the per-sample energy estimate's confidence interval is tighter than
   ``rel_tol`` of the mean, and report the CI achieved.
+
+Random vectors the estimator draws itself (no ``vectors`` given) come in
+the format of the engine that runs them: dicts for the compiled engine,
+and for the vectorized one the int64 input matrix straight from
+:class:`~repro.sim.vectors.RandomMatrixStream`, with the same values.
+``compare_designs`` draws once for both of its designs.
 """
 
 from __future__ import annotations
@@ -41,8 +47,11 @@ from repro.rtl.design import SynthesizedDesign
 from repro.sim.activity import ActivityCounter
 from repro.sim.backend import create_engine
 from repro.sim.vectors import (
+    RandomMatrixStream,
+    input_names,
     iter_random_vectors,
     random_vectors,
+    select_columns,
     vectors_to_array,
 )
 
@@ -137,12 +146,47 @@ def _power_from_activity(activity: ActivityCounter, samples: int,
     return fu_energy, register_energy, controller_energy
 
 
-def _run_block(engine, block: list[dict[str, int]]):
-    """Run one list of vector dicts: as one input matrix on the
-    vectorized engine, per vector on the compiled one."""
-    if hasattr(engine, "run_array"):
-        return engine.run_array(vectors_to_array(block, engine.input_names))
-    return engine.run_batch(block)
+class _RandomDraw:
+    """``n_vectors`` seeded random vectors, drawn once in the format the
+    engine runs: an int64 matrix (via :class:`RandomMatrixStream`) for
+    the vectorized engine, dicts for the compiled one.  Fixed-sample
+    ``measure_power`` draws one; ``compare_designs`` passes one as
+    ``vectors`` to both of its designs."""
+
+    def __init__(self, graph, n_vectors: int, width: int, seed: int) -> None:
+        if n_vectors < 0:
+            raise ValueError(
+                f"n_vectors must be non-negative, got {n_vectors}")
+        self.graph, self.width, self.seed = graph, width, seed
+        self.n_vectors = n_vectors
+        self._matrix = self._dicts = None
+
+    def __len__(self) -> int:
+        return self.n_vectors
+
+    def for_engine(self, engine):
+        """The vectors as :func:`_run_block` takes them for ``engine``."""
+        if engine.backend == "vectorized":
+            if self._matrix is None:
+                self._matrix = RandomMatrixStream(
+                    self.graph, self.width, self.seed).take(self.n_vectors)
+            return select_columns(self._matrix, input_names(self.graph),
+                                  engine.input_names)
+        if self._dicts is None:
+            self._dicts = random_vectors(self.graph, self.n_vectors,
+                                         width=self.width, seed=self.seed)
+        return self._dicts
+
+
+def _run_block(engine, block):
+    """Run one block: a list of vector dicts, or an int64 matrix in the
+    engine's column order (vectorized engine only).  The vectorized
+    engine packs dicts into one matrix; the compiled one runs them."""
+    if engine.backend != "vectorized":
+        return engine.run_batch(block)
+    if isinstance(block, list):
+        block = vectors_to_array(block, engine.input_names)
+    return engine.run_array(block)
 
 
 def measure_power(
@@ -161,13 +205,13 @@ def measure_power(
     """Average per-sample energy of ``design``.
 
     Fixed mode (``rel_tol=None``): simulate ``vectors`` (or ``n_vectors``
-    seeded random ones) in one batch; an empty set raises
-    ``ValueError``.  Monte Carlo mode (``rel_tol`` set): draw
-    ``block_size`` vectors at a time — from ``vectors`` if given (any
-    iterable of input dicts), else from an endless seeded random stream
-    — until the ``confidence`` interval of the per-sample energy is
-    within ``rel_tol`` of the mean or ``max_vectors`` have been
-    simulated; returns :class:`MonteCarloPower`.  ``confidence`` must
+    seeded random ones) in one batch; an empty set or a negative
+    ``n_vectors`` raises ``ValueError``.  Monte Carlo mode (``rel_tol``
+    set): draw ``block_size`` vectors at a time — from ``vectors`` if
+    given (any iterable of input dicts), else from an endless seeded
+    random stream — until the ``confidence`` interval of the per-sample
+    energy is within ``rel_tol`` of the mean or ``max_vectors`` have
+    been simulated; returns :class:`MonteCarloPower`.  ``confidence`` must
     lie strictly between 0 and 1, and ``block_size`` and ``max_vectors``
     must be at least 1; bad values raise ``ValueError`` before anything
     is simulated.
@@ -184,9 +228,8 @@ def measure_power(
     weights = weights if weights is not None else PowerWeights()
     if rel_tol is None:
         if vectors is None:
-            vectors = random_vectors(design.graph, n_vectors,
-                                     width=design.width, seed=seed)
-        else:
+            vectors = _RandomDraw(design.graph, n_vectors, design.width, seed)
+        elif not isinstance(vectors, _RandomDraw):
             vectors = list(vectors)
         per_call = len(vectors)
         if per_call == 0:
@@ -209,6 +252,8 @@ def measure_power(
     engine = create_engine(design, power_management=power_management,
                            backend=backend, n_vectors=per_call)
     if rel_tol is None:
+        if isinstance(vectors, _RandomDraw):
+            vectors = vectors.for_engine(engine)
         batch = _run_block(engine, vectors)
         fu, reg, ctrl = _power_from_activity(
             batch.activity, batch.samples, design.width, weights)
@@ -216,9 +261,17 @@ def measure_power(
                               controller_energy=ctrl, samples=batch.samples,
                               chosen_backend=engine.chosen_backend)
 
-    stream = iter(vectors) if vectors is not None \
-        else iter_random_vectors(design.graph, None, width=design.width,
-                                 seed=seed)
+    if vectors is None and engine.backend == "vectorized":
+        # Declaration order is the engine's column order.
+        draw = RandomMatrixStream(design.graph, design.width, seed).take
+    else:
+        stream = iter(vectors) if vectors is not None \
+            else iter_random_vectors(design.graph, None, width=design.width,
+                                     seed=seed)
+
+        def draw(n: int):
+            return list(islice(stream, n))
+
     total = ActivityCounter(width=design.width)
     block_means: list[float] = []
     samples = 0
@@ -226,8 +279,8 @@ def measure_power(
     converged = False
     while samples < max_vectors:
         # max_vectors is a hard simulation budget: clamp the last block.
-        block = list(islice(stream, min(block_size, max_vectors - samples)))
-        if not block:
+        block = draw(min(block_size, max_vectors - samples))
+        if not len(block):
             break  # finite stream ran dry
         result = _run_block(engine, block)
         total.merge(result.activity)
@@ -302,8 +355,7 @@ def compare_designs(
     ``chosen_backend``.
     """
     weights = weights if weights is not None else PowerWeights()
-    vectors = random_vectors(orig.graph, n_vectors, width=orig.width,
-                             seed=seed)
+    vectors = _RandomDraw(orig.graph, n_vectors, orig.width, seed)
     power_orig = measure_power(orig, vectors=vectors, power_management=False,
                                weights=weights, backend=backend)
     power_new = measure_power(managed, vectors=vectors, power_management=True,

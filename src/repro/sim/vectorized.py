@@ -881,9 +881,9 @@ class VectorizedEngine(_EngineBase):
     from one long run), same bit-exact outputs and
     :class:`~repro.sim.activity.ActivityCounter`.  Prefer
     :meth:`run_array` with a pre-generated ``(batch, n_inputs)`` matrix
-    (see the ``array_*`` builders in :mod:`repro.sim.vectors` /
-    :mod:`repro.sim.workloads`) — :meth:`run_batch` accepts vector dicts
-    for API parity and converts.
+    (:class:`~repro.sim.vectors.RandomMatrixStream` draws seeded random
+    ones, :func:`~repro.sim.vectors.vectors_to_array` packs dicts) —
+    :meth:`run_batch` accepts vector dicts for API parity and converts.
     """
 
     backend = "vectorized"

@@ -10,10 +10,12 @@ bit-exact and the estimator arithmetic is shared.
 import pytest
 
 from repro.circuits import build
-from repro.pipeline import FlowConfig, explore, run_pair
+from repro.ir.builder import GraphBuilder
+from repro.pipeline import FlowConfig, Pipeline, explore, run_pair
 from repro.pipeline.explore import clear_explore_cache
 from repro.power.simulated import MonteCarloPower, compare_designs, \
     measure_power
+from repro.sched.timing import critical_path_length
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +52,14 @@ class TestFixedMode:
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
-    def test_monte_carlo_identical(self, gcd_pair, backend):
+    @pytest.mark.parametrize("block_size", [64, 512])
+    def test_monte_carlo_identical(self, gcd_pair, backend, block_size):
         """Identical MonteCarloPower estimates — samples, blocks, CI and
-        convergence flag included — at a fixed seed on every backend."""
+        convergence flag included — at a fixed seed on every backend.
+        The vectorized engine draws its blocks as matrices from one
+        stream; the compiled one draws dicts."""
         design = gcd_pair.managed.design
-        kwargs = dict(rel_tol=0.02, seed=1996, block_size=64,
+        kwargs = dict(rel_tol=0.02, seed=1996, block_size=block_size,
                       max_vectors=4096)
         compiled = measure_power(design, backend="compiled", **kwargs)
         other = measure_power(design, backend=backend, **kwargs)
@@ -97,6 +102,36 @@ class TestMonteCarlo:
                                 gcd_pair.managed.design,
                                 n_vectors=64, backend=backend)
         assert compiled == other
+
+
+    @pytest.mark.parametrize("width", [8, 16, 31, 32])
+    def test_compare_designs_drawn_matrix_identical(self, width):
+        """At 4096 vectors ``auto`` runs the vectorized engine on one
+        matrix drawn for both designs: replayed up to 31-bit inputs,
+        packed dicts above.  Both equal the compiled engine on dicts."""
+        pair = run_pair(build("dealer"), FlowConfig(n_steps=6, width=width))
+        designs = (pair.baseline.design, pair.managed.design)
+        auto = compare_designs(*designs, n_vectors=4096, seed=5)
+        assert auto.managed.chosen_backend == "vectorized"
+        assert auto == compare_designs(*designs, n_vectors=4096, seed=5,
+                                       backend="compiled")
+
+    def test_compare_designs_reordered_inputs(self):
+        """The managed design declares the inputs in another order than
+        the one the vectors are drawn in; each engine reads its inputs
+        by name on both backends."""
+        designs = []
+        for order in ("abc", "cab"):
+            builder = GraphBuilder("ordered")
+            ports = {name: builder.input(name) for name in order}
+            builder.output(ports["a"] + ports["b"] * ports["c"], "out")
+            graph = builder.build()
+            designs.append(Pipeline().run(graph, FlowConfig(
+                n_steps=critical_path_length(graph) + 1)).design)
+        auto = compare_designs(*designs, n_vectors=4096, seed=3)
+        assert auto.managed.chosen_backend == "vectorized"
+        assert auto == compare_designs(*designs, n_vectors=4096, seed=3,
+                                       backend="compiled")
 
 
 class TestExplore:

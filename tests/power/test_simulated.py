@@ -82,3 +82,39 @@ class TestCompareDesigns:
         with pytest.raises(ValueError, match="at least one vector, got 0"):
             compare_designs(dealer_pair.baseline.design,
                             dealer_pair.managed.design, n_vectors=0)
+
+    def test_negative_n_vectors_named(self, dealer_pair):
+        """A negative count is an argument error, not an empty draw."""
+        with pytest.raises(ValueError,
+                           match="n_vectors must be non-negative, got -4"):
+            measure_power(dealer_pair.managed.design, n_vectors=-4)
+        with pytest.raises(ValueError,
+                           match="n_vectors must be non-negative, got -4"):
+            compare_designs(dealer_pair.baseline.design,
+                            dealer_pair.managed.design, n_vectors=-4)
+
+
+class TestSameErrorsOnBothEngines:
+    """``auto`` runs 16 vectors compiled and 4096 vectorized; a bad input
+    set raises the same error on either."""
+
+    @staticmethod
+    def _error(call):
+        with pytest.raises(KeyError) as info:
+            call()
+        return str(info.value)
+
+    def test_designs_with_different_inputs(self, dealer_pair):
+        from repro.circuits import gcd
+        other = run_pair(gcd(), FlowConfig(n_steps=7)).managed.design
+        errors = {n: self._error(lambda: compare_designs(
+            dealer_pair.baseline.design, other, n_vectors=n))
+            for n in (16, 4096)}
+        assert errors[16] == errors[4096] == "\"missing input 'a'\""
+
+    def test_vector_missing_an_input(self, dealer_pair):
+        design = dealer_pair.managed.design
+        vector = {"p": 1, "c": 2}
+        errors = {n: self._error(lambda: measure_power(
+            design, vectors=[vector] * n)) for n in (16, 4096)}
+        assert errors[16] == errors[4096] == "\"missing input 'd'\""
