@@ -428,7 +428,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_journal(args: argparse.Namespace) -> int:
-    from repro.opt.journal import compact_journal
+    from repro.durable import compact_journal
 
     status = 0
     for path in args.journals:

@@ -48,7 +48,7 @@ from typing import Mapping
 
 from repro.core.pm_pass import PMOptions, PMResult, apply_power_management
 from repro.ir.graph import CDFG
-from repro.opt.journal import append_record, load_journal, open_journal
+from repro.durable import load_journal, open_journal
 from repro.opt.objective import (
     NEEDS_DESIGN,
     NEEDS_PAIR,
@@ -217,8 +217,8 @@ class Evaluator:
         self._memo[key] = metrics
         self.session[key] = metrics
         if self._journal_handle is not None:
-            append_record(self._journal_handle, key,
-                          {"sig": self._signature(), "metrics": metrics})
+            self._journal_handle.append(
+                key, {"sig": self._signature(), "metrics": metrics})
 
     def _compute(self, candidate: Candidate) -> dict[str, float]:
         level = self.objective.requires

@@ -21,7 +21,7 @@ determinism unit:
 3. the coordinator collects all islands (sorted by island index, so
    worker scheduling cannot reorder anything), journals every fresh
    record through its single batched
-   :class:`~repro.opt.journal.JournalWriter`, offers every visited
+   :class:`~repro.durable.JournalWriter`, offers every visited
    candidate to the run's :class:`~repro.opt.archive.ParetoArchive`,
    and reseeds islands from the cross-island elite set
    (:meth:`~repro.opt.archive.ParetoArchive.select`, so elites are

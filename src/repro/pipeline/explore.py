@@ -57,14 +57,9 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.durable import load_journal, open_journal
 from repro.ir.graph import CDFG
 from repro.ir.serialize import graph_from_dict, graph_to_dict
-from repro.opt.journal import (
-    JOURNAL_FORMAT,
-    append_record,
-    load_journal,
-    open_journal,
-)
 from repro.opt.objective import pareto_front
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.config import FlowConfig
@@ -370,7 +365,7 @@ def open_point_journal(path: Path, durability: str = "batch"):
 
 def journal_point(handle, key: str, point: ExplorationPoint) -> None:
     """Durably append one finished point under its job key."""
-    append_record(handle, key, {"point": point.to_dict()})
+    handle.append(key, {"point": point.to_dict()})
 
 
 # -- the sweep -----------------------------------------------------------

@@ -49,10 +49,10 @@ import hashlib
 import os
 import pickle
 import sqlite3
-import tempfile
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
+from repro.durable import ProcessConnection, atomic_write, transaction, unlink
 from repro.pipeline.cache import CacheKey, CacheStats
 
 
@@ -85,25 +85,6 @@ INDEX_FORMAT = 1
 INDEX_NAME = "index.db"
 
 
-def wal_connect(path: "str | os.PathLike", *, timeout: float = 30.0,
-                check_same_thread: bool = True) -> sqlite3.Connection:
-    """A SQLite connection configured for concurrent serving workloads.
-
-    WAL journal (readers never block the writer), ``NORMAL`` synchronous
-    (WAL makes that crash-safe for committed transactions), a generous
-    busy timeout, and manual transaction control — the configuration
-    both the artifact index and the :mod:`repro.serve` lease queue run
-    on, so every store-adjacent database behaves the same way under
-    multi-process contention.
-    """
-    conn = sqlite3.connect(path, timeout=timeout, isolation_level=None,
-                           check_same_thread=check_same_thread)
-    conn.execute("PRAGMA journal_mode=WAL")
-    conn.execute("PRAGMA synchronous=NORMAL")
-    conn.execute("PRAGMA busy_timeout={}".format(int(timeout * 1000)))
-    return conn
-
-
 _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS entries (digest TEXT PRIMARY KEY,"
     " size INTEGER NOT NULL, seq INTEGER NOT NULL)",
@@ -119,14 +100,6 @@ _UPSERT = ("INSERT INTO entries (digest, size, seq) VALUES (?, ?, ?)"
            " seq=excluded.seq")
 
 
-def _unlink(path: Path) -> None:
-    """Remove ``path``; already gone (a racing evictor) is not an error."""
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
 class IndexedArtifactStore:
     """Persistent ``{cache key -> artifact dict}`` store under ``root``,
     LRU-bounded to ``max_entries`` by its SQLite index."""
@@ -139,8 +112,9 @@ class IndexedArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_entries = max_entries
         self.stats = CacheStats()
-        self._conn: sqlite3.Connection | None = None
-        self._conn_pid: int | None = None
+        self._db = ProcessConnection(
+            self.index_path,
+            lambda conn: transaction(conn, self._init_index))
 
     @property
     def index_path(self) -> Path:
@@ -166,23 +140,6 @@ class IndexedArtifactStore:
 
     # -- connection management -------------------------------------------
 
-    def _db(self) -> sqlite3.Connection:
-        """This process's connection, (re)opened lazily after a fork."""
-        pid = os.getpid()
-        if self._conn is None or self._conn_pid != pid:
-            self._conn = self._open_index()
-            self._conn_pid = pid
-        return self._conn
-
-    def _open_index(self) -> sqlite3.Connection:
-        # The serving tier touches the index from the event loop's I/O
-        # and maintenance executor threads; statement execution is
-        # serialized by the sqlite3 module itself.
-        conn = wal_connect(self.index_path, timeout=30.0,
-                           check_same_thread=False)
-        self._transaction(conn, self._init_index)
-        return conn
-
     def _init_index(self, conn: sqlite3.Connection) -> None:
         """Create the schema; a new index over a possibly non-empty tree
         adopts what the tree holds, or len() and eviction would ignore
@@ -203,22 +160,7 @@ class IndexedArtifactStore:
 
     def close(self) -> None:
         """Release this process's index connection (entries stay put)."""
-        if self._conn is not None and self._conn_pid == os.getpid():
-            self._conn.close()
-        self._conn = None
-        self._conn_pid = None
-
-    @staticmethod
-    def _transaction(conn: sqlite3.Connection, body):
-        """Run ``body(conn)`` inside one BEGIN IMMEDIATE transaction."""
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            outcome = body(conn)
-            conn.execute("COMMIT")
-            return outcome
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
+        self._db.close()
 
     @staticmethod
     def _next_seq(conn: sqlite3.Connection, count: int = 1) -> int:
@@ -242,7 +184,7 @@ class IndexedArtifactStore:
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError):
             # Torn write or stale format: drop the entry, treat as a miss.
-            _unlink(path)
+            unlink(path)
         conn = self._db()
         if artifacts is None:
             # Keep the index in step with the tree so len() and eviction
@@ -252,7 +194,7 @@ class IndexedArtifactStore:
             return None
         # Upsert: a hit on an entry the index lost (a writer killed
         # between its rename and its commit) indexes it again.
-        self._transaction(conn, lambda c: c.execute(
+        transaction(conn, lambda c: c.execute(
             _UPSERT, (digest, size, self._next_seq(c))))
         self.stats.hits += 1
         return artifacts
@@ -262,19 +204,24 @@ class IndexedArtifactStore:
         # Open the index before writing, so a new index's adoption pass
         # can never race this entry's own commit below.
         conn = self._db()
-        size = self._write_entry(self._path(digest), artifacts)
+        # No fsync: an entry torn by a machine crash reads as a miss.
+        size = atomic_write(
+            self._path(digest),
+            lambda handle: pickle.dump(dict(artifacts), handle,
+                                       protocol=pickle.HIGHEST_PROTOCOL),
+            sync=False)
 
         def body(conn):
             conn.execute(_UPSERT, (digest, size, self._next_seq(conn)))
             return self._claim_victims(conn, protect=digest)
 
-        self._evict(self._transaction(conn, body))
+        self._evict(transaction(conn, body))
 
     def clear(self) -> None:
-        self._transaction(self._db(),
-                          lambda conn: conn.execute("DELETE FROM entries"))
+        transaction(self._db(),
+                    lambda conn: conn.execute("DELETE FROM entries"))
         for path in self._entries():
-            _unlink(path)
+            unlink(path)
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -289,24 +236,6 @@ class IndexedArtifactStore:
         """Sum of the indexed entry sizes."""
         return self._db().execute(
             "SELECT COALESCE(SUM(size), 0) FROM entries").fetchone()[0]
-
-    # -- entry files -----------------------------------------------------
-
-    @staticmethod
-    def _write_entry(path: Path, artifacts: dict[str, object]) -> int:
-        """Atomically persist one entry; returns its size in bytes."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(dict(artifacts), handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-                size = handle.tell()
-            os.replace(tmp, path)
-        except BaseException:
-            _unlink(Path(tmp))
-            raise
-        return size
 
     # -- transactional LRU eviction --------------------------------------
 
@@ -331,7 +260,7 @@ class IndexedArtifactStore:
         concurrent evictors never pick the same victim; a file already
         gone is a no-op, not an error."""
         for digest in victims:
-            _unlink(self._path(digest))
+            unlink(self._path(digest))
             self.stats.evictions += 1
 
     # -- garbage collection ----------------------------------------------
@@ -373,9 +302,9 @@ class IndexedArtifactStore:
         ``{"entries": ..., "adopted": ..., "dropped": ..., "evicted": ...}``.
         """
         conn = self._db()
-        adopted, dropped = self._transaction(conn, self._reconcile)
+        adopted, dropped = transaction(conn, self._reconcile)
         evictions_before = self.stats.evictions
-        self._evict(self._transaction(conn, self._claim_victims))
+        self._evict(transaction(conn, self._claim_victims))
         conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         return {"entries": len(self), "adopted": adopted,
                 "dropped": dropped,
@@ -383,17 +312,10 @@ class IndexedArtifactStore:
 
     # -- multiprocessing -------------------------------------------------
 
-    def __getstate__(self) -> dict[str, object]:
+    def __reduce__(self):
         # Workers share the directory, not the in-process counters, and
         # connections never cross process boundaries.
-        return {"root": self.root, "max_entries": self.max_entries}
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.root = state["root"]
-        self.max_entries = state["max_entries"]
-        self.stats = CacheStats()
-        self._conn = None
-        self._conn_pid = None
+        return type(self), (self.root, self.max_entries)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"IndexedArtifactStore({str(self.root)!r}, "

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from repro.pipeline.store import wal_connect
+from repro.durable import ProcessConnection, transaction
 
 JOB_KINDS = ("explore", "optimize")
 
@@ -324,6 +323,16 @@ INSERT OR IGNORE INTO qmeta (k, v) VALUES ('format', {format});
 INSERT OR IGNORE INTO qmeta (k, v) VALUES ('n', 0);
 """.format(format=QUEUE_FORMAT)
 
+
+def _init_queue(conn) -> None:
+    """Create the queue schema; migrate a format-1 queue in place."""
+    conn.executescript(_QUEUE_SCHEMA)
+    have = {row[1] for row in conn.execute("PRAGMA table_info(jobs)")}
+    if "last_seq" not in have:
+        conn.execute("ALTER TABLE jobs ADD COLUMN last_seq INTEGER "
+                     "NOT NULL DEFAULT 0")
+
+
 _ROW_COLUMNS = ("id, n, key, kind, params, state, error, result, total, "
                 "completed, resumed, cancel_requested, server_id, "
                 "lease_deadline, claims, last_seq")
@@ -421,46 +430,18 @@ class LeaseStore:
             raise ValueError(f"lease_s must be > 0, got {lease_s}")
         self.path = Path(path)
         self.lease_s = float(lease_s)
+        # One connection shared across this server's threads (the
+        # event loop plus its executor), serialized by self._lock.
         self._lock = threading.Lock()
-        self._conn = None
-        self._conn_pid: int | None = None
-
-    def _db(self):
-        pid = os.getpid()
-        if self._conn is None or self._conn_pid != pid:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            # One connection shared across this server's threads (the
-            # event loop plus its executor), serialized by self._lock.
-            self._conn = wal_connect(self.path, check_same_thread=False)
-            self._conn.executescript(_QUEUE_SCHEMA)
-            have = {row[1] for row in self._conn.execute(
-                "PRAGMA table_info(jobs)")}
-            if "last_seq" not in have:  # format-1 queue: migrate in place
-                self._conn.execute(
-                    "ALTER TABLE jobs ADD COLUMN last_seq INTEGER "
-                    "NOT NULL DEFAULT 0")
-            self._conn_pid = pid
-        return self._conn
+        self._db = ProcessConnection(self.path, _init_queue)
 
     def close(self) -> None:
         with self._lock:
-            if self._conn is not None and self._conn_pid == os.getpid():
-                self._conn.close()
-            self._conn = None
-            self._conn_pid = None
+            self._db.close()
 
     def _transaction(self, body):
-        """Run ``body(conn)`` inside one BEGIN IMMEDIATE transaction."""
         with self._lock:
-            conn = self._db()
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                outcome = body(conn)
-                conn.execute("COMMIT")
-                return outcome
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
+            return transaction(self._db(), body)
 
     # -- submission ------------------------------------------------------
 

@@ -56,7 +56,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.opt.journal import compact_journal
+from repro.durable import compact_journal, unlink
 from repro.pipeline.config import FlowConfig
 from repro.pipeline.explore import (
     ExplorationPoint,
@@ -521,10 +521,7 @@ class JobServer:
                   for spec_field in dataclasses.fields(SearchSpec)
                   if spec_field.name in params}
         progress_path = self.journal_dir / f"{job.key}.progress.jsonl"
-        try:
-            progress_path.unlink()  # each run streams afresh
-        except FileNotFoundError:
-            pass
+        unlink(progress_path)  # each run streams afresh
         payload = {
             "circuit": params.get("circuit"),
             "search": search,

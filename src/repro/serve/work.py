@@ -9,16 +9,19 @@ best-so-far improvements — and, for the portfolio driver, evolving
 Pareto-archive snapshots (``"type": "pareto"`` records) — stream back
 through a sidecar JSONL progress file the server tails (the pool
 cannot carry callbacks across the process boundary, a flushed
-append-only file can).
+append-only file can).  The sidecar is flushed but never fsynced: only
+the live server that launched the worker reads it, and crash recovery
+goes through the evaluation journal instead.
 """
 
 from __future__ import annotations
 
 import json
-import os
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.core.pm_pass import PMOptions
+from repro.durable import parse_line
 from repro.ir.serialize import graph_from_dict
 
 
@@ -45,39 +48,38 @@ def run_optimize_job(payload: dict) -> dict:
     graph = _load_graph(payload)
     spec = SearchSpec(**payload.get("search", {}))
     progress_path = payload.get("progress_path")
-    progress = None
-    front_progress = None
-    if progress_path:
-        handle = open(progress_path, "a", encoding="utf-8")
 
-        def _emit(record: dict) -> None:
-            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+    def _emit(record: dict) -> None:
+        # Flushed for the tailing reader, never fsynced (see above).
+        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        handle.flush()
 
-        def progress(step, score, candidate):
-            _emit({
-                "type": "best",
-                "step": step,
-                "score": score,
-                "n_steps": candidate.n_steps,
-                "scheduler": candidate.scheduler,
-                "order": list(candidate.order),
-            })
+    def progress(step, score, candidate):
+        _emit({
+            "type": "best",
+            "step": step,
+            "score": score,
+            "n_steps": candidate.n_steps,
+            "scheduler": candidate.scheduler,
+            "order": list(candidate.order),
+        })
 
-        def front_progress(round_index, archive):
-            _emit({
-                "type": "pareto",
-                "round": round_index,
-                "size": len(archive),
-                "front": [entry.to_dict() for entry in archive.front()],
-            })
+    def front_progress(round_index, archive):
+        _emit({
+            "type": "pareto",
+            "round": round_index,
+            "size": len(archive),
+            "front": [entry.to_dict() for entry in archive.front()],
+        })
 
+    if not progress_path:
+        progress = front_progress = None
     pm_base = PMOptions(partial=bool(payload.get("partial", False)))
     extra = {}
     if spec.driver == "portfolio":
         extra["front_progress"] = front_progress
-    try:
+    with (open(progress_path, "a", encoding="utf-8") if progress_path
+          else nullcontext()) as handle:
         result = optimize(
             graph, spec,
             budgets=tuple(payload["budgets"]),
@@ -91,9 +93,6 @@ def run_optimize_job(payload: dict) -> dict:
             progress=progress,
             **extra,
         )
-    finally:
-        if progress_path:
-            handle.close()
     return {
         "outcome": result.outcome(),
         "evaluations": result.evaluations,
@@ -118,14 +117,7 @@ def read_progress(path: "str | Path", offset: int) -> tuple[list[dict], int]:
             data = handle.read()
     except FileNotFoundError:
         return [], offset
-    records = []
-    consumed = 0
-    for line in data.split(b"\n")[:-1]:
-        consumed += len(line) + 1
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records, offset + consumed
+    end = data.rfind(b"\n") + 1  # consume only newline-terminated lines
+    records = [record for record in map(parse_line, data[:end].split(b"\n"))
+               if record is not None]
+    return records, offset + end

@@ -9,14 +9,14 @@ import json
 
 import pytest
 
-from repro.opt.journal import (
+from repro import durable
+from repro.durable import (
     BATCH_RECORDS,
     BATCH_SECONDS,
     DURABILITY_LEVELS,
     JOURNAL_FORMAT,
     CompactionResult,
     JournalWriter,
-    append_record,
     compact_journal,
     load_journal,
     open_journal,
@@ -45,50 +45,54 @@ class TestDurability:
     def test_record_mode_never_leaves_a_pending_batch(self, journal):
         handle = open_journal(journal, "test", durability="record")
         for i in range(5):
-            append_record(handle, f"k{i}", {"v": i})
+            handle.append(f"k{i}", {"v": i})
             assert handle.pending == 0
         handle.close()
         assert len(load_journal(journal)) == 5
 
-    def test_batch_mode_accumulates_then_group_commits(self, journal):
-        handle = open_journal(journal, "test", durability="batch",
-                              batch_records=4, batch_seconds=3600.0)
+    def test_batch_mode_accumulates_then_group_commits(self, journal,
+                                                      monkeypatch):
+        monkeypatch.setattr(durable, "BATCH_RECORDS", 4)
+        monkeypatch.setattr(durable, "BATCH_SECONDS", 3600.0)
+        handle = open_journal(journal, "test", durability="batch")
         for i in range(3):
-            append_record(handle, f"k{i}", {"v": i})
+            handle.append(f"k{i}", {"v": i})
         assert handle.pending == 3  # under both triggers: still buffered
-        append_record(handle, "k3", {"v": 3})
+        handle.append("k3", {"v": 3})
         assert handle.pending == 0  # record-count trigger fired
         # Flushed-but-unsynced records are still readable: batch mode
         # only defers the fsync, not the write.
-        append_record(handle, "k4", {"v": 4})
+        handle.append("k4", {"v": 4})
         assert handle.pending == 1
         assert len(load_journal(journal)) == 5
         handle.close()
 
-    def test_wall_clock_trigger(self, journal):
-        # batch_seconds=0 makes every append exceed the clock budget, so
+    def test_wall_clock_trigger(self, journal, monkeypatch):
+        # BATCH_SECONDS=0 makes every append exceed the clock budget, so
         # batch mode degenerates to per-record sync — deterministically.
-        handle = open_journal(journal, "test", durability="batch",
-                              batch_records=10_000, batch_seconds=0.0)
-        append_record(handle, "a", {"v": 1})
+        monkeypatch.setattr(durable, "BATCH_RECORDS", 10_000)
+        monkeypatch.setattr(durable, "BATCH_SECONDS", 0.0)
+        handle = open_journal(journal, "test", durability="batch")
+        handle.append("a", {"v": 1})
         assert handle.pending == 0
         handle.close()
 
-    def test_close_drains_the_pending_batch(self, journal):
-        handle = open_journal(journal, "test", durability="batch",
-                              batch_records=10_000, batch_seconds=3600.0)
-        append_record(handle, "a", {"v": 1})
+    def test_close_drains_the_pending_batch(self, journal, monkeypatch):
+        monkeypatch.setattr(durable, "BATCH_RECORDS", 10_000)
+        monkeypatch.setattr(durable, "BATCH_SECONDS", 3600.0)
+        handle = open_journal(journal, "test", durability="batch")
+        handle.append("a", {"v": 1})
         assert handle.pending == 1
         handle.close()
         assert handle.closed
         handle.close()  # idempotent
         assert load_journal(journal)["a"]["v"] == 1
 
-    def test_context_manager_drains_too(self, journal):
-        with open_journal(journal, "test", durability="batch",
-                          batch_records=10_000,
-                          batch_seconds=3600.0) as handle:
-            append_record(handle, "a", {"v": 1})
+    def test_context_manager_drains_too(self, journal, monkeypatch):
+        monkeypatch.setattr(durable, "BATCH_RECORDS", 10_000)
+        monkeypatch.setattr(durable, "BATCH_SECONDS", 3600.0)
+        with open_journal(journal, "test", durability="batch") as handle:
+            handle.append("a", {"v": 1})
             assert handle.pending == 1
         assert handle.closed
 
@@ -104,9 +108,9 @@ class TestDurability:
 class TestCompaction:
     def test_keeps_last_record_per_key(self, journal):
         handle = open_journal(journal, "test")
-        append_record(handle, "a", {"v": 1})
-        append_record(handle, "b", {"v": 2})
-        append_record(handle, "a", {"v": 3})  # supersedes the first "a"
+        handle.append("a", {"v": 1})
+        handle.append("b", {"v": 2})
+        handle.append("a", {"v": 3})  # supersedes the first "a"
         handle.close()
         outcome = compact_journal(journal)
         assert outcome.kept == 2
@@ -119,7 +123,7 @@ class TestCompaction:
 
     def test_drops_torn_tail_and_garbage(self, journal):
         handle = open_journal(journal, "test")
-        append_record(handle, "a", {"v": 1})
+        handle.append("a", {"v": 1})
         handle.close()
         with open(journal, "a") as raw:
             raw.write("not json at all\n")
@@ -140,7 +144,7 @@ class TestCompaction:
 
     def test_preserves_meta_kind(self, journal):
         handle = open_journal(journal, "sweep-points")
-        append_record(handle, "a", {"v": 1})
+        handle.append("a", {"v": 1})
         handle.close()
         compact_journal(journal)
         meta = json.loads(lines(journal)[0])
@@ -162,12 +166,12 @@ class TestCompaction:
 
     def test_append_after_compaction_continues_the_journal(self, journal):
         handle = open_journal(journal, "test")
-        append_record(handle, "a", {"v": 1})
-        append_record(handle, "a", {"v": 2})
+        handle.append("a", {"v": 1})
+        handle.append("a", {"v": 2})
         handle.close()
         compact_journal(journal)
         handle = open_journal(journal, "test")
-        append_record(handle, "b", {"v": 3})
+        handle.append("b", {"v": 3})
         handle.close()
         records = load_journal(journal)
         assert records["a"]["v"] == 2 and records["b"]["v"] == 3
@@ -177,10 +181,10 @@ class TestCompaction:
 
     def test_no_temp_files_left_behind(self, journal):
         handle = open_journal(journal, "test")
-        append_record(handle, "a", {"v": 1})
+        handle.append("a", {"v": 1})
         handle.close()
         compact_journal(journal)
-        leftovers = list(journal.parent.glob(".compact-*"))
+        leftovers = list(journal.parent.glob(".tmp-*"))
         assert leftovers == []
 
     def test_open_handle_writes_would_be_stranded(self, journal):
@@ -188,8 +192,8 @@ class TestCompaction:
         against: appends through a handle opened before compaction land
         on the replaced inode and are lost."""
         handle = open_journal(journal, "test")
-        append_record(handle, "a", {"v": 1})
+        handle.append("a", {"v": 1})
         compact_journal(journal)          # replaces the inode
-        append_record(handle, "b", {"v": 2})  # lands on the old inode
+        handle.append("b", {"v": 2})  # lands on the old inode
         handle.close()
         assert "b" not in load_journal(journal)

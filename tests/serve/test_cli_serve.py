@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.opt.journal import append_record, load_journal, open_journal
+from repro.durable import load_journal, open_journal
 from repro.serve import ServeClient, start_in_thread
 
 
@@ -126,8 +126,8 @@ class TestJournalCompact:
     def test_compacts_and_reports(self, tmp_path, capsys):
         journal = tmp_path / "sweep.jsonl"
         handle = open_journal(journal, "test")
-        append_record(handle, "a", {"v": 1})
-        append_record(handle, "a", {"v": 2})
+        handle.append("a", {"v": 1})
+        handle.append("a", {"v": 2})
         handle.close()
         assert main(["journal", "compact", str(journal)]) == 0
         out = capsys.readouterr().out
@@ -137,7 +137,7 @@ class TestJournalCompact:
     def test_missing_file_fails_but_continues(self, tmp_path, capsys):
         journal = tmp_path / "real.jsonl"
         handle = open_journal(journal, "test")
-        append_record(handle, "a", {"v": 1})
+        handle.append("a", {"v": 1})
         handle.close()
         assert main(["journal", "compact", str(tmp_path / "nope.jsonl"),
                      str(journal)]) == 1

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.opt.journal import open_journal
+from repro.durable import open_journal
 from repro.serve import (
     EventGapError,
     JobState,
@@ -160,6 +160,21 @@ class TestLeaseStore:
         assert queue.active_keys() == {row.key, other.key}
         queue.finish(row.id, "a", JobState.DONE)
         assert queue.active_keys() == {other.key}
+
+    def test_forked_worker_opens_its_own_connection(self, queue):
+        import multiprocessing
+
+        parent, _ = queue.submit("explore", PARAMS)  # parent conn is open
+        context = multiprocessing.get_context("fork")
+        child = context.Process(
+            target=queue.submit,
+            args=("explore", {"circuits": ["gcd"], "budgets": [8]}))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        # The parent's connection sees the child's row and stays usable.
+        assert queue.counts() == {"queued": 2}
+        assert queue.claim("a", now=100.0).id == parent.id
 
 
 class TestMultiServerRecovery:
