@@ -109,6 +109,36 @@ def _reap(future) -> None:
         future.exception()
 
 
+class _ForkGate:
+    """Keeps this process's pool forks apart from its servers' SQLite
+    calls: a child forked while another thread is inside SQLite can
+    inherit one of SQLite's mutexes held and hang in its first connect."""
+
+    def __init__(self) -> None:
+        self._idle = threading.Condition()
+        self._calls = 0
+
+    def run(self, fn, *args, **kwargs):
+        with self._idle:
+            self._calls += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with self._idle:
+                self._calls -= 1
+                self._idle.notify_all()
+
+    def fork(self, pool: ProcessPoolExecutor) -> None:
+        """Fork ``pool``'s workers (under fork start, its first submit
+        forks them all) while no SQLite call is in flight."""
+        with self._idle:
+            self._idle.wait_for(lambda: not self._calls)
+            pool.submit(int)
+
+
+_FORK_GATE = _ForkGate()
+
+
 class JobServer:
     """Async multi-tenant exploration/optimization server.
 
@@ -170,7 +200,7 @@ class JobServer:
     def _q(self, fn, *args, **kwargs):
         """Run one queue/store operation on the I/O thread."""
         return self._loop.run_in_executor(
-            self._io, lambda: fn(*args, **kwargs))
+            self._io, lambda: _FORK_GATE.run(fn, *args, **kwargs))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -179,6 +209,8 @@ class JobServer:
         self._loop = asyncio.get_running_loop()
         self._maintenance_lock = asyncio.Lock()
         self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        # Fork the workers before any thread of this server uses SQLite.
+        _FORK_GATE.fork(self.pool)
         # A dead predecessor that ran under the same --server-id (a
         # stable identity is the documented fleet setup) left running
         # rows stamped with our name.  claim() never self-steals and
@@ -232,11 +264,11 @@ class JobServer:
             self._server = None
         if not self._killed:
             try:
-                self.queue.release(self.server_id)
+                _FORK_GATE.run(self.queue.release, self.server_id)
             except Exception:  # noqa: BLE001 - shutdown best-effort
                 pass
-        self.store.close()
-        self.queue.close()
+        _FORK_GATE.run(self.store.close)
+        _FORK_GATE.run(self.queue.close)
         self._io.shutdown(wait=False)
         self._mx.shutdown(wait=False)
         self._stopping.set()
@@ -264,11 +296,14 @@ class JobServer:
                     # switch to its live local feed now.
                     self._on_job_event(job)
                 self._claim_event.clear()
+                # A timer, not wait_for: 3.11's wait_for can drop a cancel
+                # that lands as the event fires, and shutdown hangs on us.
+                poll = self._loop.call_later(self._claim_poll,
+                                             self._claim_event.set)
                 try:
-                    await asyncio.wait_for(self._claim_event.wait(),
-                                           timeout=self._claim_poll)
-                except asyncio.TimeoutError:
-                    pass
+                    await self._claim_event.wait()
+                finally:
+                    poll.cancel()
             except asyncio.CancelledError:
                 raise
             except Exception:  # noqa: BLE001 - the loop must survive
@@ -575,8 +610,8 @@ class JobServer:
         blocking file + SQLite I/O that used to freeze every in-flight
         response for their whole duration."""
         async with self._maintenance_lock:
-            return await self._loop.run_in_executor(self._mx,
-                                                    self.maintenance)
+            return await self._loop.run_in_executor(
+                self._mx, _FORK_GATE.run, self.maintenance)
 
     def maintenance(self) -> dict:
         """Compact every journal and garbage-collect the store — the
@@ -1089,25 +1124,8 @@ class ServerHandle:
         terminal or releasing their leases, as a crash would.  What
         survives is exactly what a killed process leaves: the journals
         and the queue rows, whose leases expire on their own."""
-        def _abort() -> None:
-            self.server._killed = True
-            for task in list(self.server._tasks):
-                task.cancel()
-            if self.server.pool is not None:
-                self.server.pool.shutdown(wait=False, cancel_futures=True)
-                self.server.pool = None
-            if self.server._server is not None:
-                self.server._server.close()
-            for w in list(self.server._connections):
-                try:
-                    w.close()
-                except Exception:  # noqa: BLE001
-                    pass
-            self.server._stopping.set()
-
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(_abort)
-        self._thread.join(timeout)
+        self.server._killed = True  # shutdown then releases nothing
+        self.stop(timeout)
 
     def __enter__(self) -> "ServerHandle":
         return self

@@ -6,11 +6,13 @@ same path the CLI and the smoke bench use.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.pipeline.explore import load_point_journal
 from repro.serve import ServeClient, ServeError, start_in_thread
+from repro.serve.server import _ForkGate
 
 EXPLORE = {"circuits": ["gcd"], "budgets": [6, 7]}
 OPTIMIZE = {"circuit": "gcd", "budgets": [6], "driver": "random",
@@ -181,6 +183,39 @@ class TestConcurrentClients:
         finally:
             handle.stop()
 
+    def test_workers_are_forked_at_start(self, tmp_path):
+        # A worker forked at the first dispatch, while the I/O thread is
+        # inside SQLite, could inherit a held SQLite mutex and hang.
+        handle = start_in_thread(tmp_path / "state", workers=2)
+        try:
+            assert len(handle.server.pool._processes) == 2
+        finally:
+            handle.stop()
+
+    def test_fork_waits_for_sqlite_work_in_flight(self):
+        gate = _ForkGate()
+        inside, release = threading.Event(), threading.Event()
+        forked = threading.Event()
+
+        class Pool:
+            def submit(self, fn):
+                forked.set()
+
+        def sqlite_work():
+            inside.set()
+            release.wait(10)
+
+        worker = threading.Thread(target=gate.run, args=(sqlite_work,))
+        worker.start()
+        assert inside.wait(10)
+        forker = threading.Thread(target=gate.fork, args=(Pool(),))
+        forker.start()
+        assert not forked.wait(0.2)  # held off while work is in flight
+        release.set()
+        assert forked.wait(10)
+        worker.join(10)
+        forker.join(10)
+
 
 class TestCrashRecovery:
     def test_kill_and_restart_resumes_without_recompute(self, tmp_path):
@@ -220,6 +255,26 @@ class TestCrashRecovery:
             assert ServeClient(port=handle.port).jobs() == []
         finally:
             handle.stop()
+
+
+class TestShutdown:
+    def test_stop_is_prompt_when_a_claim_wakeup_races_the_cancel(
+            self, tmp_path):
+        # On Python 3.11 asyncio.wait_for dropped a cancel that landed
+        # as its awaited event fired: the claim loop polled on, and
+        # shutdown waited for it forever.
+        handle = start_in_thread(tmp_path / "state", workers=1)
+        server = handle.server
+        time.sleep(0.2)  # the claim loop is parked on its wake-up event
+
+        def wake_and_stop():
+            server._claim_event.set()
+            server._loop.create_task(server.shutdown())
+
+        server._loop.call_soon_threadsafe(wake_and_stop)
+        started = time.monotonic()
+        handle.stop(timeout=10)
+        assert time.monotonic() - started < 5
 
 
 class TestCancellation:
