@@ -16,8 +16,8 @@ again through a brand-new store instance on the same directory (i.e.
 only the disk is shared, as for a new process on a later day), and
 exits nonzero unless the warm pass reports disk-cache hits, computes
 nothing, returns identical points, and is faster, and unless
-``store.gc()`` then finds the index and the entry tree in agreement
-(nothing to adopt, nothing to drop).
+``store.gc()`` then reports ``entries == len(store) <= max_entries``
+and the store directory holds nothing but its ``index.db*`` files.
 
 A second check sweeps gcd@7 over three MUX orderings against another
 cold store.  All three orderings commit the same control edges, and
@@ -120,13 +120,14 @@ def run_store_smoke(root: Path, workers: int = 1) -> int:
         warm, seconds = sweep(IndexedArtifactStore(store_dir))
         warm_s = min(warm_s, seconds)
 
-    # Every worker wrote through the index, so it must already agree
-    # with the entry tree.
     auditor = IndexedArtifactStore(store_dir)
     try:
         audit = auditor.gc()
+        entries = len(auditor)
     finally:
         auditor.close()
+    strays = sorted(path.name for path in store_dir.rglob("*")
+                    if not path.name.startswith("index.db"))
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     print(f"cold pass: {cold.store_misses} stage artifacts computed, "
@@ -147,8 +148,12 @@ def run_store_smoke(root: Path, workers: int = 1) -> int:
     if warm_s >= cold_s:
         failures.append(
             f"warm pass not faster ({warm_s:.3f}s vs {cold_s:.3f}s)")
-    if audit["adopted"] != 0 or audit["dropped"] != 0:
-        failures.append(f"store index and entry tree disagree: {audit}")
+    if not audit["entries"] == entries <= auditor.max_entries:
+        failures.append(f"store gc {audit} disagrees with len() "
+                        f"{entries} or the bound {auditor.max_entries}")
+    if strays:
+        failures.append(f"store directory holds more than its "
+                        f"database: {strays}")
     for failure in failures:
         print(f"FAIL: {failure}")
     if not failures:

@@ -134,8 +134,12 @@ def run_smoke(state: Path, workers: int = 2) -> int:
 
     # -- maintenance ------------------------------------------------------
     report = client.maintenance()
-    check(report["store"]["dropped"] == 0,
-          "store GC: index and tree agree")
+    check(report["store"]["entries"] == client.stats()["store"]["entries"]
+          <= handle.server.store.max_entries,
+          "store GC: entries == len(store) <= max_entries")
+    check(all(path.name.startswith("index.db")
+              for path in (state / "store").rglob("*")),
+          "store directory holds only its database")
 
     # -- kill and restart -------------------------------------------------
     # A deliberately chunky grid (64k simulated vectors per point), so

@@ -1,5 +1,5 @@
 """Every durable write in :mod:`repro`: the SQLite transaction and
-per-process WAL connection under the artifact index and the lease queue,
+per-process WAL connection under the artifact store and the lease queue,
 the atomic file replace, and the resume journals.
 
 A journal is an append-only JSONL file: a meta line ``{"format": N,
@@ -130,13 +130,13 @@ def unlink(path: "str | os.PathLike") -> None:
         pass
 
 
-def atomic_write(path: Path, write: Callable, *, sync: bool) -> int:
+def atomic_write(path: Path, write: Callable) -> int:
     """Replace ``path`` with what ``write(handle)`` puts in a binary
     temp file next to it; returns the size in bytes.
 
-    Readers see the old file or the new one, never a partial one.
-    ``sync=True`` fsyncs the temp file before the rename, so a machine
-    crash cannot leave the name pointing at unwritten data.
+    Readers see the old file or the new one, never a partial one.  The
+    temp file is fsynced before the rename, so a machine crash cannot
+    leave the name pointing at unwritten data.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
@@ -144,9 +144,8 @@ def atomic_write(path: Path, write: Callable, *, sync: bool) -> int:
         with os.fdopen(fd, "wb") as handle:
             write(handle)
             size = handle.tell()
-            if sync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         unlink(tmp)
@@ -342,7 +341,7 @@ def compact_journal(path: str | os.PathLike,
     text = "".join(line + "\n" for line in
                    (json.dumps(meta), *records.values()))
     bytes_after = atomic_write(
-        path, lambda out: out.write(text.encode("utf-8")), sync=True)
+        path, lambda out: out.write(text.encode("utf-8")))
     return CompactionResult(
         kept=len(records),
         dropped=(record_lines - len(records)) + garbage,

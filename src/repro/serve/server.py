@@ -498,6 +498,10 @@ class JobServer:
                     for index, key, point in future.result():
                         points[index] = point
                         journal_point(journal, key, point)
+                        # Pool workers do the lookups; /stats reports
+                        # them from here.
+                        self.store.stats.hits += point.store_hits
+                        self.store.stats.misses += point.store_misses
                         job.completed += 1
                         self.registry.push(job, {
                             "type": "point", "resumed": False,
@@ -652,7 +656,7 @@ class JobServer:
                 "bytes": self.store.total_bytes(),
                 "hits": self.store.stats.hits,
                 "misses": self.store.stats.misses,
-                "evictions": self.store.stats.evictions,
+                "evictions": self.store.total_evictions(),
             },
         }
 

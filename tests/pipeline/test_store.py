@@ -2,11 +2,14 @@
 
 These run against :class:`IndexedArtifactStore`, the one on-disk
 implementation of the :class:`repro.pipeline.StageStore` protocol;
-``test_index.py`` covers what its SQLite index adds (exact LRU, gc,
-rebuilding the index over an existing tree, concurrent eviction).
+``test_index.py`` covers what its SQLite database adds (exact LRU, gc,
+crash atomicity, concurrent eviction).
 """
 
+import multiprocessing
+import os
 import pickle
+import sqlite3
 import time
 
 import pytest
@@ -18,6 +21,7 @@ from repro.pipeline import (
     IndexedArtifactStore,
     Pipeline,
     StageStore,
+    explore,
     graph_fingerprint,
 )
 
@@ -42,14 +46,6 @@ class TestContract:
         assert store.lookup(key) == {"x": 1, "y": [2, 3]}
         assert store.stats.misses == 1 and store.stats.hits == 1
         assert key in store and len(store) == 1
-
-    def test_entries_are_sharded_by_digest(self, store):
-        key = ("stage", "fp", ())
-        store.store(key, {"x": 1})
-        path = store.path_for(key)
-        assert path.exists()
-        assert path.parent.parent == store.root
-        assert len(path.parent.name) == 2  # 2-hex-char shard directory
 
     def test_distinct_keys_do_not_collide(self, store):
         store.store(("a", "fp", ()), {"v": 1})
@@ -135,28 +131,28 @@ class TestPersistence:
 
 
 class TestResilience:
-    def test_corrupt_entry_is_a_miss_and_removed(self, store):
+    @pytest.mark.parametrize("damage", [
+        lambda blob: b"not a pickle",
+        lambda blob: blob[:20],  # truncated
+    ], ids=["garbage", "truncated"])
+    def test_corrupt_entry_is_a_miss_and_removed(self, store, damage):
         key = ("stage", "fp", ())
-        store.store(key, {"v": 1})
-        store.path_for(key).write_bytes(b"not a pickle")
+        store.store(key, {"v": list(range(1000))})
+        with sqlite3.connect(store.index_path) as conn:
+            (blob,) = conn.execute("SELECT blob FROM entries").fetchone()
+            conn.execute("UPDATE entries SET blob=?", (damage(blob),))
         assert store.lookup(key) is None
-        assert not store.path_for(key).exists()
+        assert key not in store and len(store) == 0
         # The slot is usable again.
         store.store(key, {"v": 2})
         assert store.lookup(key) == {"v": 2}
 
-    def test_truncated_entry_is_a_miss(self, store):
-        key = ("stage", "fp", ())
-        store.store(key, {"v": list(range(1000))})
-        path = store.path_for(key)
-        path.write_bytes(path.read_bytes()[:20])  # torn write
-        assert store.lookup(key) is None
-
-    def test_no_temp_files_left_behind(self, store):
-        for k in range(10):
-            store.store((f"k{k}",), {"v": k})
-        leftovers = [p for p in store.root.rglob(".tmp-*")]
-        assert leftovers == []
+    def test_a_sweep_leaves_only_the_database(self, tmp_path):
+        root = tmp_path / "s"
+        explore(["gcd"], [7], store=root, sim_vectors=16)
+        assert len(IndexedArtifactStore(root)) > 0
+        assert all(path.name.startswith("index.db")
+                   for path in root.rglob("*"))
 
 
 class TestBounding:
@@ -196,3 +192,24 @@ class TestWorkerShipping:
         assert clone.max_entries == store.max_entries
         assert clone.stats.lookups == 0  # stats are per-process
         assert clone.lookup(("k",)) == {"v": 7}
+
+    def test_unpickling_reuses_one_store_per_process(self, store):
+        """A pool worker sent the store with every chunk keeps one
+        connection and one set of counters."""
+        payload = pickle.dumps(store)
+        clone = pickle.loads(payload)
+        clone.lookup(("k",))
+        assert pickle.loads(payload) is clone
+        assert pickle.loads(payload).stats.misses == 1
+        assert pickle.loads(pickle.dumps(IndexedArtifactStore(
+            store.root, max_entries=7))) is not clone
+
+        def child():
+            fresh = pickle.loads(payload)
+            os._exit(0 if fresh is not clone
+                     and fresh.stats.lookups == 0 else 1)
+
+        worker = multiprocessing.get_context("fork").Process(target=child)
+        worker.start()
+        worker.join(timeout=60)
+        assert worker.exitcode == 0

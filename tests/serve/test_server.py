@@ -143,10 +143,45 @@ class TestAPI:
         assert final["error"]
 
     def test_maintenance_compacts_and_gcs(self, served):
-        _, _, client = served
+        state, handle, client = served
         report = client.maintenance()
         assert "journals" in report and "store" in report
-        assert report["store"]["dropped"] == 0  # index and tree agree
+        entries = report["store"]["entries"]
+        assert entries == client.stats()["store"]["entries"]
+        assert entries <= handle.server.store.max_entries
+        assert all(path.name.startswith("index.db")
+                   for path in (state / "store").rglob("*"))
+
+    def test_stats_count_the_pool_workers_store_lookups(self, tmp_path):
+        """Only pool workers look the store up; /stats must still
+        report their hits and misses."""
+        handle = start_in_thread(tmp_path / "state", workers=1)
+        try:
+            client = ServeClient(port=handle.port)
+            jobs = [client.wait(client.submit(
+                "explore", circuits=["gcd"], budgets=[7],
+                label=label)["id"], timeout=120)["result"]
+                for label in ("a", "b")]
+            assert jobs[1]["store_hits"] > 0
+            store = client.stats()["store"]
+            assert store["hits"] == sum(j["store_hits"] for j in jobs)
+            assert store["misses"] == sum(j["store_misses"] for j in jobs)
+        finally:
+            handle.stop()
+
+    def test_stats_report_the_workers_evictions(self, tmp_path):
+        handle = start_in_thread(tmp_path / "state", workers=1,
+                                 max_store_entries=4)
+        try:
+            client = ServeClient(port=handle.port)
+            client.wait(client.submit("explore", **EXPLORE)["id"],
+                        timeout=120)
+            store = client.stats()["store"]
+            # Every miss stored one entry; all but the bound were evicted.
+            assert store["entries"] == 4
+            assert store["evictions"] == store["misses"] - 4 > 0
+        finally:
+            handle.stop()
 
 
 class TestConcurrentClients:

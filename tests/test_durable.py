@@ -51,10 +51,8 @@ class TestWalConnect:
 class TestAtomicWrite:
     def test_replaces_and_reports_size(self, tmp_path):
         target = tmp_path / "sub" / "f.bin"
-        assert atomic_write(target, lambda out: out.write(b"abc"),
-                            sync=False) == 3
-        assert atomic_write(target, lambda out: out.write(b"hello"),
-                            sync=True) == 5
+        assert atomic_write(target, lambda out: out.write(b"abc")) == 3
+        assert atomic_write(target, lambda out: out.write(b"hello")) == 5
         assert target.read_bytes() == b"hello"
         assert [p.name for p in target.parent.iterdir()] == ["f.bin"]
 
@@ -67,7 +65,7 @@ class TestAtomicWrite:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            atomic_write(target, explode, sync=True)
+            atomic_write(target, explode)
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
 
