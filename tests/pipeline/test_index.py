@@ -55,6 +55,21 @@ class TestExactEviction:
             assert store.lookup((f"k{k}",)) == {"v": k}
         assert len(store) == 1
 
+    def test_store_over_a_fuller_root_evicts_to_its_bound(self, tmp_path):
+        """A root overfilled by a writer with a larger bound is brought
+        back to this store's bound by its first write, oldest first."""
+        roomy = IndexedArtifactStore(tmp_path / "s", max_entries=100)
+        for k in range(10):
+            roomy.store((f"k{k}",), {"v": k})
+        store = IndexedArtifactStore(tmp_path / "s", max_entries=4)
+        store.store(("new",), {"v": 10})
+        assert len(store) == 4
+        assert store.stats.evictions == 7
+        assert store.total_evictions() == 7
+        assert all((f"k{k}",) not in store for k in range(7))
+        assert all((f"k{k}",) in store for k in range(7, 10))
+        assert ("new",) in store
+
 
 class TestDatabase:
     def test_database_lives_in_the_root(self, store):
@@ -205,6 +220,29 @@ class TestConcurrency:
         with concurrent.futures.ThreadPoolExecutor(4) as pool:
             list(pool.map(open_and_store, range(4)))
         assert len(IndexedArtifactStore(root)) == 4
+
+    def test_recency_is_shared_across_writers(self, tmp_path):
+        """A hit through one instance makes the row the newest for every
+        writer of the root, so another writer evicts around it."""
+        reader = IndexedArtifactStore(tmp_path / "s", max_entries=2)
+        writer = IndexedArtifactStore(tmp_path / "s", max_entries=2)
+        writer.store(("a",), {"v": 1})
+        writer.store(("b",), {"v": 2})
+        assert reader.lookup(("a",)) == {"v": 1}
+        writer.store(("c",), {"v": 3})
+        assert ("b",) not in writer
+        assert writer.lookup(("a",)) == {"v": 1}
+
+    def test_lookup_of_a_row_another_writer_evicted_is_a_miss(self, tmp_path):
+        first = IndexedArtifactStore(tmp_path / "s", max_entries=1)
+        second = IndexedArtifactStore(tmp_path / "s", max_entries=1)
+        first.store(("a",), {"v": 1})
+        assert ("a",) in first  # first's connection has read the row
+        second.store(("b",), {"v": 2})
+        assert first.lookup(("a",)) is None
+        assert first.stats.misses == 1
+        assert first.lookup(("b",)) == {"v": 2}
+        assert len(first) == 1
 
     def test_forked_worker_opens_its_own_connection(self, tmp_path):
         store = IndexedArtifactStore(tmp_path / "s", max_entries=8)
