@@ -30,6 +30,7 @@ language.  Every synthesis command drives a shared caching
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
@@ -43,6 +44,7 @@ from repro.pipeline import (
     ArtifactCache,
     FlowConfig,
     Pipeline,
+    StageError,
     available_schedulers,
     explore,
     run_pair,
@@ -50,7 +52,7 @@ from repro.pipeline import (
 from repro.power.simulated import compare_designs
 from repro.report import full_report
 from repro.rtl.vhdl import generate_vhdl
-from repro.sched.timing import critical_path_length
+from repro.sched.timing import InfeasibleScheduleError, critical_path_length
 
 # One pipeline per CLI invocation: `simulate` and `explore` style
 # commands synthesize several related designs and share artifacts.
@@ -110,16 +112,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _user_errors(*errors: type[Exception]):
+    """Report a budget below the critical path, a failed ``--verify``
+    and any of ``errors`` as a clean ``error:`` exit, not a traceback."""
+    try:
+        yield
+    except (InfeasibleScheduleError, StageError, *errors) as error:
+        raise SystemExit(f"error: {error}") from None
+
+
 def cmd_synthesize(args: argparse.Namespace) -> int:
     graph = load_circuit(args.circuit)
-    result = _PIPELINE.run(graph, _flow_config(graph, args))
+    with _user_errors():
+        result = _PIPELINE.run(graph, _flow_config(graph, args))
     print(full_report(result))
     return 0
 
 
 def cmd_vhdl(args: argparse.Namespace) -> int:
     graph = load_circuit(args.circuit)
-    result = _PIPELINE.run(graph, _flow_config(graph, args))
+    with _user_errors():
+        result = _PIPELINE.run(graph, _flow_config(graph, args))
     text = generate_vhdl(result.design)
     if args.output:
         pathlib.Path(args.output).write_text(text)
@@ -132,9 +146,11 @@ def cmd_vhdl(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     graph = load_circuit(args.circuit)
     config = _flow_config(graph, args)
-    pair = run_pair(graph, config, pipeline=_PIPELINE)
-    cmp = compare_designs(pair.baseline.design, pair.managed.design,
-                          n_vectors=args.vectors, seed=args.seed)
+    with _user_errors():
+        pair = run_pair(graph, config, pipeline=_PIPELINE)
+    with _user_errors(ValueError):  # a --vectors count below 1
+        cmp = compare_designs(pair.baseline.design, pair.managed.design,
+                              n_vectors=args.vectors, seed=args.seed)
     print(f"{graph.name} @ {config.n_steps} steps, {args.vectors} "
           f"random vectors")
     print(f"  baseline : {cmp.orig.total:8.3f} energy/sample, "
@@ -171,8 +187,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                           pipelined_gating=args.pipelined_gating,
                           verify=args.verify)]
     circuits = [_explore_spec(spec) for spec in args.circuits]
-    from repro.sched.timing import InfeasibleScheduleError
-
     try:
         result = explore(circuits, budgets, configs=configs,
                          workers=args.workers,
@@ -241,8 +255,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
               f"-> {args.pareto_out}")
     # The base carries the same pm_base the search scored candidates
     # under, so the synthesized design is the one the search selected.
-    synthesized = _PIPELINE.run(graph, result.flow_config(
-        FlowConfig(pm=pm_base, verify=args.verify)))
+    with _user_errors():
+        synthesized = _PIPELINE.run(graph, result.flow_config(
+            FlowConfig(pm=pm_base, verify=args.verify)))
     report = synthesized.static_report()
     print(f"chosen design: {synthesized.pm.managed_count} managed muxes, "
           f"{report.reduction_pct:.2f}% datapath power saved, "
@@ -502,7 +517,9 @@ def make_parser() -> argparse.ArgumentParser:
                             "per-sample register copies, or drop them "
                             "conservatively (default: per_sample)")
         p.add_argument("--verify", action="store_true",
-                       help="run the gating-soundness check")
+                       help="check the design: gating soundness, then "
+                            "its outputs against the reference model "
+                            "with power management on and off")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("circuit", help="benchmark name or DSL file")
@@ -618,8 +635,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--partial", action="store_true",
                        help="enable per-operation fallback gating")
     p_opt.add_argument("--verify", action="store_true",
-                       help="run the gating-soundness check on the "
-                            "chosen design")
+                       help="check the chosen design: gating "
+                            "soundness, then its outputs against the "
+                            "reference model")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_serve = sub.add_parser(

@@ -38,7 +38,12 @@ class FlowConfig:
                           ``per_sample`` keeps it via stage-indexed
                           guard-register copies, ``drop`` removes it.
     mutex_sharing:        share units between mutually-exclusive ops.
-    verify:               run the structural gating-soundness check.
+    verify:               check the design: the structural
+                          gating-soundness argument, then a functional
+                          differential of the design against the
+                          reference model on 16 seeded vectors, with
+                          power management on and off (see
+                          :class:`~repro.pipeline.stages.VerifyStage`).
     label:                free-form tag used by ``explore()`` reports.
     """
 

@@ -212,10 +212,12 @@ class ElaborateStage(PostPMStage):
 
 class VerifyStage(Stage):
     """Soundness checks (when ``config.verify``): the structural gating
-    argument plus a functional differential — the batch engine ``auto``
-    picks for this vector count (compiled) runs the elaborated design
-    against the reference model on a seeded vector set, with power
-    management on and off: one runner, run in both modes."""
+    argument plus a functional differential — the compiled engine's
+    outputs-only program (``create_engine(..., activity=False)``) runs
+    the elaborated design against the reference model on a seeded
+    vector set, with power management on and off: one runner, run in
+    both modes, and no activity counters compiled for a check that
+    reads outputs only."""
 
     name = "verify"
     requires = ("pm", "design", "pipelined_gating")
@@ -223,6 +225,8 @@ class VerifyStage(Stage):
 
     #: Vectors simulated per power-management mode by the functional check.
     n_check_vectors = 16
+    #: Seed of those vectors.
+    check_seed = 1996
 
     def run(self, ctx: FlowContext) -> dict[str, object]:
         if not ctx.config.verify:
@@ -235,14 +239,13 @@ class VerifyStage(Stage):
         verify_gating(effective_pm(ctx))
         design = ctx.get("design")
         vectors = random_vectors(ctx.graph, self.n_check_vectors,
-                                 width=design.width, seed=1996)
+                                 width=design.width, seed=self.check_seed)
         expected = [evaluate(ctx.graph, v, width=design.width)
                     for v in vectors]
         for pm in (True, False):
             engine = create_engine(design, power_management=pm,
-                                   n_vectors=len(vectors))
-            outputs, _ = engine.run_many(vectors)
-            if outputs != expected:
+                                   activity=False)
+            if engine.run_batch(vectors).outputs != expected:
                 raise StageError(
                     f"design {design.name!r} diverges from the reference "
                     f"model (power_management={pm})")

@@ -10,6 +10,7 @@ from repro.sim.engine import (
     compile_plan,
     cached_plan,
     design_fingerprint,
+    generate_outputs_source,
     generate_source,
 )
 from repro.sim.reference import evaluate, evaluate_all
@@ -46,6 +47,7 @@ __all__ = [
     "evaluate_all",
     "exhaustive_vectors",
     "gcd_trace_vectors",
+    "generate_outputs_source",
     "generate_source",
     "hamming",
     "input_names",

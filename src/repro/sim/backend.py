@@ -17,6 +17,11 @@ Two interchangeable, bit-identical batch engines exist:
   :data:`COMPILED_MAX_VECTORS` vectors, vectorized above; see
   :func:`create_engine`.
 
+A caller that compares outputs only (the pipeline's verify stage) asks
+for ``activity=False`` and gets the compiled engine's outputs-only
+program: no activity counters, cheaper to compile, and cached apart
+from the design's power runner.
+
 Every engine handed out carries ``chosen_backend`` (the engine actually
 constructed: ``auto`` resolves to one of the two) and
 ``backend_reason`` (why: for ``auto``, the rule that fired).  ``auto``
@@ -42,9 +47,9 @@ VECTOR_WIDTH_LIMIT = 62
 #: Largest per-call vector count ``auto`` simulates on the compiled
 #: engine.  Below every cold crossover measured in ``BENCH_sim.json``
 #: (about 300 vectors on the largest plan), and above every small count
-#: a caller uses: the 16-vector verify check, 64-vector Monte Carlo
-#: blocks, the 128-vector ``sim_power`` objective and the 256-vector
-#: defaults.
+#: a caller uses: 64-vector Monte Carlo blocks, the 128-vector
+#: ``sim_power`` objective and the 256-vector defaults.  (The 16-vector
+#: verify check builds the outputs-only program whatever its count.)
 COMPILED_MAX_VECTORS = 256
 
 logger = logging.getLogger("repro.sim.backend")
@@ -76,7 +81,8 @@ def _auto(width: int, n_vectors: int | None) -> tuple[str, str]:
 
 
 def create_engine(design: SynthesizedDesign, power_management: bool = True,
-                  backend: str = "auto", n_vectors: int | None = None):
+                  backend: str = "auto", n_vectors: int | None = None,
+                  activity: bool = True):
     """Build the batch engine ``backend`` names for ``design``.
 
     Anything but ``"auto"`` builds itself.  ``n_vectors`` is how many
@@ -89,18 +95,30 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
     hold.  The returned engine records it on ``chosen_backend`` and its
     cause on ``backend_reason``.  A compiled engine shares its design's
     runner with engines in the other mode.
+
+    ``activity=False`` builds the compiled engine's outputs-only program
+    whatever ``n_vectors`` is (``backend_reason`` ``"outputs only"``);
+    its batches report ``activity=None``.  The vectorized backend always
+    counts activity, so ``backend="vectorized"`` rejects it.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown simulation backend {backend!r}; "
             f"choose one of {', '.join(BACKENDS)}")
     reason = "requested"
-    if backend == "auto":
+    if not activity:
+        if backend == "vectorized":
+            raise ValueError(
+                "the vectorized backend always counts activity; build an "
+                "outputs-only engine with backend 'compiled' or 'auto'")
+        backend, reason = "compiled", "outputs only"
+    elif backend == "auto":
         backend, reason = _auto(design.width, n_vectors)
         logger.debug("auto backend for %r: %s -> %s", design.graph.name,
                      reason, backend)
     if backend == "compiled":
-        engine = CompiledEngine(design, power_management=power_management)
+        engine = CompiledEngine(design, power_management=power_management,
+                                activity=activity)
     else:
         from repro.sim.vectorized import VectorizedEngine
 

@@ -18,6 +18,11 @@ in one flat state tuple that persists across batches, so switching
 activity between consecutive vectors — and between consecutive
 *batches* — is modelled exactly like one long interpreted run.
 
+Checks that compare outputs only (the pipeline's verify stage) build a
+second, outputs-only program from the same plan: the same guards and
+register write-back, no latches, FU outputs or counters.  It compiles
+in about a quarter to a third of the power runner's time.
+
 The engine is bit-for-bit equivalent to the legacy simulator: the same
 outputs and the same merged :class:`~repro.sim.activity.ActivityCounter`
 (including which resource-class keys exist).  The differential property
@@ -199,8 +204,11 @@ def compile_plan(design: SynthesizedDesign) -> ExecutionPlan:
 _CLASS_COUNTERS = ("_ai", "_ao", "_aa", "_id")
 
 
-def _state_names(plan: ExecutionPlan) -> tuple[str, ...]:
+def _state_names(plan: ExecutionPlan,
+                 activity: bool = True) -> tuple[str, ...]:
     names = [f"r{i}" for i in plan.registers]
+    if not activity:
+        return tuple(names)
     names += [f"l{u}_{p}" for u, p in plan.latch_ports]
     names += [f"fo{u}" for u in range(plan.n_units)]
     names += ["_rt", "_cc", "_cl"]
@@ -256,6 +264,17 @@ def _render_op(op: Op, operands: list[str], mask: int, sign: int) -> str:
     if op is Op.NOT:
         return wrap(f"~{a}")
     raise ValueError(f"cannot compile {op!r}")  # pragma: no cover
+
+
+def _render_enable(guard: GuardPlan, render) -> str:
+    """The ``if`` that enables a guarded start: always with PM off, on
+    the guard with PM on (never, for a ``never`` guard)."""
+    if guard.never:
+        return "if not _pm:"
+    cond = " and ".join(
+        f"({render(src)})" if value else f"(not ({render(src)}))"
+        for src, value in guard.terms)
+    return f"if not _pm or ({cond}):"
 
 
 def generate_source(plan: ExecutionPlan) -> str:
@@ -314,14 +333,7 @@ def generate_source(plan: ExecutionPlan) -> str:
             gated = not start.guard.unconditional
             indent = "        "
             if gated:
-                if start.guard.never:
-                    emit("        if not _pm:")
-                else:
-                    cond = " and ".join(
-                        f"({render(src)})" if value
-                        else f"(not ({render(src)}))"
-                        for src, value in start.guard.terms)
-                    emit(f"        if not _pm or ({cond}):")
+                emit(f"        {_render_enable(start.guard, render)}")
                 indent += "    "
             ts = [f"t{start.nid}_{p}" for p in range(len(start.sources))]
             for t, src in zip(ts, start.sources):
@@ -366,6 +378,68 @@ def generate_source(plan: ExecutionPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def generate_outputs_source(plan: ExecutionPlan) -> str:
+    """Python source of the outputs-only ``_run(vectors, state, pm)`` runner.
+
+    The same signature, input wrap, guards and register write-back as
+    :func:`generate_source`, without latches, FU outputs, toggle terms
+    or counters: an enabled start computes the op's value ``v<nid>``
+    from its sources, and its end step writes it to the destination
+    register.  The state is the register file alone.
+    """
+    mask = (1 << plan.width) - 1
+    sign = 1 << (plan.width - 1)
+    state = "".join(f"{name}, " for name in _state_names(plan, activity=False))
+
+    def render(sp: SourcePlan) -> str:
+        return _render_source(sp, mask, sign)
+
+    ops = {end.nid: end.op for step in plan.steps for end in step.ends}
+    guarded = {start.nid for step in plan.steps for start in step.starts
+               if not start.guard.unconditional}
+    lines: list[str] = []
+    emit = lines.append
+    emit(f"def _run(_vectors, _state, _pm):  # outputs of {plan.name!r}")
+    emit(f"    ({state}) = _state")
+    if guarded:
+        emit("    " + " = ".join(f"g{nid}" for nid in sorted(guarded))
+             + " = False")
+    emit("    _outs = []")
+    emit("    _append = _outs.append")
+    emit("    for _v in _vectors:")
+    emit("        try:")
+    for name, reg in plan.inputs:
+        emit(f"            r{reg} = ((_v[{name!r}] & {mask}) ^ {sign})"
+             f" - {sign}")
+    if not plan.inputs:
+        emit("            pass")
+    emit("        except KeyError as _e:")
+    emit("            raise KeyError('missing input %r' % (_e.args[0],))"
+         " from None")
+    for step in plan.steps:
+        for start in step.starts:
+            value = _render_op(ops[start.nid],
+                               [render(src) for src in start.sources],
+                               mask, sign)
+            if start.nid not in guarded:
+                emit(f"        v{start.nid} = {value}")
+                continue
+            emit(f"        {_render_enable(start.guard, render)}")
+            emit(f"            v{start.nid} = {value}; g{start.nid} = True")
+        for end in step.ends:
+            if end.nid in guarded:
+                emit(f"        if g{end.nid}:")
+                emit(f"            g{end.nid} = False; "
+                     f"r{end.dest_register} = v{end.nid}")
+            else:
+                emit(f"        r{end.dest_register} = v{end.nid}")
+    out_items = ", ".join(
+        f"{name!r}: {render(src)}" for name, src in plan.outputs)
+    emit(f"        _append({{{out_items}}})")
+    emit(f"    return _outs, ({state})")
+    return "\n".join(lines) + "\n"
+
+
 # -- compile-once caches ---------------------------------------------------
 
 # ``CompiledEngine`` used to recompile the plan and regenerate source on
@@ -376,12 +450,15 @@ def generate_source(plan: ExecutionPlan) -> str:
 # ``explore()`` worker process) share one compilation.
 #
 # Entries per cache.  A cached design holds about 40-100 KB (plan plus
-# runners).  Nearly every hit is an engine built for the design just
-# compiled (simulated power builds the baseline and managed engines back
-# to back), so on explore, serve and anneal traffic 128 entries hit as
-# often as an unbounded cache; an ``explore()`` re-run in one process
-# keeps its hits while it spans at most 128 designs (64 on the
-# vectorized backend, which caches one runner per mode).
+# runners); a verified design also holds an outputs-only runner, built
+# from about a quarter of the power runner's source, in a cache of its
+# own.  Nearly every hit is an engine built for the design just compiled
+# (simulated power builds the baseline and managed engines back to
+# back; verify builds one engine per mode), so on explore, serve and
+# anneal traffic 128 entries hit as often as an unbounded cache; an
+# ``explore()`` re-run in one process keeps its hits while it spans at
+# most 128 designs (64 on the vectorized backend, which caches one
+# runner per mode).
 # At 512, a server worker compiling fresh circuits kept 20+ MB of designs
 # it never looked up again.
 _LRU_MAX = 128
@@ -414,6 +491,7 @@ def _lru_put(cache: OrderedDict, key, value) -> None:
 
 _PLAN_CACHE = _make_lru()    # fingerprint -> ExecutionPlan
 _RUNNER_CACHE = _make_lru()  # fingerprint -> (plan, source, runner)
+_OUTPUTS_CACHE = _make_lru()  # fingerprint -> (plan, source, runner)
 
 
 def design_fingerprint(design: SynthesizedDesign) -> str:
@@ -478,10 +556,11 @@ def clear_compile_caches() -> None:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Outputs and merged switching activity of one vector batch."""
+    """Outputs and merged switching activity of one vector batch
+    (``activity`` is ``None`` from an outputs-only engine)."""
 
     outputs: list[dict[str, int]]
-    activity: ActivityCounter
+    activity: ActivityCounter | None
 
     @property
     def samples(self) -> int:
@@ -490,8 +569,9 @@ class BatchResult:
 
 class _EngineBase:
     """State plumbing shared by the compiled and vectorized backends:
-    one flat tuple of ints holding hardware state plus activity counters,
-    persisted across batches, with delta-based activity accounting."""
+    one flat tuple of ints holding hardware state plus activity counters
+    (registers alone for an outputs-only engine), persisted across
+    batches, with delta-based activity accounting."""
 
     plan: ExecutionPlan
 
@@ -503,8 +583,8 @@ class _EngineBase:
     # Why it resolved that way: for ``auto``, the rule that fired.
     backend_reason: str | None = None
 
-    def _init_state(self) -> None:
-        self._names = _state_names(self.plan)
+    def _init_state(self, activity: bool = True) -> None:
+        self._names = _state_names(self.plan, activity)
         self._index = {name: i for i, name in enumerate(self._names)}
         self._state: tuple[int, ...] = tuple(0 for _ in self._names)
         self.samples = 0
@@ -565,26 +645,35 @@ class CompiledEngine(_EngineBase):
     engines for equal designs compiles exactly once.  The runner takes
     ``power_management`` as a call argument, so engines in both modes
     share it.
+
+    ``activity=False`` builds the outputs-only program instead
+    (:func:`generate_outputs_source`, cached apart from the power
+    runner): registers are its whole state, and :meth:`run_batch`
+    reports ``activity=None``.
     """
 
     backend = "compiled"
 
     def __init__(self, design: SynthesizedDesign,
-                 power_management: bool = True) -> None:
+                 power_management: bool = True,
+                 activity: bool = True) -> None:
         self.design = design
         self.power_management = power_management
+        self.activity = activity
+        cache, generate = ((_RUNNER_CACHE, generate_source) if activity
+                           else (_OUTPUTS_CACHE, generate_outputs_source))
         key = design_fingerprint(design)
-        cached = _lru_get(_RUNNER_CACHE, key)
+        cached = _lru_get(cache, key)
         if cached is None:
             plan = cached_plan(design)
-            source = generate_source(plan)
+            source = generate(plan)
             namespace: dict[str, object] = {}
             exec(compile(source, f"<engine:{design.graph.name}>", "exec"),
                  namespace)
             cached = (plan, source, namespace["_run"])
-            _lru_put(_RUNNER_CACHE, key, cached)
+            _lru_put(cache, key, cached)
         self.plan, self.source, self._run = cached
-        self._init_state()
+        self._init_state(activity)
 
     def run_batch(self, vectors: Iterable[dict[str, int]]) -> BatchResult:
         """Run ``vectors`` (any iterable, lists or streams) in sequence."""
@@ -592,11 +681,12 @@ class CompiledEngine(_EngineBase):
         outputs, after = self._run(vectors, before, self.power_management)
         self._state = after
         self.samples += len(outputs)
-        return BatchResult(outputs=outputs,
-                           activity=self._activity_delta(before, after))
+        activity = (self._activity_delta(before, after) if self.activity
+                    else None)
+        return BatchResult(outputs=outputs, activity=activity)
 
     def run_many(self, vectors: Iterable[dict[str, int]]) -> tuple[
-            list[dict[str, int]], ActivityCounter]:
+            list[dict[str, int]], ActivityCounter | None]:
         """Drop-in signature twin of :meth:`RTLSimulator.run_many`."""
         result = self.run_batch(vectors)
         return result.outputs, result.activity

@@ -89,6 +89,38 @@ class TestPipelineFlags:
         assert "pipelined gating" not in capsys.readouterr().out
 
 
+class TestUserErrors:
+    """Mistakes in the arguments exit with an ``error:`` line, not a
+    traceback, on every synthesis command."""
+
+    @pytest.mark.parametrize("command", ["synthesize", "vhdl", "simulate"])
+    @pytest.mark.parametrize("budget", [["--steps", "3"],
+                                        ["--slack", "-2"]])
+    def test_infeasible_budget(self, command, budget):
+        with pytest.raises(SystemExit,
+                           match=r"^error: 3 steps < critical path 5"):
+            main([command, "gcd", *budget])
+
+    @pytest.mark.parametrize("count, message", [
+        ("0", "needs at least one vector, got 0"),
+        ("-3", "n_vectors must be non-negative, got -3")])
+    def test_simulate_vector_count(self, count, message):
+        with pytest.raises(SystemExit, match=f"^error: .*{message}"):
+            main(["simulate", "gcd", "--steps", "7", "--vectors", count])
+
+    @pytest.mark.parametrize("command", [
+        ["synthesize"], ["vhdl"], ["optimize", "--iters", "5"]])
+    def test_failed_verify(self, command, monkeypatch):
+        import repro.sim.reference
+
+        monkeypatch.setattr(repro.sim.reference, "evaluate",
+                            lambda graph, vector, width=8: {})
+        with pytest.raises(SystemExit, match=(
+                r"^error: design 'gcd' diverges from the reference model "
+                r"\(power_management=True\)")):
+            main([*command, "gcd", "--steps", "7", "--verify"])
+
+
 class TestExploreCommand:
     def test_sweep_prints_table_and_best_point(self, capsys):
         assert main(["explore", "dealer", "gcd", "--budgets", "5,6"]) == 0

@@ -25,6 +25,7 @@ from repro.sim.backend import (
     create_engine,
 )
 from repro.sim.engine import (
+    _OUTPUTS_CACHE,
     _RUNNER_CACHE,
     CompiledEngine,
     clear_compile_caches,
@@ -141,6 +142,24 @@ class TestReason:
         if backend != "auto":
             assert engine.backend_reason == "requested"
 
+    @pytest.mark.parametrize("backend", ["compiled", "auto"])
+    @pytest.mark.parametrize("n_vectors", [None, 16, 4096])
+    def test_outputs_only_is_compiled_at_any_count(self, gcd_pair, backend,
+                                                   n_vectors):
+        engine = create_engine(gcd_pair.managed.design, backend=backend,
+                               n_vectors=n_vectors, activity=False)
+        assert isinstance(engine, CompiledEngine)
+        assert engine.chosen_backend == "compiled"
+        assert engine.backend_reason == "outputs only"
+        assert engine.run_batch([{"a": 6, "b": 4}]).activity is None
+        assert not _RUNNER_CACHE
+
+    def test_outputs_only_vectorized_is_an_error(self, gcd_pair):
+        with pytest.raises(ValueError, match="always counts activity"):
+            create_engine(gcd_pair.managed.design, backend="vectorized",
+                          activity=False)
+        assert not _VECTOR_CACHE
+
     def test_auto_reason_gives_count_and_limit(self, gcd_pair, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.sim.backend"):
             engine = create_engine(gcd_pair.managed.design, n_vectors=16)
@@ -150,12 +169,15 @@ class TestReason:
 
 class TestCallers:
     def test_verify_stage_builds_for_its_count(self):
-        """16 check vectors per mode: ``auto`` builds one compiled runner
-        for the design and runs it in both modes."""
+        """The check reads outputs only: it builds the design's one
+        outputs-only runner and runs it in both modes, and compiles no
+        power runner on either backend."""
         ctx = Pipeline().run_context(build("vender"),
                                      FlowConfig(n_steps=6, verify=True))
         assert ctx.get("verified") is True
-        assert list(_RUNNER_CACHE) == [design_fingerprint(ctx.get("design"))]
+        assert list(_OUTPUTS_CACHE) == [
+            design_fingerprint(ctx.get("design"))]
+        assert not _RUNNER_CACHE
         assert not _VECTOR_CACHE
 
     def test_compare_designs_one_backend_for_the_pair(self, gcd_pair):

@@ -5,6 +5,7 @@ import pytest
 from repro.circuits import build
 from repro.pipeline import FlowConfig, run_pair
 from repro.sim.engine import (
+    _OUTPUTS_CACHE,
     _RUNNER_CACHE,
     CompiledEngine,
     cached_plan,
@@ -93,3 +94,41 @@ class TestCompileOnce:
         assert b.samples == 0
         fresh = CompiledEngine(design).run_batch(vectors)
         assert fresh.activity == CompiledEngine(design).run_batch(vectors).activity
+
+
+class TestOutputsOnly:
+    def test_own_cache_shared_by_modes_and_equal_designs(self):
+        design = _design()
+        on = CompiledEngine(design, power_management=True, activity=False)
+        off = CompiledEngine(_design(), power_management=False,
+                             activity=False)
+        assert on._run is off._run
+        assert list(_OUTPUTS_CACHE) == [design_fingerprint(design)]
+        assert not _RUNNER_CACHE
+        full = CompiledEngine(design)
+        assert full.plan is on.plan
+        assert full._run is not on._run
+        assert list(_RUNNER_CACHE) == list(_OUTPUTS_CACHE)
+
+    def test_clear_flushes_it(self):
+        CompiledEngine(_design(), activity=False)
+        assert _OUTPUTS_CACHE
+        clear_compile_caches()
+        assert not _OUTPUTS_CACHE
+
+    def test_state_is_the_register_file(self):
+        design = _design()
+        engine = CompiledEngine(design, activity=False)
+        assert set(engine.state()) == {
+            f"r{reg.index}" for reg in design.registers.assignment.values()}
+        assert "bit_count" not in engine.source
+        assert "_rt" not in engine.source
+
+    def test_missing_input_keeps_the_state(self):
+        engine = CompiledEngine(_design(), activity=False)
+        engine.run_batch([{"a": 12, "b": 18}])
+        before = engine.state()
+        with pytest.raises(KeyError, match="missing input 'b'"):
+            engine.run_batch([{"a": 3, "b": 4}, {"a": 5}])
+        assert engine.state() == before
+        assert engine.samples == 1

@@ -7,11 +7,19 @@ the two engines' batches interleaved on that one runner, each mode's
 outputs and full :class:`ActivityCounter` must equal a fresh
 :class:`RTLSimulator` in that mode over the same vector sequence.
 
-The fixed designs cover the runner's three flag paths: a ``never``
-guard (idle under PM, enabled without it), a multicycle op (its start
-and end events sit in different steps) and a modulo-scheduled design in
-both pipelined-gating modes.
+The outputs-only runner (``activity=False``) rides along as one more
+input: one compile serves both of its modes too, its outputs must equal
+the power runner's and the interpreter's batch for batch, and its state
+must equal the power runner's register slots.
+
+The fixed designs cover the runners' flag paths: a ``never`` guard
+(idle under PM, enabled without it), a multicycle op (its start and end
+events sit in different steps), a modulo-scheduled design in both
+pipelined-gating modes, and mutually exclusive ops that share one unit
+in one step (each op's value must be taken at its own start).
 """
+
+from collections import Counter
 
 from functools import lru_cache
 
@@ -26,6 +34,7 @@ from repro.pipeline import FlowConfig, Pipeline, run_pair
 from repro.sched.timing import critical_path_length
 from repro.sim.activity import ActivityCounter
 from repro.sim.engine import (
+    _OUTPUTS_CACHE,
     _RUNNER_CACHE,
     CompiledEngine,
     clear_compile_caches,
@@ -65,6 +74,10 @@ def fixed_design(kind):
     elif kind == "multicycle":
         graph = multicycle_graph()
         config = FlowConfig(n_steps=critical_path_length(graph) + 1)
+    elif kind == "mutex":
+        graph = vender()
+        config = FlowConfig(n_steps=critical_path_length(graph) + 1,
+                            mutex_sharing=True)
     else:
         graph = build("dealer")
         config = FlowConfig(n_steps=critical_path_length(graph) + 2,
@@ -72,7 +85,7 @@ def fixed_design(kind):
     return graph, Pipeline().run(graph, config).design
 
 
-FIXED_KINDS = ("never_guard", "multicycle", "per_sample", "drop")
+FIXED_KINDS = ("never_guard", "multicycle", "per_sample", "drop", "mutex")
 
 #: Batch sizes, run alternately on the PM-on and PM-off engines.
 batch_schedules = st.tuples(
@@ -84,8 +97,13 @@ def assert_modes_share_one_runner(graph, design, schedule, seed):
     clear_compile_caches()
     engines = {pm: CompiledEngine(design, power_management=pm)
                for pm in (first_pm, not first_pm)}
+    outputs_only = {
+        pm: CompiledEngine(design, power_management=pm, activity=False)
+        for pm in (first_pm, not first_pm)}
     assert engines[True]._run is engines[False]._run
+    assert outputs_only[True]._run is outputs_only[False]._run
     assert list(_RUNNER_CACHE) == [design_fingerprint(design)]
+    assert list(_OUTPUTS_CACHE) == [design_fingerprint(design)]
 
     vectors = random_vectors(graph, sum(sizes), width=design.width,
                              seed=seed)
@@ -98,12 +116,16 @@ def assert_modes_share_one_runner(graph, design, schedule, seed):
         batch = vectors[offset:offset + size]
         offset += size
         result = engines[pm].run_batch(batch)
+        assert outputs_only[pm].run_batch(batch).outputs == result.outputs
         fed[pm] += batch
         outputs[pm] += result.outputs
         activity[pm].merge(result.activity)
     for pm in (True, False):
         reference = RTLSimulator(design, power_management=pm)
         assert (outputs[pm], activity[pm]) == reference.run_many(fed[pm]), pm
+        registers = outputs_only[pm].state()
+        assert registers == {name: engines[pm].state()[name]
+                             for name in registers}, pm
 
 
 @pytest.mark.parametrize("kind", FIXED_KINDS)
@@ -125,12 +147,20 @@ def test_fixed_designs_cover_the_flag_paths():
     per_sample = fixed_design("per_sample")[1]
     drop = fixed_design("drop")[1]
     assert per_sample.guards != drop.guards
+    _graph, design = fixed_design("mutex")
+    shared = Counter((design.binding.unit_of(node.nid),
+                      design.schedule.step_of(node.nid))
+                     for node in design.graph.operations())
+    assert max(shared.values()) > 1
 
 
 @settings(max_examples=25, deadline=None)
 @given(graph=circuits(max_ops=10), slack=st.integers(0, 2),
-       schedule=batch_schedules, seed=st.integers(0, 10_000))
-def test_random_designs_share_one_runner(graph, slack, schedule, seed):
+       mutex=st.booleans(), schedule=batch_schedules,
+       seed=st.integers(0, 10_000))
+def test_random_designs_share_one_runner(graph, slack, mutex, schedule,
+                                         seed):
     n_steps = critical_path_length(graph) + slack
-    design = run_pair(graph, FlowConfig(n_steps=n_steps)).managed.design
+    config = FlowConfig(n_steps=n_steps, mutex_sharing=mutex)
+    design = run_pair(graph, config).managed.design
     assert_modes_share_one_runner(graph, design, schedule, seed)
