@@ -408,6 +408,7 @@ def _print_summary(job: dict) -> None:
                  f"{result.get('memo_hits', 0)} memo + "
                  f"{result.get('store_hits', 0)} store hits, "
                  f"{result.get('design_hits', 0)} design-pair reuses, "
+                 f"{result.get('outcome_hits', 0)} PM-outcome reuses, "
                  f"{result['resumed']} journal-resumed)")
         if result.get("pareto_size"):
             line += f"; pareto archive {result['pareto_size']}"

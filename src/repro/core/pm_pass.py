@@ -25,6 +25,16 @@ the working copy shares with the input graph, and the entry frame and
 critical path from the input graph's control-level memo.  An optimizer
 that runs the pass many times on one graph computes them once.
 
+Each MUX's decision depends only on the input graph, the budget, the
+``allocation`` and ``partial`` knobs, and the control edges the run has
+committed before it, whatever order got the run there.  A caller that
+runs the pass over many MUX orders can hold a decision memo (a plain
+dict, passed as ``memo=``) keyed on exactly that state: a hit replays
+the decision's edges and adopts its post-commit timing frame without
+probing.  The memo belongs to the caller (the optimizer's
+:class:`~repro.opt.evaluate.Evaluator` keeps one per search); without
+one the pass probes every MUX, as the synthesis pipeline does.
+
 Two opt-in generalizations beyond the Figure-3 pseudo-code:
 
 * ``PMOptions.allocation`` makes the feasibility test *resource-aware*: a
@@ -228,12 +238,19 @@ def apply_power_management(
     graph: CDFG,
     n_steps: int,
     options: PMOptions = PMOptions(),
+    memo: dict | None = None,
 ) -> PMResult:
     """Run the paper's Figure-3 algorithm on ``graph`` for ``n_steps``.
 
     The input graph is not modified; the result holds an augmented copy.
     Raises :class:`~repro.sched.timing.InfeasibleScheduleError` if even the
     unconstrained graph misses the step budget.
+
+    ``memo`` is a caller-held dict that maps a MUX state — (input-graph
+    fingerprint, ``n_steps``, ``allocation``, ``partial``), the MUX id
+    and the frozenset of control edges committed before it — to the
+    decision and its post-commit timing frame.  Runs sharing it answer
+    states an earlier run decided; the result is the same without it.
     """
     cp = critical_path_length(graph)
     if n_steps < cp:
@@ -246,12 +263,17 @@ def apply_power_management(
     result = PMResult(graph=work, n_steps=n_steps)
     if not options.enabled:
         return result
+    # A pass never meets one MUX twice, so a fresh memo only records.
+    memo = {} if memo is None else memo
 
     # ``graph`` has ``work``'s structure until the first commit, and its
     # memo outlives this call.
     order = order_muxes(graph, options.ordering, options.given_order)
     gating: dict[int, list[tuple[int, int]]] = {}
     probe = _SlackProbe(work, entry_frame(graph, n_steps), options)
+    state = (graph.fingerprint(), n_steps, options.allocation,
+             options.partial)
+    committed: frozenset[tuple[int, int]] = frozenset()
 
     for mux_id in order:
         if (options.max_muxes is not None
@@ -269,10 +291,20 @@ def apply_power_management(
                 cones=cones))
             continue
 
-        decision = _try_full_selection(probe, mux_id, cones)
-        if not decision.selected and options.partial \
-                and decision.reason == REASON_NO_SLACK:
-            decision = _try_partial_selection(probe, mux_id, cones)
+        key = (state, mux_id, committed)
+        known = memo.get(key)
+        if known is None:
+            decision = _decide(probe, mux_id, cones)
+            memo[key] = (decision, probe.frame)
+        else:
+            decision, probe.frame = known
+            # Probing would have keyed the select driver, even for a
+            # refused edge; the replay keeps that edge order.
+            work.reserve_control_source(work.node(mux_id).select_operand)
+            for src, dst in decision.added_edges:
+                work.add_control_edge(src, dst)
+        if decision.added_edges:
+            committed = committed.union(decision.added_edges)
         result.decisions.append(decision)
         if decision.selected:
             for side in (0, 1):
@@ -282,6 +314,16 @@ def apply_power_management(
 
     result.gating = {nid: tuple(guards) for nid, guards in gating.items()}
     return result
+
+
+def _decide(probe: _SlackProbe, mux_id: int, cones: MuxCones) -> MuxDecision:
+    """Paper steps 4-8 for one MUX with something to gate, falling back
+    to partial selection when asked and the whole cone lacks slack."""
+    decision = _try_full_selection(probe, mux_id, cones)
+    if not decision.selected and probe.options.partial \
+            and decision.reason == REASON_NO_SLACK:
+        decision = _try_partial_selection(probe, mux_id, cones)
+    return decision
 
 
 def _try_full_selection(probe: _SlackProbe, mux_id: int,

@@ -172,9 +172,9 @@ class CDFG:
             raise CDFGError(f"control edge {src}->{dst}: unknown node")
         if src == dst:
             raise CDFGError(f"control self-edge on node {src}")
-        # Keyed before the cycle probe, even for a refused edge: the key
-        # order of `_control_succs` is the order of control_edges().
-        succs = self._control_succs.setdefault(src, set())
+        # Keyed before the cycle probe, even for a refused edge.
+        self.reserve_control_source(src)
+        succs = self._control_succs[src]
         preds = self._control_preds.setdefault(dst, set())
         if dst in succs:
             return
@@ -183,6 +183,17 @@ class CDFG:
         succs.add(dst)
         preds.add(src)
         self._invalidate()
+
+    def reserve_control_source(self, src: int) -> None:
+        """Give ``src`` its place in :meth:`control_edges` order without
+        adding an edge.
+
+        That order is the order in which sources were first passed to
+        :meth:`add_control_edge`, refused edges included; a caller that
+        replays recorded edges instead of probing them calls this where
+        the probe would have been.
+        """
+        self._control_succs.setdefault(src, set())
 
     def remove_control_edge(self, src: int, dst: int) -> None:
         self._control_succs.get(src, set()).discard(dst)

@@ -11,9 +11,12 @@ Evaluations are deterministic per candidate, which enables three layers
 of reuse:
 
 * an in-process **memo**, so a driver revisiting a candidate pays
-  nothing, plus a design-pair memo for ``sim_power``: candidates whose
-  (baseline, managed) designs are identical — different MUX orders
-  often commit the same control edges — are simulated once;
+  nothing.  Below it, three per-search memos answer what different
+  candidates have in common — different MUX orders often reach the same
+  PM state and commit the same control edges: a PM decision memo (see
+  :mod:`repro.core.pm_pass`), an outcome memo of design-level metrics
+  per (scheduler, PM result), and for ``sim_power`` a design-pair memo,
+  so identical (baseline, managed) designs are simulated once;
 * an optional persistent **store** (an
   :class:`~repro.pipeline.store.IndexedArtifactStore`, or a directory
   path the evaluator opens one on and closes again): evaluated metric
@@ -46,7 +49,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from repro.core.pm_pass import PMOptions, PMResult, apply_power_management
+from repro.core.pm_pass import (
+    PMOptions,
+    PMResult,
+    apply_power_management,
+    pm_digest,
+)
 from repro.ir.graph import CDFG
 from repro.durable import load_journal, open_journal
 from repro.opt.objective import (
@@ -64,6 +72,13 @@ OPT_FORMAT = 1
 
 JOURNAL_KIND = "opt-journal"
 
+#: Bound on the decision memo, in memo entries times graph nodes: an
+#: upper bound on the timing-frame slots the memo keeps alive, since every
+#: entry holds at most one frame of the graph's size.  Past it the memo
+#: is dropped and refills, so a long search on a large graph holds tens
+#: of MB instead of memory that grows with the search.
+DECISION_MEMO_CELLS = 1 << 18
+
 
 class EvaluationBudgetExceeded(RuntimeError):
     """``max_evaluations`` fresh computations were already spent."""
@@ -76,9 +91,13 @@ class EvalStats:
     computed: int = 0
     memo_hits: int = 0
     store_hits: int = 0
-    #: Fresh evaluations whose ``sim_power`` came from the design-pair
-    #: memo instead of a simulation (a subset of ``computed``).
+    #: Fresh evaluations whose ``sim_power`` was not simulated: the
+    #: design-pair or the outcome memo answered (a subset of ``computed``).
     design_hits: int = 0
+    #: Fresh design-level evaluations whose PM result an earlier one
+    #: already reached, answered from the outcome memo without a
+    #: pipeline run (a subset of ``computed``).
+    outcome_hits: int = 0
     #: Journal records loaded at construction (the resume inheritance).
     resumed: int = 0
 
@@ -117,6 +136,12 @@ class Evaluator:
         if self.pm_base is None:
             self.pm_base = PMOptions()
         self._memo: dict[str, dict[str, float]] = {}
+        #: PM decisions per pass state, shared by every candidate's pass
+        #: and bounded by :data:`DECISION_MEMO_CELLS`.
+        self._decisions: dict = {}
+        #: Design-level metrics per (scheduler, ``pm_digest``): everything
+        #: past the PM pass is a function of that pair and this evaluator.
+        self._outcomes: dict[tuple[str, str], dict[str, float]] = {}
         #: ``sim_power`` per (baseline, managed) ``design_fingerprint``
         #: pair; exact because the vector set is fixed per evaluator.
         self._pair_memo: dict[tuple[str, str], float] = {}
@@ -222,11 +247,29 @@ class Evaluator:
 
     def _compute(self, candidate: Candidate) -> dict[str, float]:
         level = self.objective.requires
+        if len(self._decisions) * len(self.graph) > DECISION_MEMO_CELLS:
+            self._decisions.clear()
+        pm = apply_power_management(self.graph, candidate.n_steps,
+                                    candidate.pm_options(self.pm_base),
+                                    memo=self._decisions)
         if level == NEEDS_PM:
-            pm = apply_power_management(self.graph, candidate.n_steps,
-                                        candidate.pm_options(self.pm_base))
             return self._pm_metrics(pm)
+        outcome = (candidate.scheduler, pm_digest(pm, self.fingerprint()))
+        known = self._outcomes.get(outcome)
+        if known is not None:
+            self.stats.outcome_hits += 1
+            if level >= NEEDS_PAIR:
+                self.stats.design_hits += 1
+            return dict(known)
+        metrics = self._outcomes[outcome] = self._design_metrics(candidate,
+                                                                 pm)
+        return dict(metrics)
 
+    def _design_metrics(self, candidate: Candidate,
+                        pm: PMResult) -> dict[str, float]:
+        """Synthesis-level metrics of ``candidate``, whose PM pass gave
+        ``pm``: the pipeline is given that result instead of redoing the
+        pass."""
         from repro.pipeline.cache import ArtifactCache
         from repro.pipeline.config import FlowConfig
         from repro.pipeline.engine import Pipeline
@@ -241,7 +284,7 @@ class Evaluator:
                             pm=candidate.pm_options(self.pm_base),
                             scheduler=candidate.scheduler,
                             width=self.width, label="opt")
-        result = self._pipeline.run(self.graph, config)
+        result = self._pipeline.run(self.graph, config, given={"pm": pm})
         metrics = self._pm_metrics(result.pm)
         metrics["area"] = float(result.design.area().total)
         metrics["controller_literals"] = \
@@ -250,7 +293,7 @@ class Evaluator:
             result.pipelined_gating.pipelined_gated_weight
             if result.pipelined_gating is not None
             else metrics["gated_weight"])
-        if level >= NEEDS_PAIR:
+        if self.objective.requires >= NEEDS_PAIR:
             metrics["sim_power"] = self._sim_power(
                 self._pipeline.run(self.graph, config.baseline()).design,
                 result.design)

@@ -138,6 +138,7 @@ def run_island_round(payload: dict) -> dict:
         "memo_hits": stats.memo_hits,
         "store_hits": stats.store_hits,
         "design_hits": stats.design_hits,
+        "outcome_hits": stats.outcome_hits,
         "exhausted": exhausted,
     }
 
@@ -267,6 +268,7 @@ def _run_islands(run: _Run, *, iters, workers, islands, migration_every,
                 evaluator.stats.memo_hits += report["memo_hits"]
                 evaluator.stats.store_hits += report["store_hits"]
                 evaluator.stats.design_hits += report["design_hits"]
+                evaluator.stats.outcome_hits += report["outcome_hits"]
                 for key, metrics in report["session"]:
                     evaluator.absorb(key, metrics)
                 for candidate, metrics in report["visited"]:

@@ -85,9 +85,11 @@ class OptResult:
     ``best_label`` names the winning candidate's origin: a greedy seed
     label (``output_first@7/list``-style) when no search move beat the
     seeds, ``"search"`` (or ``"island<k>"``) otherwise.  ``evaluations``
-    / ``reused`` (split as ``memo_hits`` + ``store_hits``) / ``resumed``
-    and ``design_hits`` (evaluations whose ``sim_power`` reused the
-    simulation of an identical design pair) are run diagnostics and
+    / ``reused`` (split as ``memo_hits`` + ``store_hits``) / ``resumed``,
+    ``design_hits`` (evaluations whose ``sim_power`` reused the
+    simulation of an identical design pair) and ``outcome_hits``
+    (design-level evaluations answered from an earlier one with the same
+    PM result) are run diagnostics and
     intentionally *not* part of :meth:`outcome` — a resumed run
     recomputes less but must find the same answer.
     ``archive`` is the run's Pareto front over the objective terms.
@@ -110,6 +112,7 @@ class OptResult:
     memo_hits: int = 0
     store_hits: int = 0
     design_hits: int = 0
+    outcome_hits: int = 0
     archive: "ParetoArchive | None" = field(
         default=None, compare=False, repr=False)
 
@@ -180,6 +183,8 @@ class OptResult:
                      f"({self.memo_hits} memo, {self.store_hits} store)"
                      + (f", {self.design_hits} design-pair simulations "
                         f"reused" if self.design_hits else "")
+                     + (f", {self.outcome_hits} PM outcomes reused"
+                        if self.outcome_hits else "")
                      + (f", {self.resumed} resumed from journal"
                         if self.resumed else ""))
         if self.archive is not None and len(self.archive) > 1:
@@ -326,6 +331,7 @@ class _Run:
             evaluations=stats.computed, reused=stats.reused,
             resumed=stats.resumed, memo_hits=stats.memo_hits,
             store_hits=stats.store_hits, design_hits=stats.design_hits,
+            outcome_hits=stats.outcome_hits,
             archive=self.archive)
 
 

@@ -30,6 +30,8 @@ class FlowContext:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     cache_hits: list[str] = field(default_factory=list)
     cache_misses: list[str] = field(default_factory=list)
+    #: Stages whose artifacts the caller supplied (see ``Pipeline.run``).
+    given: list[str] = field(default_factory=list)
 
     @property
     def fingerprint(self) -> str:
@@ -62,6 +64,7 @@ class FlowContext:
                  f"{self.config.n_steps} steps "
                  f"[{self.config.scheduler} scheduler]"]
         for name, stage in self.produced_by.items():
-            origin = "cache" if stage in self.cache_hits else "computed"
+            origin = ("cache" if stage in self.cache_hits
+                      else "given" if stage in self.given else "computed")
             lines.append(f"  {name:<12s} <- {stage} ({origin})")
         return "\n".join(lines)

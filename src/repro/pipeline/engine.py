@@ -10,7 +10,7 @@ instead of recomputed.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.ir.graph import CDFG
 from repro.pipeline.cache import ArtifactCache
@@ -73,21 +73,46 @@ class Pipeline:
 
     # -- execution -------------------------------------------------------
 
-    def run_context(self, graph: CDFG, config: FlowConfig) -> FlowContext:
-        """Run every stage; return the full artifact store."""
+    def run_context(self, graph: CDFG, config: FlowConfig,
+                    given: Mapping[str, object] | None = None,
+                    ) -> FlowContext:
+        """Run every stage; return the full artifact store.
+
+        ``given`` holds artifacts the caller already has for this run,
+        say the ``pm`` of a PM pass it ran itself.  A stage whose
+        ``provides`` are all given publishes them as its own and does not
+        run; the cache is neither read nor written for it, and
+        ``ctx.given`` names it.
+        """
         config.require_steps()
+        given = dict(given or {})
+        provided = {name for stage in self.stages for name in stage.provides}
+        if set(given) - provided:
+            raise StageError(f"no stage provides given artifacts "
+                             f"{sorted(set(given) - provided)}")
         ctx = FlowContext(graph=graph, config=config)
         for stage in self.stages:
-            self._run_stage(stage, ctx)
+            supplied = [name for name in stage.provides if name in given]
+            if not supplied:
+                self._run_stage(stage, ctx)
+                continue
+            if len(supplied) != len(stage.provides):
+                raise StageError(
+                    f"stage {stage.name!r} provides {list(stage.provides)} "
+                    f"but only {supplied} were given")
+            for name in supplied:
+                ctx.put(name, given[name], stage.name)
+            ctx.given.append(stage.name)
         return ctx
 
-    def run(self, graph: CDFG, config: FlowConfig) -> SynthesisResult:
+    def run(self, graph: CDFG, config: FlowConfig,
+            given: Mapping[str, object] | None = None) -> SynthesisResult:
         """Run the flow and return its final ``result`` artifact.
 
         Use :meth:`run_context` instead for custom pipelines that do not
-        end in a report stage.
+        end in a report stage; ``given`` is as there.
         """
-        ctx = self.run_context(graph, config)
+        ctx = self.run_context(graph, config, given)
         if not ctx.has("result"):
             raise StageError(
                 "pipeline produced no 'result' artifact; add a ReportStage "

@@ -28,7 +28,12 @@ UNIT_COST: dict[ResourceClass, int] = {
 
 @dataclass(frozen=True)
 class Allocation:
-    """Number of execution units available per resource class."""
+    """Number of execution units available per resource class.
+
+    ``counts`` is kept in resource-class order, so equal allocations have
+    one ``repr`` (the basis of stage-cache and store keys) and one hash,
+    whatever order their entries were given in.
+    """
 
     counts: dict[ResourceClass, int] = field(default_factory=dict)
 
@@ -36,6 +41,11 @@ class Allocation:
         for cls, n in self.counts.items():
             if n < 0:
                 raise ValueError(f"negative allocation for {cls}: {n}")
+        object.__setattr__(self, "counts", dict(
+            sorted(self.counts.items(), key=lambda kv: kv[0].value)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.counts.items()))
 
     def get(self, cls: ResourceClass) -> int:
         return self.counts.get(cls, 0)
@@ -55,12 +65,10 @@ class Allocation:
         return all(self.get(c) >= other.get(c) for c in classes)
 
     def as_dict(self) -> dict[str, int]:
-        return {cls.value: n for cls, n in sorted(self.counts.items(),
-                                                  key=lambda kv: kv[0].value)}
+        return {cls.value: n for cls, n in self.counts.items()}
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{c.value}:{n}" for c, n in
-                          sorted(self.counts.items(), key=lambda kv: kv[0].value))
+        inner = ", ".join(f"{c.value}:{n}" for c, n in self.counts.items())
         return f"Allocation({inner})"
 
 

@@ -101,6 +101,7 @@ def run_optimize_job(payload: dict) -> dict:
         "memo_hits": result.memo_hits,
         "store_hits": result.store_hits,
         "design_hits": result.design_hits,
+        "outcome_hits": result.outcome_hits,
         "pareto_size": len(result.archive) if result.archive else 0,
         "improvement_over_greedy": result.improvement_over_greedy,
     }

@@ -93,6 +93,22 @@ class TestEdges:
         with pytest.raises(CDFGError, match="unknown node"):
             g.add_control_edge(0, 99)
 
+    def test_a_reserved_source_keeps_its_place_in_edge_order(self):
+        g, (a, b, c, s0, s1, m, o) = make_diamond()
+        g.reserve_control_source(s1)
+        assert g.control_edges() == []
+        g.add_control_edge(c, s0)
+        g.add_control_edge(s1, s0)
+        assert g.control_edges() == [(s1, s0), (c, s0)]
+
+    def test_a_refused_edge_reserves_its_source(self):
+        g, (a, b, c, s0, s1, m, o) = make_diamond()
+        with pytest.raises(CDFGError, match="cycle"):
+            g.add_control_edge(m, c)
+        g.add_control_edge(c, s0)
+        g.add_control_edge(m, o)
+        assert g.control_edges() == [(m, o), (c, s0)]
+
     def test_clear_control_edges(self):
         g, (a, b, c, s0, s1, m, o) = make_diamond()
         g.add_control_edge(c, s0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import build
 from repro.core.ordering import order_muxes
+from repro.core.pm_pass import apply_power_management, pm_digest
 from repro.opt.evaluate import Evaluator
 from repro.opt.search import optimize
 from repro.opt.space import Candidate
@@ -45,22 +46,46 @@ class TestPairMemo:
             evaluator.evaluate(Candidate(order, 7))
         assert evaluator.stats.design_hits == 0
 
+    @pytest.mark.parametrize("objective",
+                             ["gated_weight", "area", "sim_power"])
     @settings(max_examples=10, deadline=None)
     @given(orders=st.lists(st.randoms(use_true_random=False),
-                           min_size=2, max_size=4),
-           slack=st.sampled_from((0, 2)))
-    def test_memoized_metrics_equal_a_fresh_evaluator(self, orders, slack):
+                           min_size=2, max_size=4))
+    def test_memoized_metrics_equal_a_fresh_evaluator(self, objective,
+                                                      orders):
         graph = build("gen:branchy:19")
-        n_steps = critical_path_length(graph) + slack
+        cp = critical_path_length(graph)
         muxes = order_muxes(graph, "output_first")
-        shared = Evaluator(graph, "sim_power")
+        shuffled = []
         for rng in orders:
             order = list(muxes)
             rng.shuffle(order)
-            candidate = Candidate(tuple(order), n_steps)
-            _, memoized = shared.evaluate(candidate)
-            _, fresh = Evaluator(graph, "sim_power").evaluate(candidate)
-            assert memoized == fresh
+            shuffled.append(tuple(order))
+        shared = Evaluator(graph, objective)
+        fresh_evals = 0
+        candidates, outcomes = set(), set()
+        outcome_repeats = 0
+        for n_steps in (cp, cp + 2):
+            for order in shuffled + shuffled[:1]:
+                candidate = Candidate(order, n_steps)
+                computed = shared.stats.computed
+                _, memoized = shared.evaluate(candidate)
+                fresh_evals += shared.stats.computed > computed
+                _, fresh = Evaluator(graph, objective).evaluate(candidate)
+                assert memoized == fresh
+                if candidate in candidates:
+                    continue
+                candidates.add(candidate)
+                pm = apply_power_management(
+                    graph, n_steps, candidate.pm_options())
+                outcome = pm_digest(pm, graph.fingerprint())
+                outcome_repeats += outcome in outcomes
+                outcomes.add(outcome)
+        stats = shared.stats
+        assert stats.computed == fresh_evals == len(candidates)
+        assert stats.memo_hits == 2 * (len(shuffled) + 1) - len(candidates)
+        assert stats.outcome_hits == (
+            0 if objective == "gated_weight" else outcome_repeats)
 
 
 class TestReporting:

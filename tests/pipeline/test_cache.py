@@ -165,3 +165,32 @@ class TestEviction:
         cache.lookup(("a",))
         cache.clear()
         assert len(cache) == 0 and cache.stats.lookups == 0
+
+
+class TestAllocationIdentity:
+    """Equal allocations given in different entry orders are one key."""
+
+    @staticmethod
+    def _configs(graph):
+        from repro.core import PMOptions
+        from repro.sched.resources import Allocation, unbounded_allocation
+
+        counts = unbounded_allocation(graph).counts
+        assert len(counts) > 1
+        return [FlowConfig(n_steps=7, pm=PMOptions(allocation=Allocation(
+            dict(entries)))) for entries in (counts.items(),
+                                             reversed(counts.items()))]
+
+    def test_entry_order_gives_one_cache_key_and_hash(self, gcd_graph):
+        forward, backward = self._configs(gcd_graph)
+        assert forward.pm.allocation == backward.pm.allocation
+        assert forward.cache_key(("pm",)) == backward.cache_key(("pm",))
+        assert hash(forward.pm) == hash(backward.pm)
+        assert hash(forward.pm.allocation) == hash(backward.pm.allocation)
+
+    def test_second_entry_order_is_a_stage_cache_hit(self, gcd_graph):
+        forward, backward = self._configs(gcd_graph)
+        pipeline = Pipeline(cache=ArtifactCache())
+        pipeline.run(gcd_graph, forward)
+        ctx = pipeline.run_context(gcd_graph, backward)
+        assert ctx.cache_hits == list(CACHEABLE)

@@ -131,6 +131,36 @@ class TestRun:
         assert contexts[2].cache_hits  # repeat of job 0
 
 
+class TestGivenArtifacts:
+    def test_a_given_pm_skips_the_pass_and_the_cache(self, gcd_graph):
+        config = FlowConfig(n_steps=7)
+        pm = Pipeline().run_context(gcd_graph, config).get("pm")
+        cache = ArtifactCache()
+        ctx = Pipeline(cache=cache).run_context(gcd_graph, config,
+                                                given={"pm": pm})
+        assert ctx.get("pm") is pm
+        assert ctx.produced_by["pm"] == "power_manage"
+        assert ctx.given == ["power_manage"]
+        assert "power_manage" not in ctx.cache_hits + ctx.cache_misses
+        assert "power_manage" not in ctx.stage_seconds
+        assert not any(key[0] == "power_manage" for key in cache._store)
+        assert "<- power_manage (given)" in ctx.summary()
+        plain = Pipeline().run(gcd_graph, config)
+        assert ctx.result.design.area() == plain.design.area()
+
+    def test_a_stage_given_only_some_artifacts_is_an_error(self,
+                                                           gcd_graph):
+        ctx = Pipeline().run_context(gcd_graph, FlowConfig(n_steps=7))
+        with pytest.raises(StageError, match="only"):
+            Pipeline().run_context(gcd_graph, FlowConfig(n_steps=7),
+                                   given={"binding": ctx.get("binding")})
+
+    def test_an_artifact_no_stage_provides_is_an_error(self, gcd_graph):
+        with pytest.raises(StageError, match="no stage provides"):
+            Pipeline().run(gcd_graph, FlowConfig(n_steps=7),
+                           given={"nonesuch": 1})
+
+
 class TestFlowConfig:
     def test_baseline_disables_pm_only(self):
         config = FlowConfig(n_steps=6, width=16, mutex_sharing=True)
