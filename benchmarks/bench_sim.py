@@ -8,7 +8,8 @@ across PRs:
   reduced vector count (it is ~3 orders of magnitude off the pace on
   large batches) and normalized per vector;
 * ``compiled`` — :class:`CompiledEngine`, generated straight-line Python
-  per vector, timed on the full batch;
+  per vector plus the NumPy activity count over its value trace, timed
+  on the full batch;
 * ``vectorized`` — :class:`VectorizedEngine`, generated NumPy array
   programs per block (hybrid scalar-slot micro-loop on recurrent
   plans), timed on the same batch fed as one pre-generated input matrix.
@@ -140,8 +141,11 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     matrix = vectors_to_array(batch, vectorized.input_names)
 
     interp_s = _timed(lambda: RTLSimulator(design).run_many(small), repeats)
+    # A compiled batch counts its activity when read: read it, so both
+    # backends are timed on outputs plus activity.
     runs = _best_times(
-        {"compiled": lambda: (compiled.reset(), compiled.run_batch(batch)),
+        {"compiled": lambda: (compiled.reset(),
+                              compiled.run_batch(batch).activity),
          "vectorized": lambda: (vectorized.reset(),
                                 vectorized.run_array(matrix))},
         repeats)
@@ -180,8 +184,8 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     sizes = [n for n in CALIBRATION_VECTORS if n <= n_batch]
     calls = {}
     for n in sizes:
-        calls["compiled", n] = lambda n=n: (compiled.reset(),
-                                            compiled.run_batch(batch[:n]))
+        calls["compiled", n] = lambda n=n: (
+            compiled.reset(), compiled.run_batch(batch[:n]).activity)
         calls["vectorized", n] = lambda n=n: (
             vectorized.reset(), vectorized.run_array(matrix[:n]))
     for (backend, n), seconds in _best_times(calls, 5 * repeats).items():

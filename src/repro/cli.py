@@ -186,6 +186,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
                           initiation_interval=args.ii,
                           pipelined_gating=args.pipelined_gating,
                           verify=args.verify)]
+    if args.sim_vectors < 0:
+        raise SystemExit(f"error: --sim-vectors must be at least 0, "
+                         f"got {args.sim_vectors}")
     circuits = [_explore_spec(spec) for spec in args.circuits]
     try:
         result = explore(circuits, budgets, configs=configs,

@@ -310,6 +310,13 @@ def run_chunk(job: tuple[IndexedArtifactStore | None, list[ExploreJob]],
             for index, key, spec, config, sim_vectors in chunk]
 
 
+def _check_sim_vectors(sim_vectors) -> None:
+    if isinstance(sim_vectors, bool) or not isinstance(sim_vectors, int) \
+            or sim_vectors < 0:
+        raise ValueError(f"sim_vectors must be a non-negative integer, "
+                         f"got {sim_vectors!r}")
+
+
 def plan_jobs(circuits: Iterable[str | CDFG],
               budgets: Iterable[int] | Mapping[str, Iterable[int]],
               configs: Sequence[FlowConfig] | None = None,
@@ -319,8 +326,10 @@ def plan_jobs(circuits: Iterable[str | CDFG],
     This is the planning half of :func:`explore`, exposed so callers
     that own their scheduling — the :mod:`repro.serve` job server — can
     plan once, diff against a resume journal, and submit chunks at
-    their own pace with :func:`run_chunk`.
+    their own pace with :func:`run_chunk`.  A ``sim_vectors`` that is
+    not a non-negative integer raises ``ValueError``.
     """
+    _check_sim_vectors(sim_vectors)
     configs = tuple(configs) if configs else (FlowConfig(),)
     specs = [_as_spec(c) for c in circuits]
     if not specs:
@@ -480,6 +489,7 @@ def explore(
         finally:
             opened.close()
     if search is not None:
+        _check_sim_vectors(sim_vectors)
         configs = tuple(configs) if configs else (FlowConfig(),)
         specs = [_as_spec(c) for c in circuits]
         if not specs:

@@ -212,12 +212,11 @@ class ElaborateStage(PostPMStage):
 
 class VerifyStage(Stage):
     """Soundness checks (when ``config.verify``): the structural gating
-    argument plus a functional differential — the compiled engine's
-    outputs-only program (``create_engine(..., activity=False)``) runs
-    the elaborated design against the reference model on a seeded
-    vector set, with power management on and off: one runner, run in
-    both modes, and no activity counters compiled for a check that
-    reads outputs only."""
+    argument plus a functional differential — the design's compiled
+    program runs the elaborated design against the reference model on a
+    seeded vector set, with power management on and off: one runner, run
+    in both modes, and the same one a later power run of the design
+    uses.  The check reads outputs only, so it counts no activity."""
 
     name = "verify"
     requires = ("pm", "design", "pipelined_gating")
@@ -244,7 +243,7 @@ class VerifyStage(Stage):
                     for v in vectors]
         for pm in (True, False):
             engine = create_engine(design, power_management=pm,
-                                   activity=False)
+                                   backend="compiled")
             if engine.run_batch(vectors).outputs != expected:
                 raise StageError(
                     f"design {design.name!r} diverges from the reference "

@@ -1086,6 +1086,10 @@ def _validate_params(kind, params) -> str | None:
                 return "params.budgets map needs a non-empty list per circuit"
         elif not (isinstance(budgets, list) and budgets):
             return "params.budgets must be a non-empty list (or per-circuit map)"
+        sim_vectors = params.get("sim_vectors", 0)
+        if isinstance(sim_vectors, bool) or not isinstance(sim_vectors, int) \
+                or sim_vectors < 0:
+            return "params.sim_vectors must be a non-negative integer"
         chunk = params.get("chunk_size")
         if chunk is not None and (isinstance(chunk, bool)
                                   or not isinstance(chunk, int)

@@ -1,7 +1,7 @@
 """Cycle-accurate RTL simulation with switching-activity accounting."""
 
 from repro.sim.activity import ActivityCounter, hamming
-from repro.sim.backend import BACKENDS, create_engine, numpy_available
+from repro.sim.backend import BACKENDS, create_engine
 from repro.sim.engine import (
     BatchResult,
     CompiledEngine,
@@ -11,10 +11,15 @@ from repro.sim.engine import (
     cached_plan,
     design_fingerprint,
     generate_outputs_source,
-    generate_source,
 )
 from repro.sim.reference import evaluate, evaluate_all
 from repro.sim.simulator import RTLSimulator, SampleResult
+from repro.sim.vectorized import (
+    ArrayBatchResult,
+    VectorizationError,
+    VectorizedEngine,
+    generate_vector_source,
+)
 from repro.sim.vectors import (
     exhaustive_vectors,
     input_names,
@@ -31,12 +36,15 @@ from repro.sim.workloads import (
 
 __all__ = [
     "ActivityCounter",
+    "ArrayBatchResult",
     "BACKENDS",
     "BatchResult",
     "CompiledEngine",
     "ExecutionPlan",
     "RTLSimulator",
     "SampleResult",
+    "VectorizationError",
+    "VectorizedEngine",
     "balanced_condition_vectors",
     "cached_plan",
     "clear_compile_caches",
@@ -48,30 +56,12 @@ __all__ = [
     "exhaustive_vectors",
     "gcd_trace_vectors",
     "generate_outputs_source",
-    "generate_source",
+    "generate_vector_source",
     "hamming",
     "input_names",
     "iter_balanced_condition_vectors",
     "iter_gcd_trace_vectors",
     "iter_random_vectors",
-    "numpy_available",
     "random_vectors",
     "vectors_to_array",
 ]
-
-try:  # the vectorized backend needs numpy; everything above does not
-    from repro.sim.vectorized import (  # noqa: F401
-        ArrayBatchResult,
-        VectorizationError,
-        VectorizedEngine,
-        generate_vector_source,
-    )
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    pass
-else:
-    __all__ += [
-        "ArrayBatchResult",
-        "VectorizationError",
-        "VectorizedEngine",
-        "generate_vector_source",
-    ]

@@ -1,42 +1,36 @@
 """Compiled batch simulation engine.
 
 The interpreted :class:`~repro.sim.simulator.RTLSimulator` resolves every
-operand through the graph (``resolve_source``), evaluates guards against a
-freshly built driver-value dict and dispatches each opcode through an
-if-chain — per operand, per step, per vector.  That is the hot path of
-``measure_power`` and every Table III regeneration.
+operand through the graph, evaluates guards against a freshly built
+driver-value dict and dispatches each opcode through an if-chain — per
+operand, per step, per vector.  This module compiles a
+:class:`~repro.rtl.design.SynthesizedDesign` once into a flat
+:class:`ExecutionPlan` — pre-resolved operand sources (register index /
+folded constant / shift chain), per-step start/end op tuples, guard-term
+drivers and FU latch ports — and specializes the plan into one
+straight-line Python program per design.  Power management is a run-time
+argument of it, so both modes, the verify stage's outputs check and
+simulated power all run one compile.
 
-This module compiles a :class:`~repro.rtl.design.SynthesizedDesign` once
-into a flat :class:`ExecutionPlan` — pre-resolved operand sources
-(register index / folded constant / shift chain), per-step start/end op
-tuples, guard-term drivers and FU latch ports as state-array slots — and
-then specializes the plan into straight-line Python (one generated
-``_run`` function per design, built with :func:`exec`; power management
-is a run-time argument of it, so both modes share the compile).
-Register file, input latches, FU outputs and all activity counters live
-in one flat state tuple that persists across batches, so switching
-activity between consecutive vectors — and between consecutive
-*batches* — is modelled exactly like one long interpreted run.
-
-Checks that compare outputs only (the pipeline's verify stage) build a
-second, outputs-only program from the same plan: the same guards and
-register write-back, no latches, FU outputs or counters.  It compiles
-in about a quarter to a third of the power runner's time.
-
-The engine is bit-for-bit equivalent to the legacy simulator: the same
-outputs and the same merged :class:`~repro.sim.activity.ActivityCounter`
-(including which resource-class keys exist).  The differential property
-tests in ``tests/sim/test_engine_differential.py`` pin that equivalence
-against both the interpreter and the functional reference model.
+The program computes outputs and registers and records a value trace;
+one NumPy function of the plan (:func:`_count`) counts switching
+activity from it for every design.  State persists across batches, so a
+split vector sequence counts exactly like one long interpreted run —
+outputs and the merged :class:`~repro.sim.activity.ActivityCounter`
+alike, as ``tests/sim/test_engine_differential.py`` pins.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from functools import cache, cached_property, partial
+from itertools import islice
 from typing import Iterable
+
+import numpy as np
 
 from repro.alloc.lifetimes import resolve_source
 from repro.ir.ops import Op, OpSemantics, ResourceClass
@@ -96,7 +90,6 @@ class OpEnd:
     resource: ResourceClass
     unit: int
     op: Op
-    n_operands: int
     dest_register: int
 
 
@@ -174,7 +167,6 @@ def compile_plan(design: SynthesizedDesign) -> ExecutionPlan:
             guard=guard_plan(node.nid), sources=sources))
         ends.setdefault(step + node.latency - 1, []).append(OpEnd(
             nid=node.nid, resource=node.resource, unit=unit, op=node.op,
-            n_operands=len(sources),
             dest_register=design.registers.register_of(node.nid).index))
 
     steps = tuple(
@@ -204,29 +196,16 @@ def compile_plan(design: SynthesizedDesign) -> ExecutionPlan:
 _CLASS_COUNTERS = ("_ai", "_ao", "_aa", "_id")
 
 
-def _state_names(plan: ExecutionPlan,
-                 activity: bool = True) -> tuple[str, ...]:
+def _state_names(plan: ExecutionPlan) -> tuple[str, ...]:
+    """Registers, latches ``l<unit>_<port>``, FU outputs ``fo<unit>``,
+    then the activity counters (the vectorized engine's state layout)."""
     names = [f"r{i}" for i in plan.registers]
-    if not activity:
-        return tuple(names)
     names += [f"l{u}_{p}" for u, p in plan.latch_ports]
     names += [f"fo{u}" for u in range(plan.n_units)]
     names += ["_rt", "_cc", "_cl"]
     for cls in plan.classes:
         names += [f"{prefix}_{cls.name}" for prefix in _CLASS_COUNTERS]
     return tuple(names)
-
-
-def _render_source(sp: SourcePlan, mask: int, sign: int) -> str:
-    if sp.const is not None:
-        return repr(sp.const)
-    expr = f"r{sp.register}"
-    for op, amount in sp.shifts:
-        if op is Op.SHL:
-            expr = f"(((({expr}) << {amount}) & {mask}) ^ {sign}) - {sign}"
-        else:  # arithmetic shift right of an in-range value stays in range
-            expr = f"(({expr}) >> {amount})"
-    return expr
 
 
 def _render_op(op: Op, operands: list[str], mask: int, sign: int) -> str:
@@ -266,150 +245,47 @@ def _render_op(op: Op, operands: list[str], mask: int, sign: int) -> str:
     raise ValueError(f"cannot compile {op!r}")  # pragma: no cover
 
 
-def _render_enable(guard: GuardPlan, render) -> str:
-    """The ``if`` that enables a guarded start: always with PM off, on
-    the guard with PM on (never, for a ``never`` guard)."""
-    if guard.never:
-        return "if not _pm:"
-    cond = " and ".join(
-        f"({render(src)})" if value else f"(not ({render(src)}))"
-        for src, value in guard.terms)
-    return f"if not _pm or ({cond}):"
+def generate_outputs_source(plan: ExecutionPlan) -> str:
+    """Python source of the design's ``_run(vectors, state, pm)`` program.
 
-
-def generate_source(plan: ExecutionPlan) -> str:
-    """Python source of the ``_run(vectors, state, pm)`` runner.
-
-    Power management is the run-time argument ``pm``, not a codegen
-    specialization, so one runner serves a design in both modes.  A
-    guarded start runs as ``if not _pm or (<guard>):`` (a ``never``
-    guard as ``if not _pm:``) and sets the op's ``g<nid>`` flag, which
-    its end event tests; an ungated run therefore sets every flag.
+    ``pm`` (power management) is a run-time argument.  An op's value
+    ``v<nid>`` is computed at its start step (so two ops sharing a unit
+    in one step stay apart) and written to its register at its end step;
+    a guarded op's enable ``g<nid>`` gates both.  The state is the
+    register file.  Besides the outputs the program returns a trace, one
+    tuple per vector: the wrapped inputs, every op's ``v<nid>`` in start
+    order, every gated op's ``g<nid>`` and a 1 (the ungated ops' enable).
     """
-    mask = (1 << plan.width) - 1
-    sign = 1 << (plan.width - 1)
-    names = _state_names(plan)
+    mask, sign = (1 << plan.width) - 1, 1 << (plan.width - 1)
+    state = "".join(f"r{i}, " for i in plan.registers)
 
     def render(sp: SourcePlan) -> str:
-        return _render_source(sp, mask, sign)
+        if sp.const is not None:
+            return repr(sp.const)
+        expr = f"r{sp.register}"
+        for op, amount in sp.shifts:  # a right shift stays in range
+            expr = (f"(((({expr}) << {amount}) & {mask}) ^ {sign}) - {sign}"
+                    if op is Op.SHL else f"(({expr}) >> {amount})")
+        return expr
 
-    guarded = {start.nid for step in plan.steps for start in step.starts
-               if not start.guard.unconditional}
+    ops = {end.nid: end.op for step in plan.steps for end in step.ends}
+    starts = [start for step in plan.steps for start in step.starts]
+    gated = dict.fromkeys(s.nid for s in starts if not s.guard.unconditional)
+    trace = ([f"_i{k}" for k in range(len(plan.inputs))]
+             + [f"v{s.nid}" for s in starts]
+             + [f"g{nid}" for nid in gated] + ["1"])
     lines: list[str] = []
     emit = lines.append
     emit(f"def _run(_vectors, _state, _pm):  # compiled from {plan.name!r}")
-    emit(f"    ({', '.join(names)},) = _state")
-    # Guard-activity flags for gated ops (reset by construction each run).
-    if guarded:
-        emit("    " + " = ".join(f"g{nid}" for nid in sorted(guarded))
-             + " = False")
-    emit("    _outs = []")
-    emit("    _append = _outs.append")
-    emit("    for _v in _vectors:")
-
-    # Clock edge into state 0: input registers load.
-    emit("        try:")
-    for k, (name, _reg) in enumerate(plan.inputs):
-        emit(f"            _in{k} = ((_v[{name!r}] & {mask}) ^ {sign})"
-             f" - {sign}")
-    if not plan.inputs:
-        emit("            pass")
-    emit("        except KeyError as _e:")
-    emit("            raise KeyError('missing input %r' % (_e.args[0],))"
-         " from None")
-    for k, (_name, reg) in enumerate(plan.inputs):
-        emit(f"        _rt += ((r{reg} ^ _in{k}) & {mask}).bit_count()"
-             f"; r{reg} = _in{k}")
-
-    # Counts every sample adds alike — one FSM cycle per control step,
-    # one activation per unconditional op — are added once per batch.
-    per_sample = {"_cc": plan.n_steps,
-                  "_cl": plan.n_steps * plan.controller_literals}
-
-    for step_index, step in enumerate(plan.steps):
-        if step.starts or step.ends:
-            emit(f"        # step {step_index}")
-        for start in step.starts:
-            gated = not start.guard.unconditional
-            indent = "        "
-            if gated:
-                emit(f"        {_render_enable(start.guard, render)}")
-                indent += "    "
-            ts = [f"t{start.nid}_{p}" for p in range(len(start.sources))]
-            for t, src in zip(ts, start.sources):
-                emit(f"{indent}{t} = {render(src)}")
-            toggles = " + ".join(
-                f"((l{start.unit}_{p} ^ {t}) & {mask}).bit_count()"
-                for p, t in enumerate(ts))
-            emit(f"{indent}_ai_{start.resource.name} += {toggles}")
-            emit(indent + "; ".join(
-                f"l{start.unit}_{p} = {t}" for p, t in enumerate(ts)))
-            if gated:
-                emit(f"{indent}g{start.nid} = True")
-                emit(f"        else:")
-                emit(f"            _id_{start.resource.name} += 1")
-        for end in step.ends:
-            indent = "        "
-            if end.nid in guarded:
-                emit(f"        if g{end.nid}:")
-                indent += "    "
-                emit(f"{indent}g{end.nid} = False")
-            ts = [f"t{end.nid}_{p}" for p in range(end.n_operands)]
-            emit(f"{indent}_x = {_render_op(end.op, ts, mask, sign)}")
-            emit(f"{indent}_ao_{end.resource.name} += "
-                 f"((fo{end.unit} ^ _x) & {mask}).bit_count()"
-                 f"; fo{end.unit} = _x")
-            if end.nid in guarded:
-                emit(f"{indent}_aa_{end.resource.name} += 1")
-            else:
-                name = f"_aa_{end.resource.name}"
-                per_sample[name] = per_sample.get(name, 0) + 1
-            emit(f"{indent}_rt += ((r{end.dest_register} ^ _x) & {mask})"
-                 f".bit_count(); r{end.dest_register} = _x")
-
-    out_items = ", ".join(
-        f"{name!r}: {render(src)}" for name, src in plan.outputs)
-    emit(f"        _append({{{out_items}}})")
-    emit("    _n = len(_outs)")
-    for name, count in per_sample.items():
-        if count:
-            emit(f"    {name} += {count} * _n")
-    emit(f"    return _outs, ({', '.join(names)},)")
-    return "\n".join(lines) + "\n"
-
-
-def generate_outputs_source(plan: ExecutionPlan) -> str:
-    """Python source of the outputs-only ``_run(vectors, state, pm)`` runner.
-
-    The same signature, input wrap, guards and register write-back as
-    :func:`generate_source`, without latches, FU outputs, toggle terms
-    or counters: an enabled start computes the op's value ``v<nid>``
-    from its sources, and its end step writes it to the destination
-    register.  The state is the register file alone.
-    """
-    mask = (1 << plan.width) - 1
-    sign = 1 << (plan.width - 1)
-    state = "".join(f"{name}, " for name in _state_names(plan, activity=False))
-
-    def render(sp: SourcePlan) -> str:
-        return _render_source(sp, mask, sign)
-
-    ops = {end.nid: end.op for step in plan.steps for end in step.ends}
-    guarded = {start.nid for step in plan.steps for start in step.starts
-               if not start.guard.unconditional}
-    lines: list[str] = []
-    emit = lines.append
-    emit(f"def _run(_vectors, _state, _pm):  # outputs of {plan.name!r}")
     emit(f"    ({state}) = _state")
-    if guarded:
-        emit("    " + " = ".join(f"g{nid}" for nid in sorted(guarded))
-             + " = False")
-    emit("    _outs = []")
-    emit("    _append = _outs.append")
+    if gated:  # a shut-down op's value is traced, never counted
+        emit("    " + " = ".join(f"v{nid}" for nid in gated) + " = 0")
+    emit("    _outs, _trace = [], []")
+    emit("    _append, _record = _outs.append, _trace.append")
     emit("    for _v in _vectors:")
     emit("        try:")
-    for name, reg in plan.inputs:
-        emit(f"            r{reg} = ((_v[{name!r}] & {mask}) ^ {sign})"
+    for k, (name, reg) in enumerate(plan.inputs):
+        emit(f"            r{reg} = _i{k} = ((_v[{name!r}] & {mask}) ^ {sign})"
              f" - {sign}")
     if not plan.inputs:
         emit("            pass")
@@ -421,46 +297,206 @@ def generate_outputs_source(plan: ExecutionPlan) -> str:
             value = _render_op(ops[start.nid],
                                [render(src) for src in start.sources],
                                mask, sign)
-            if start.nid not in guarded:
+            if start.nid not in gated:
                 emit(f"        v{start.nid} = {value}")
                 continue
-            emit(f"        {_render_enable(start.guard, render)}")
-            emit(f"            v{start.nid} = {value}; g{start.nid} = True")
+            # Enabled: always with PM off; with PM on, on the guard (never,
+            # for a ``never`` guard).  Any truthy value enables.
+            cond = " and ".join(
+                f"({render(src)})" if want else f"(not ({render(src)}))"
+                for src, want in start.guard.terms)
+            emit(f"        g{start.nid} = not _pm"
+                 + ("" if start.guard.never else f" or ({cond})"))
+            emit(f"        if g{start.nid}: v{start.nid} = {value}")
         for end in step.ends:
-            if end.nid in guarded:
-                emit(f"        if g{end.nid}:")
-                emit(f"            g{end.nid} = False; "
-                     f"r{end.dest_register} = v{end.nid}")
-            else:
-                emit(f"        r{end.dest_register} = v{end.nid}")
+            write = f"r{end.dest_register} = v{end.nid}"
+            emit(f"        if g{end.nid}: {write}" if end.nid in gated
+                 else f"        {write}")
     out_items = ", ".join(
         f"{name!r}: {render(src)}" for name, src in plan.outputs)
     emit(f"        _append({{{out_items}}})")
-    emit(f"    return _outs, ({state})")
+    emit(f"        _record(({', '.join(trace)},))")
+    emit(f"    return _outs, ({state}), _trace")
     return "\n".join(lines) + "\n"
+
+
+# -- activity from a value trace -------------------------------------------
+
+# Widest design whose values array code holds as int64 (products need
+# 2*width bits plus sign headroom); wider ones count on Python ints.
+VECTOR_WIDTH_LIMIT = 62
+
+# Vectors per runner call: a batch's trace is kept as arrays of this
+# many rows, and counted one array at a time.
+_CHUNK = 256
+
+_bit_count = np.frompyfunc(int.bit_count, 1, 1)
+
+
+def _masked_ffill(values: np.ndarray, mask: np.ndarray, carry: int,
+                  idx1: np.ndarray) -> np.ndarray:
+    """Solve ``out[i] = mask[i] ? values[i] : out[i-1]`` with ``out[-1] =
+    carry`` — the end-of-pass column of a slot whose writes are all
+    guarded — as pure array code.  ``idx1`` is ``arange(1, n + 1)``."""
+    idx = np.maximum.accumulate(np.where(mask, idx1, 0))
+    gathered = values[np.maximum(idx, 1) - 1]
+    return np.where(idx > 0, gathered, carry)
+
+
+class _Slots:
+    """Write events ``(value, flag column, counter)`` of some state slots,
+    per vector, laid out flat for a batch of ``n``: slot by slot, the
+    slot's carry and then its events vector by vector.  Event ``e`` of
+    vector ``i`` sits at ``a[e] + n * b[e] + i * c[e]``."""
+
+    def __init__(self, slots: list[list[tuple]]) -> None:
+        self.sizes = np.array([len(events) for events in slots], np.int64)
+        self.before = np.concatenate(([0], np.cumsum(self.sizes)))
+        slot = np.repeat(np.arange(len(slots)), self.sizes)
+        self.a = np.arange(len(slot)) - self.before[slot] + slot + 1
+        self.b, self.c = self.before[slot], self.sizes[slot]
+        events = [event for events in slots for event in events]
+        self.value, self.flag, self.counters = (
+            [event[k] for event in events] for k in range(3))
+        self.slots = np.arange(len(slots))
+
+    def fill(self, values, enables, carry, mask: int):
+        """Forward-fill disabled writes from each slot's carry: the flat
+        filled array, toggles per event, and each slot's end value."""
+        n = len(values)
+        at = self.a + n * self.b + np.arange(n)[:, None] * self.c
+        flat = np.empty(len(self.slots) + values.size, values.dtype)
+        keep = np.ones(len(flat), bool)
+        flat[self.slots + n * self.before[:-1]] = carry
+        flat[at], keep[at] = values, enables
+        flat = _masked_ffill(flat, keep, 0, np.arange(1, len(flat) + 1))
+        flips = (flat[at] ^ flat[at - 1]) & mask
+        count = _bit_count if flips.dtype == object else np.bitwise_count
+        return (flat, count(flips).sum(axis=0).tolist(),
+                flat[self.slots + n * self.before[1:]])
+
+
+class _Layout:
+    """Where each state slot's writes sit in a design's value trace:
+    registers take input loads and op ends, FU outputs op ends (trace
+    columns both); latches ``(unit, port)`` take op starts' operands,
+    read from a constant or a filled register through a shift chain."""
+
+    def __init__(self, plan: ExecutionPlan) -> None:
+        n_in = len(plan.inputs)
+        starts = [s for step in plan.steps for s in step.starts]
+        gated = [s.nid for s in starts if not s.guard.unconditional]
+        value = {s.nid: n_in + i for i, s in enumerate(starts)}
+        always = n_in + len(starts) + len(gated)  # the trace's 1 column
+        flag = dict.fromkeys(value, always) | {
+            nid: n_in + len(starts) + i for i, nid in enumerate(gated)}
+        slot = {reg: i for i, reg in enumerate(plan.registers)}
+        held = [[] for _ in range(len(slot) + plan.n_units)]
+        latched = {port: [] for port in plan.latch_ports}
+        for k, (_name, reg) in enumerate(plan.inputs):
+            held[slot[reg]].append((k, always, "_rt"))
+        for step in plan.steps:
+            for s in step.starts:
+                for port, src in enumerate(s.sources):
+                    reg = slot.get(src.register)
+                    position = 0 if reg is None else len(held[reg])
+                    read = (src.const, reg, position, src.shifts)
+                    latched[s.unit, port].append(
+                        (read, flag[s.nid], f"_ai_{s.resource.name}"))
+            for e in step.ends:
+                held[slot[e.dest_register]].append(
+                    (value[e.nid], flag[e.nid], "_rt"))
+                held[len(slot) + e.unit].append(
+                    (value[e.nid], flag[e.nid], f"_ao_{e.resource.name}"))
+        self.held = _Slots(held)
+        self.latched = _Slots(list(latched.values()))
+        self.op_flags = [flag[s.nid] for s in starts]
+        self.names = (self.held.counters + self.latched.counters
+                      + [f"_aa_{s.resource.name}" for s in starts]
+                      + [f"_id_{s.resource.name}" for s in starts])
+        reads = self.latched.value
+        self.consts = [0 if r[1] is not None else r[0] for r in reads]
+        self.reads, regs, positions = np.array(
+            [(i, r[1], r[2]) for i, r in enumerate(reads) if r[1] is not None],
+            np.int64).reshape(-1, 3).T
+        self.read_at = (regs + positions, self.held.before[regs],
+                        self.held.sizes[regs])
+        self.chains: dict[tuple, list[int]] = {}
+        for i, read in enumerate(reads):
+            if read[3]:
+                self.chains.setdefault(read[3], []).append(i)
+
+
+def _count(runner: "_Runner", traces: list[np.ndarray], regs: tuple,
+           units: tuple) -> tuple[ActivityCounter, tuple[int, ...]]:
+    """Switching activity of one batch from its trace arrays, and the
+    latches and FU outputs it leaves (``units``, :func:`_state_names`
+    order).  ``regs`` is the register file the batch started from."""
+    plan, layout = runner.plan, runner.layout
+    mask, sign = (1 << plan.width) - 1, 1 << (plan.width - 1)
+    n_latches = len(plan.latch_ports)
+    held, latched = [*regs, *units[n_latches:]], units[:n_latches]
+    n_all = sum(map(len, traces))
+    tally = Counter(_cc=n_all * plan.n_steps,
+                    _cl=n_all * plan.n_steps * plan.controller_literals)
+    for rows in filter(len, traces):
+        n = len(rows)
+        rows = rows if rows.dtype == object else rows.astype(np.int64)
+        fill, toggles, held = layout.held.fill(
+            rows[:, layout.held.value], rows[:, layout.held.flag] != 0,
+            np.array(held, rows.dtype), mask)
+        operands = np.array(np.broadcast_to(
+            layout.consts, (n, len(layout.consts))), rows.dtype)
+        a, b, c = layout.read_at
+        operands[:, layout.reads] = fill[a + n * b
+                                         + np.arange(n)[:, None] * c]
+        for shifts, cols in layout.chains.items():
+            x = operands[:, cols]
+            for op, amount in shifts:
+                x = ((((x << amount) & mask) ^ sign) - sign
+                     if op is Op.SHL else x >> amount)
+            operands[:, cols] = x
+        _fill, latch_toggles, latched = layout.latched.fill(
+            operands, rows[:, layout.latched.flag] != 0,
+            np.array(latched, rows.dtype), mask)
+        on = (rows[:, layout.op_flags] != 0).sum(axis=0).tolist()
+        for name, count in zip(layout.names, toggles + latch_toggles + on
+                               + [n - k for k in on]):
+            tally[name] += count
+        held, latched = held.tolist(), latched.tolist()
+    return _counter(plan, tally), (*latched, *held[len(regs):])
+
+
+def _counter(plan: ExecutionPlan, tally) -> ActivityCounter:
+    """An :class:`ActivityCounter` from per-counter totals."""
+    counter = ActivityCounter(
+        width=plan.width, register_toggles=tally["_rt"],
+        controller_cycles=tally["_cc"], controller_literals=tally["_cl"])
+    for cls in plan.classes:
+        activations = tally[f"_aa_{cls.name}"]
+        if activations:
+            # Keys exist exactly when the interpreter would create
+            # them: an enabled start always reaches its end event.
+            counter.fu_input_toggles[cls] = tally[f"_ai_{cls.name}"]
+            counter.fu_output_toggles[cls] = tally[f"_ao_{cls.name}"]
+            counter.fu_activations[cls] = activations
+        idles = tally[f"_id_{cls.name}"]
+        if idles:
+            counter.fu_idles[cls] = idles
+    return counter
 
 
 # -- compile-once caches ---------------------------------------------------
 
-# ``CompiledEngine`` used to recompile the plan and regenerate source on
-# every construction.  Designs are immutable once elaborated, so plans,
-# generated sources and exec-compiled runners are cached module-wide,
-# keyed by a content fingerprint of the design — two equal designs built
-# independently (e.g. the same exploration point revisited by an
-# ``explore()`` worker process) share one compilation.
-#
-# Entries per cache.  A cached design holds about 40-100 KB (plan plus
-# runners); a verified design also holds an outputs-only runner, built
-# from about a quarter of the power runner's source, in a cache of its
-# own.  Nearly every hit is an engine built for the design just compiled
-# (simulated power builds the baseline and managed engines back to
-# back; verify builds one engine per mode), so on explore, serve and
-# anneal traffic 128 entries hit as often as an unbounded cache; an
-# ``explore()`` re-run in one process keeps its hits while it spans at
-# most 128 designs (64 on the vectorized backend, which caches one
-# runner per mode).
-# At 512, a server worker compiling fresh circuits kept 20+ MB of designs
-# it never looked up again.
+# Designs are immutable once elaborated, so plans and runners are cached
+# by a content fingerprint of the design: equal designs built apart (an
+# exploration point revisited by an ``explore()`` worker) compile once.
+# A cached design holds about 40-100 KB.  Nearly every hit is an engine
+# for the design just compiled (a power run's baseline/managed pair, the
+# verify stage's two modes, a verified design's power run), so on
+# explore, serve and anneal traffic 128 entries hit as often as an
+# unbounded cache (64 designs on the vectorized backend, one runner per
+# mode); at 512 a server worker kept 20+ MB it never looked up again.
 _LRU_MAX = 128
 
 # Every cache built with _make_lru registers here so
@@ -490,8 +526,7 @@ def _lru_put(cache: OrderedDict, key, value) -> None:
 
 
 _PLAN_CACHE = _make_lru()    # fingerprint -> ExecutionPlan
-_RUNNER_CACHE = _make_lru()  # fingerprint -> (plan, source, runner)
-_OUTPUTS_CACHE = _make_lru()  # fingerprint -> (plan, source, runner)
+_RUNNER_CACHE = _make_lru()  # fingerprint -> _Runner
 
 
 def design_fingerprint(design: SynthesizedDesign) -> str:
@@ -554,13 +589,38 @@ def clear_compile_caches() -> None:
 # -- the engine ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    """Outputs and merged switching activity of one vector batch
-    (``activity`` is ``None`` from an outputs-only engine)."""
+class _Runner:
+    """A design's compiled program; the layout its traces are counted
+    with is built on first count."""
 
-    outputs: list[dict[str, int]]
-    activity: ActivityCounter | None
+    def __init__(self, plan: ExecutionPlan) -> None:
+        self.plan, self.source = plan, generate_outputs_source(plan)
+        namespace: dict[str, object] = {}
+        exec(compile(self.source, f"<engine:{plan.name}>", "exec"),
+             namespace)
+        self.run = namespace["_run"]
+        # Narrowest integer holding a wrapped value: traces wait as these.
+        self.dtype = object if plan.width > VECTOR_WIDTH_LIMIT \
+            else np.min_scalar_type(-(1 << (plan.width - 1)))
+
+    @cached_property
+    def layout(self) -> _Layout:
+        return _Layout(self.plan)
+
+
+class BatchResult:
+    """Outputs and merged switching activity of one vector batch.  A
+    compiled engine passes ``activity`` as a callable that counts it:
+    the first read calls it."""
+
+    def __init__(self, outputs: list[dict[str, int]], activity) -> None:
+        self.outputs, self._activity = outputs, activity
+
+    @property
+    def activity(self) -> ActivityCounter:
+        if callable(self._activity):
+            self._activity = self._activity()
+        return self._activity
 
     @property
     def samples(self) -> int:
@@ -568,24 +628,20 @@ class BatchResult:
 
 
 class _EngineBase:
-    """State plumbing shared by the compiled and vectorized backends:
-    one flat tuple of ints holding hardware state plus activity counters
-    (registers alone for an outputs-only engine), persisted across
+    """State plumbing of the vectorized backend: one flat tuple of ints
+    holding hardware state plus activity counters, persisted across
     batches, with delta-based activity accounting."""
 
     plan: ExecutionPlan
 
-    # Which backend name :func:`repro.sim.backend.create_engine` resolved
-    # to when it built this engine; ``None`` for engines constructed
-    # directly.  Surfaced on power results and explore points so ``auto``
-    # resolutions are observable instead of silent.
+    # The backend :func:`repro.sim.backend.create_engine` resolved to
+    # (``None`` for engines built directly), surfaced on power results and
+    # explore points, and why: for ``auto``, the rule that fired.
     chosen_backend: str | None = None
-    # Why it resolved that way: for ``auto``, the rule that fired.
     backend_reason: str | None = None
 
-    def _init_state(self, activity: bool = True) -> None:
-        self._names = _state_names(self.plan, activity)
-        self._index = {name: i for i, name in enumerate(self._names)}
+    def _init_state(self) -> None:
+        self._names = _state_names(self.plan)
         self._state: tuple[int, ...] = tuple(0 for _ in self._names)
         self.samples = 0
 
@@ -594,33 +650,10 @@ class _EngineBase:
         """Input names in plan order (the column order of input arrays)."""
         return tuple(name for name, _reg in self.plan.inputs)
 
-    # -- activity accounting -------------------------------------------
-
-    def _delta(self, before: tuple[int, ...], after: tuple[int, ...],
-               name: str) -> int:
-        i = self._index[name]
-        return after[i] - before[i]
-
     def _activity_delta(self, before: tuple[int, ...],
                         after: tuple[int, ...]) -> ActivityCounter:
-        counter = ActivityCounter(width=self.plan.width)
-        counter.register_toggles = self._delta(before, after, "_rt")
-        counter.controller_cycles = self._delta(before, after, "_cc")
-        counter.controller_literals = self._delta(before, after, "_cl")
-        for cls in self.plan.classes:
-            activations = self._delta(before, after, f"_aa_{cls.name}")
-            if activations:
-                # Keys exist exactly when the interpreter would create
-                # them: an enabled start always reaches its end event.
-                counter.fu_input_toggles[cls] = self._delta(
-                    before, after, f"_ai_{cls.name}")
-                counter.fu_output_toggles[cls] = self._delta(
-                    before, after, f"_ao_{cls.name}")
-                counter.fu_activations[cls] = activations
-            idles = self._delta(before, after, f"_id_{cls.name}")
-            if idles:
-                counter.fu_idles[cls] = idles
-        return counter
+        return _counter(self.plan, Counter(
+            {name: a - b for name, b, a in zip(self._names, before, after)}))
 
     def state(self) -> dict[str, int]:
         """Named snapshot of the persistent state (debug/test aid)."""
@@ -636,57 +669,63 @@ class CompiledEngine(_EngineBase):
     """Executes vector batches against a compiled design.
 
     Hardware state (registers, input latches, FU outputs) persists across
-    :meth:`run_batch` calls, so splitting one vector sequence into many
-    batches is indistinguishable from one big batch — the property Monte
-    Carlo estimation relies on.
-
-    Plan compilation, source generation and the exec-compiled runner are
-    cached module-wide by design fingerprint, so constructing many
-    engines for equal designs compiles exactly once.  The runner takes
-    ``power_management`` as a call argument, so engines in both modes
-    share it.
-
-    ``activity=False`` builds the outputs-only program instead
-    (:func:`generate_outputs_source`, cached apart from the power
-    runner): registers are its whole state, and :meth:`run_batch`
-    reports ``activity=None``.
+    :meth:`run_batch` calls, so split batches equal one big batch — the
+    property Monte Carlo estimation relies on.  The runner is cached by
+    design fingerprint and takes ``power_management`` as an argument, so
+    equal designs compile once for both modes.  A batch's activity,
+    latches and FU outputs are counted from its trace when ``activity``
+    is first read or before the next batch runs, so a caller that reads
+    outputs only counts nothing.
     """
 
     backend = "compiled"
 
     def __init__(self, design: SynthesizedDesign,
-                 power_management: bool = True,
-                 activity: bool = True) -> None:
+                 power_management: bool = True) -> None:
         self.design = design
         self.power_management = power_management
-        self.activity = activity
-        cache, generate = ((_RUNNER_CACHE, generate_source) if activity
-                           else (_OUTPUTS_CACHE, generate_outputs_source))
         key = design_fingerprint(design)
-        cached = _lru_get(cache, key)
-        if cached is None:
-            plan = cached_plan(design)
-            source = generate(plan)
-            namespace: dict[str, object] = {}
-            exec(compile(source, f"<engine:{design.graph.name}>", "exec"),
-                 namespace)
-            cached = (plan, source, namespace["_run"])
-            _lru_put(cache, key, cached)
-        self.plan, self.source, self._run = cached
-        self._init_state(activity)
+        runner = _lru_get(_RUNNER_CACHE, key)
+        if runner is None:
+            runner = _Runner(cached_plan(design))
+            _lru_put(_RUNNER_CACHE, key, runner)
+        self._runner, self.plan, self.source, self._run = \
+            runner, runner.plan, runner.source, runner.run
+        self.reset()
+
+    def _settle(self) -> tuple[int, ...]:
+        """Count any pending batch: the latches and FU outputs it left."""
+        if self._pending is not None:
+            self._units, self._pending = self._pending()[1], None
+        return self._units
 
     def run_batch(self, vectors: Iterable[dict[str, int]]) -> BatchResult:
         """Run ``vectors`` (any iterable, lists or streams) in sequence."""
-        before = self._state
-        outputs, after = self._run(vectors, before, self.power_management)
-        self._state = after
-        self.samples += len(outputs)
-        activity = (self._activity_delta(before, after) if self.activity
-                    else None)
-        return BatchResult(outputs=outputs, activity=activity)
+        units, regs = self._settle(), self._regs
+        start, stream, outputs, traces = regs, iter(vectors), [], []
+        while len(outputs) == len(traces) * _CHUNK:
+            outs, regs, trace = self._run(islice(stream, _CHUNK), regs,
+                                          self.power_management)
+            outputs += outs
+            traces.append(np.array(trace, self._runner.dtype))
+        self._regs, self.samples = regs, self.samples + len(outputs)
+        pending = self._pending = cache(partial(_count, self._runner, traces,
+                                                start, units))
+        return BatchResult(outputs, lambda: pending()[0])
 
     def run_many(self, vectors: Iterable[dict[str, int]]) -> tuple[
-            list[dict[str, int]], ActivityCounter | None]:
+            list[dict[str, int]], ActivityCounter]:
         """Drop-in signature twin of :meth:`RTLSimulator.run_many`."""
         result = self.run_batch(vectors)
         return result.outputs, result.activity
+
+    def state(self) -> dict[str, int]:
+        """Named registers, latches and FU outputs (debug/test aid)."""
+        return dict(zip(_state_names(self.plan),
+                        (*self._regs, *self._settle())))
+
+    def reset(self) -> None:
+        """Zero all hardware state and drop a pending batch's trace."""
+        self._regs = (0,) * len(self.plan.registers)
+        self._units = (0,) * (len(self.plan.latch_ports) + self.plan.n_units)
+        self._pending, self.samples = None, 0

@@ -75,6 +75,7 @@ from repro.sim.engine import (
     _lru_get,
     _lru_put,
     _make_lru,
+    _masked_ffill,
     _state_names,
     cached_plan,
     design_fingerprint,
@@ -85,16 +86,6 @@ class VectorizationError(Exception):
     """The plan exceeds the array backend's numeric envelope (width past
     the int64 headroom); use the compiled backend instead.  Recurrent
     guarded state no longer raises — it lowers to a hybrid plan."""
-
-
-def _masked_ffill(values: np.ndarray, mask: np.ndarray, carry: int,
-                  idx1: np.ndarray) -> np.ndarray:
-    """Solve ``out[i] = mask[i] ? values[i] : out[i-1]`` with ``out[-1] =
-    carry`` — the end-of-pass column of a slot whose writes are all
-    guarded — as pure array code.  ``idx1`` is ``arange(1, n + 1)``."""
-    idx = np.maximum.accumulate(np.where(mask, idx1, 0))
-    gathered = values[np.maximum(idx, 1) - 1]
-    return np.where(idx > 0, gathered, carry)
 
 
 # -- code generation -------------------------------------------------------

@@ -143,6 +143,10 @@ class TestExploreCommand:
         with pytest.raises(SystemExit, match="comma-separated"):
             main(["explore", "dealer", "--budgets", "5,six"])
 
+    def test_negative_sim_vectors_rejected(self):
+        with pytest.raises(SystemExit, match="error: --sim-vectors"):
+            main(["explore", "gcd", "--budgets", "7", "--sim-vectors", "-5"])
+
     def test_verify_flag_reaches_the_sweep_configs(self, monkeypatch):
         import repro.cli as cli
 

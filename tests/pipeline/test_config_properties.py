@@ -4,8 +4,7 @@ One Hypothesis strategy draws the whole knob cross-product at once —
 scheduler, MUX ordering, partial PM, mutex sharing, initiation interval,
 pipelined-gating mode and datapath width — over ``gen:*`` and
 ``chstone:*`` circuits, with the power-management pass on and off, and
-simulates the result on a drawn batch engine (the power-counting
-compiled or vectorized engine, or the outputs-only compiled program).
+simulates the result on a drawn batch engine (compiled or vectorized).
 Whatever the draw, the synthesized design must simulate bit-identically
 to the reference model: gating and scheduling only ever change *when*
 work happens, never what the circuit computes.  The one permitted refusal is the
@@ -55,9 +54,8 @@ def flow_configs(draw, graph, pm_enabled: bool) -> FlowConfig:
         mutex_sharing=draw(st.booleans()))
 
 
-#: Batch engines the synthesized design is simulated on; ``outputs`` is
-#: the compiled engine's outputs-only program (the verify stage's).
-ENGINES = st.sampled_from(("compiled", "vectorized", "outputs"))
+#: Batch engines the synthesized design is simulated on.
+ENGINES = st.sampled_from(("compiled", "vectorized"))
 
 
 def assert_config_matches_reference(graph, config, backend):
@@ -69,11 +67,7 @@ def assert_config_matches_reference(graph, config, backend):
         raise
     vectors = random_vectors(graph, 16, width=config.width, seed=7)
     expected = [evaluate(graph, v, width=config.width) for v in vectors]
-    if backend == "outputs":
-        engine = create_engine(design, activity=False)
-    else:
-        engine = create_engine(design, backend=backend)
-    outputs, _ = engine.run_many(vectors)
+    outputs, _ = create_engine(design, backend=backend).run_many(vectors)
     assert outputs == expected, (config, backend)
 
 

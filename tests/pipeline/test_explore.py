@@ -16,6 +16,7 @@ from repro.pipeline import (
     clear_explore_cache,
     explore,
     job_key,
+    plan_jobs,
     run_pair,
 )
 from repro.power.simulated import compare_designs
@@ -88,6 +89,15 @@ class TestShape:
             explore([42], BUDGETS)
         with pytest.raises(KeyError):
             explore(["nonesuch"], BUDGETS)
+
+    @pytest.mark.parametrize("bad", [-5, 2.5, True, "16"])
+    def test_bad_sim_vectors_rejected(self, bad):
+        """A negative count used to simulate nothing and report an
+        unsimulated sweep as if asked for none."""
+        with pytest.raises(ValueError, match="sim_vectors"):
+            explore(["gcd"], [7], sim_vectors=bad)
+        with pytest.raises(ValueError, match="sim_vectors"):
+            plan_jobs(["gcd"], [7], sim_vectors=bad)
 
 
 class TestCaching:

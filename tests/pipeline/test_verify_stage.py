@@ -1,6 +1,6 @@
 """The verify stage catches a broken design, in the mode it is broken in.
 
-``VerifyStage`` runs the design's outputs-only runner against the
+``VerifyStage`` runs the design's compiled program against the
 reference model with power management on and off.  A flipped guard term
 only matters while the guards are obeyed, so it must fail the PM-on
 check and pass the PM-off one; a corrupted destination register breaks
@@ -36,7 +36,7 @@ def diverges(graph, design, power_management):
     vectors = random_vectors(graph, stage.n_check_vectors,
                              width=design.width, seed=stage.check_seed)
     engine = create_engine(design, power_management=power_management,
-                           activity=False)
+                           backend="compiled")
     return engine.run_batch(vectors).outputs != [
         evaluate(graph, v, width=design.width) for v in vectors]
 
@@ -107,3 +107,17 @@ def test_clobbered_register_fails_in_both_modes():
     assert diverges(ctx.graph, broken, True)
     assert diverges(ctx.graph, broken, False)
 
+
+
+def test_verify_counts_no_activity(monkeypatch):
+    """The check reads outputs only, so it never counts activity."""
+    import repro.sim.engine as engine
+
+    def no_count(*args):
+        raise AssertionError("the verify stage counted activity")
+
+    monkeypatch.setattr(engine, "_count", no_count)
+    engine.clear_compile_caches()
+    ctx = Pipeline().run_context(build("gcd"),
+                                 FlowConfig(n_steps=7, verify=True))
+    assert ctx.get("verified") is True

@@ -116,6 +116,16 @@ class TestAPI:
             client.job("j-999-deadbeef")
         assert err.value.status == 404
 
+    @pytest.mark.parametrize("bad", [-5, 2.5, True, "16"])
+    def test_bad_sim_vectors_is_400(self, served, bad):
+        """A negative count used to run a job that simulated nothing."""
+        _, _, client = served
+        with pytest.raises(ServeError) as err:
+            client.submit("explore", circuits=["gcd"], budgets=[7],
+                          sim_vectors=bad)
+        assert err.value.status == 400
+        assert "params.sim_vectors" in str(err.value)
+
     @pytest.mark.parametrize("kind,params", [
         ("explore", {"circuits": ["gcd"], "budgets": [6],
                      "sim_vectors": 0}),

@@ -16,7 +16,6 @@ import pytest
 from repro.circuits import build
 from repro.pipeline import FlowConfig, Pipeline, run_pair
 from repro.power.simulated import compare_designs, measure_power
-from repro.sim import backend as backend_module
 from repro.sim.backend import (
     BACKENDS,
     COMPILED_MAX_VECTORS,
@@ -24,8 +23,8 @@ from repro.sim.backend import (
     _auto,
     create_engine,
 )
+from repro.sim import engine as engine_module
 from repro.sim.engine import (
-    _OUTPUTS_CACHE,
     _RUNNER_CACHE,
     CompiledEngine,
     clear_compile_caches,
@@ -109,15 +108,6 @@ class TestChoice:
         engine = create_engine(design, n_vectors=4096)
         assert isinstance(engine, CompiledEngine)
 
-    @pytest.mark.parametrize("n_vectors", [None, 16, 4096])
-    def test_numpy_unavailable_means_compiled(self, gcd_pair, monkeypatch,
-                                              n_vectors):
-        monkeypatch.setattr(backend_module, "numpy_available", lambda: False)
-        engine = create_engine(gcd_pair.managed.design, n_vectors=n_vectors)
-        assert isinstance(engine, CompiledEngine)
-        assert engine.chosen_backend == "compiled"
-        assert engine.backend_reason == "auto: numpy unavailable"
-
     def test_monte_carlo_decides_by_block_size(self, gcd_pair):
         """Each Monte Carlo block is one engine call, so the block size
         is the count ``auto`` decides by."""
@@ -142,23 +132,26 @@ class TestReason:
         if backend != "auto":
             assert engine.backend_reason == "requested"
 
-    @pytest.mark.parametrize("backend", ["compiled", "auto"])
-    @pytest.mark.parametrize("n_vectors", [None, 16, 4096])
-    def test_outputs_only_is_compiled_at_any_count(self, gcd_pair, backend,
-                                                   n_vectors):
-        engine = create_engine(gcd_pair.managed.design, backend=backend,
-                               n_vectors=n_vectors, activity=False)
-        assert isinstance(engine, CompiledEngine)
-        assert engine.chosen_backend == "compiled"
-        assert engine.backend_reason == "outputs only"
-        assert engine.run_batch([{"a": 6, "b": 4}]).activity is None
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_negative_count_is_an_error(self, gcd_pair, backend):
+        """``auto`` used to read -3 vectors as a small call."""
+        with pytest.raises(ValueError, match="n_vectors"):
+            create_engine(gcd_pair.managed.design, backend=backend,
+                          n_vectors=-3)
         assert not _RUNNER_CACHE
-
-    def test_outputs_only_vectorized_is_an_error(self, gcd_pair):
-        with pytest.raises(ValueError, match="always counts activity"):
-            create_engine(gcd_pair.managed.design, backend="vectorized",
-                          activity=False)
         assert not _VECTOR_CACHE
+
+    def test_unread_activity_is_never_counted(self, gcd_pair, monkeypatch):
+        """A compiled engine counts a batch's activity only when read,
+        so a caller that reads outputs only pays for no counting."""
+        def no_count(*args):
+            raise AssertionError("activity counted")
+
+        monkeypatch.setattr(engine_module, "_count", no_count)
+        engine = create_engine(gcd_pair.managed.design, backend="compiled")
+        assert engine.backend_reason == "requested"
+        outputs = engine.run_batch([{"a": 6, "b": 4}]).outputs
+        assert outputs[0]["gcd"] == 2
 
     def test_auto_reason_gives_count_and_limit(self, gcd_pair, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.sim.backend"):
@@ -168,16 +161,38 @@ class TestReason:
 
 
 class TestCallers:
-    def test_verify_stage_builds_for_its_count(self):
-        """The check reads outputs only: it builds the design's one
-        outputs-only runner and runs it in both modes, and compiles no
-        power runner on either backend."""
+    def test_verify_stage_builds_the_one_runner(self):
+        """The check runs the design's one compiled program in both
+        modes and compiles nothing on the vectorized backend."""
         ctx = Pipeline().run_context(build("vender"),
                                      FlowConfig(n_steps=6, verify=True))
         assert ctx.get("verified") is True
-        assert list(_OUTPUTS_CACHE) == [
+        assert list(_RUNNER_CACHE) == [
             design_fingerprint(ctx.get("design"))]
-        assert not _RUNNER_CACHE
+        assert not _VECTOR_CACHE
+
+    def test_verified_and_simulated_point_compiles_once(self,
+                                                         monkeypatch):
+        """Verify and simulated power share one program per design:
+        the managed and the baseline design compile one runner each."""
+        from repro.pipeline import clear_explore_cache, explore
+        from repro.sched.timing import critical_path_length
+
+        compiled = []
+
+        def counting(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        # Every program the compiled engine builds goes through this.
+        monkeypatch.setattr(engine_module, "compile", counting,
+                            raising=False)
+        clear_explore_cache()
+        cp = critical_path_length(build("gcd"))
+        result = explore(["gcd"], [cp + 2],
+                         configs=[FlowConfig(verify=True)], sim_vectors=16)
+        assert result.points[0].simulated_reduction_pct is not None
+        assert len(compiled) == len(_RUNNER_CACHE) == 2
         assert not _VECTOR_CACHE
 
     def test_compare_designs_one_backend_for_the_pair(self, gcd_pair):

@@ -5,7 +5,6 @@ import pytest
 from repro.circuits import build
 from repro.pipeline import FlowConfig, run_pair
 from repro.sim.engine import (
-    _OUTPUTS_CACHE,
     _RUNNER_CACHE,
     CompiledEngine,
     cached_plan,
@@ -96,36 +95,49 @@ class TestCompileOnce:
         assert fresh.activity == CompiledEngine(design).run_batch(vectors).activity
 
 
-class TestOutputsOnly:
-    def test_own_cache_shared_by_modes_and_equal_designs(self):
+class TestOneProgram:
+    """One compiled program per design serves every caller: both modes,
+    outputs-only checks and activity counts."""
+
+    def test_one_cache_entry_for_modes_and_equal_designs(self):
         design = _design()
-        on = CompiledEngine(design, power_management=True, activity=False)
-        off = CompiledEngine(_design(), power_management=False,
-                             activity=False)
+        on = CompiledEngine(design, power_management=True)
+        off = CompiledEngine(_design(), power_management=False)
         assert on._run is off._run
-        assert list(_OUTPUTS_CACHE) == [design_fingerprint(design)]
-        assert not _RUNNER_CACHE
-        full = CompiledEngine(design)
-        assert full.plan is on.plan
-        assert full._run is not on._run
-        assert list(_RUNNER_CACHE) == list(_OUTPUTS_CACHE)
+        assert list(_RUNNER_CACHE) == [design_fingerprint(design)]
 
-    def test_clear_flushes_it(self):
-        CompiledEngine(_design(), activity=False)
-        assert _OUTPUTS_CACHE
-        clear_compile_caches()
-        assert not _OUTPUTS_CACHE
+    def test_clear_flushes_runner_and_layout(self):
+        """The counting layout lives in the runner's cache entry, so a
+        cleared cache rebuilds both."""
+        from repro.sim.vectors import random_vectors
 
-    def test_state_is_the_register_file(self):
         design = _design()
-        engine = CompiledEngine(design, activity=False)
-        assert set(engine.state()) == {
-            f"r{reg.index}" for reg in design.registers.assignment.values()}
+        engine = CompiledEngine(design)
+        runner = _RUNNER_CACHE[design_fingerprint(design)]
+        assert "layout" not in runner.__dict__  # nothing counted yet
+        engine.run_batch(random_vectors(design.graph, 4)).activity
+        layout = runner.__dict__["layout"]
+        clear_compile_caches()
+        assert not _RUNNER_CACHE
+        CompiledEngine(design).run_batch(
+            random_vectors(design.graph, 4)).activity
+        rebuilt = _RUNNER_CACHE[design_fingerprint(design)]
+        assert rebuilt is not runner
+        assert rebuilt.__dict__["layout"] is not layout
+
+    def test_state_names_registers_latches_and_fu_outputs(self):
+        design = _design()
+        engine = CompiledEngine(design)
+        plan = engine.plan
+        assert list(engine.state()) == (
+            [f"r{reg}" for reg in plan.registers]
+            + [f"l{u}_{p}" for u, p in plan.latch_ports]
+            + [f"fo{u}" for u in range(plan.n_units)])
         assert "bit_count" not in engine.source
         assert "_rt" not in engine.source
 
     def test_missing_input_keeps_the_state(self):
-        engine = CompiledEngine(_design(), activity=False)
+        engine = CompiledEngine(_design())
         engine.run_batch([{"a": 12, "b": 18}])
         before = engine.state()
         with pytest.raises(KeyError, match="missing input 'b'"):

@@ -5,9 +5,14 @@ import pytest
 from repro.ir.ops import ResourceClass
 from repro.pipeline import FlowConfig, run_pair
 from repro.sim.activity import ActivityCounter
-from repro.sim.engine import CompiledEngine, compile_plan, generate_source
+from repro.sim.engine import (
+    CompiledEngine,
+    compile_plan,
+    generate_outputs_source,
+)
 from repro.sim.simulator import RTLSimulator
 from repro.sim.vectors import iter_random_vectors, random_vectors
+from tests.sim.engine_state import interpreter_state
 
 
 @pytest.fixture
@@ -110,7 +115,7 @@ class TestPlanCompilation:
 
     def test_generated_source_is_python(self, dealer_design):
         plan = compile_plan(dealer_design)
-        source = generate_source(plan)
+        source = generate_outputs_source(plan)
         assert source.startswith("def _run(_vectors, _state, _pm):")
         compile(source, "<test>", "exec")  # must parse
         for pm in (True, False):
@@ -118,11 +123,15 @@ class TestPlanCompilation:
             assert engine.source == source
 
     def test_state_snapshot_named(self, dealer_graph, dealer_design):
+        """Registers, latches and FU outputs, named as the vectorized
+        engine names them, equal to the interpreter's hardware state."""
         engine = CompiledEngine(dealer_design)
-        state = engine.state()
-        assert all(value == 0 for value in state.values())
-        engine.run_batch(random_vectors(dealer_graph, 3))
-        assert engine.state()["_cc"] == 3 * 6  # 3 samples x 6 steps
+        assert all(value == 0 for value in engine.state().values())
+        vectors = random_vectors(dealer_graph, 3)
+        engine.run_batch(vectors)  # its activity is never read
+        reference = RTLSimulator(dealer_design)
+        reference.run_many(vectors)
+        assert engine.state() == interpreter_state(reference)
 
 
 def _suite_design(name):
@@ -159,16 +168,111 @@ class TestRunTimeMode:
             assert (head.outputs + tail.outputs, merged) == expected, pm
 
     def test_guarded_start_tests_the_mode(self, dealer_design):
-        source = generate_source(compile_plan(dealer_design))
+        source = generate_outputs_source(compile_plan(dealer_design))
         assert any(guard.terms for guard in dealer_design.guards.values())
-        assert "        if not _pm or (" in source
+        assert " = not _pm or (" in source
 
     def test_ungated_design_never_reads_the_mode(self, dealer_graph):
         design = run_pair(dealer_graph, FlowConfig(n_steps=6)).baseline.design
         assert all(guard.is_unconditional
                    for guard in design.guards.values())
-        source = generate_source(compile_plan(design))
+        source = generate_outputs_source(compile_plan(design))
         assert source.count("_pm") == 1  # the signature only
         assert CompiledEngine(design, power_management=False).run_many(
             random_vectors(dealer_graph, 12)) == CompiledEngine(
                 design).run_many(random_vectors(dealer_graph, 12))
+
+
+def segments(sim: RTLSimulator, batches) -> list[ActivityCounter]:
+    """The interpreter's activity per batch, its state carried across."""
+    return [sim.run_many(batch)[1] for batch in batches]
+
+
+class TestLazyCounting:
+    """A batch's activity is counted from its trace on first read, or
+    before the engine's next batch; either way the latches and FU
+    outputs it leaves carry into that next batch."""
+
+    @pytest.mark.parametrize("pm", [True, False])
+    def test_unread_middle_batch_still_carries_state(self, dealer_graph,
+                                                     dealer_design, pm):
+        vectors = random_vectors(dealer_graph, 30, seed=3)
+        batches = [vectors[:9], vectors[9:20], vectors[20:]]
+        engine = CompiledEngine(dealer_design, power_management=pm)
+        first, middle, last = (engine.run_batch(b) for b in batches)
+        reference = RTLSimulator(dealer_design, power_management=pm)
+        expected = segments(reference, batches)
+        assert first.activity == expected[0]
+        assert last.activity == expected[2]  # middle never read
+        one = CompiledEngine(dealer_design,
+                             power_management=pm).run_batch(vectors)
+        whole = RTLSimulator(dealer_design,
+                             power_management=pm).run_many(vectors)
+        assert first.outputs + middle.outputs + last.outputs \
+            == one.outputs == whole[0]
+        merged = ActivityCounter(width=dealer_design.width)
+        for counter in expected:
+            merged.merge(counter)
+        assert one.activity == merged == whole[1]
+        assert engine.state() == interpreter_state(reference)
+
+    def test_read_after_the_next_batch(self, dealer_graph, dealer_design):
+        vectors = random_vectors(dealer_graph, 20, seed=4)
+        engine = CompiledEngine(dealer_design)
+        head = engine.run_batch(vectors[:8])
+        tail = engine.run_batch(vectors[8:])
+        expected = segments(RTLSimulator(dealer_design),
+                            [vectors[:8], vectors[8:]])
+        assert [tail.activity, head.activity] == expected[::-1]
+
+    def test_empty_batch_counts_zero_and_keeps_the_carry(self, dealer_graph,
+                                                         dealer_design):
+        vectors = random_vectors(dealer_graph, 12, seed=5)
+        engine = CompiledEngine(dealer_design)
+        engine.run_batch(vectors[:5])
+        before = engine.state()
+        empty = engine.run_batch([])
+        assert empty.samples == 0
+        assert empty.activity == ActivityCounter(width=dealer_design.width)
+        assert engine.state() == before
+        rest = engine.run_batch(vectors[5:])
+        expected = segments(RTLSimulator(dealer_design),
+                            [vectors[:5], vectors[5:]])
+        assert rest.activity == expected[1]
+
+    def test_reset_drops_the_pending_trace(self, dealer_graph,
+                                           dealer_design):
+        vectors = random_vectors(dealer_graph, 10, seed=6)
+        engine = CompiledEngine(dealer_design)
+        engine.run_batch(vectors)  # never read
+        engine.reset()
+        assert set(engine.state().values()) == {0}
+        cold = CompiledEngine(dealer_design).run_batch(vectors)
+        again = engine.run_batch(vectors)
+        assert (again.outputs, again.activity) == (cold.outputs,
+                                                   cold.activity)
+
+
+class TestWideDatapaths:
+    """Above the int64 limit the count runs on Python-int arrays."""
+
+    @pytest.mark.parametrize("width", [63, 64, 70, 128])
+    @pytest.mark.parametrize("name", ["vender", "chstone:adpcm"])
+    def test_matches_the_interpreter(self, name, width):
+        from repro.circuits import build
+        from repro.sched.timing import critical_path_length
+
+        graph = build(name)
+        design = run_pair(graph, FlowConfig(
+            n_steps=critical_path_length(graph) + 1,
+            width=width)).managed.design
+        vectors = random_vectors(graph, 24, width=width, seed=width)
+        for pm in (True, False):
+            engine = CompiledEngine(design, power_management=pm)
+            results = [engine.run_batch(vectors[:7]),
+                       engine.run_batch(vectors[7:])]
+            reference = RTLSimulator(design, power_management=pm)
+            assert [(r.outputs, r.activity) for r in results] == [
+                reference.run_many(vectors[:7]),
+                reference.run_many(vectors[7:])]
+            assert engine.state() == interpreter_state(reference)

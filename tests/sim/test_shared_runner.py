@@ -4,13 +4,15 @@ The compiled engine takes ``power_management`` as a run-time argument of
 its generated runner, so the PM-on and PM-off engines of one design
 share a single compile.  Sharing must change nothing observable: with
 the two engines' batches interleaved on that one runner, each mode's
-outputs and full :class:`ActivityCounter` must equal a fresh
-:class:`RTLSimulator` in that mode over the same vector sequence.
+outputs and full :class:`ActivityCounter` must equal an
+:class:`RTLSimulator` in that mode, batch for batch, and its final
+registers, latches and FU outputs must equal the interpreter's.
 
-The outputs-only runner (``activity=False``) rides along as one more
-input: one compile serves both of its modes too, its outputs must equal
-the power runner's and the interpreter's batch for batch, and its state
-must equal the power runner's register slots.
+Activity is counted from the runner's value trace only when read, so
+some batches are left unread: the batches after them must still start
+from the latches and FU outputs they left.  Random designs also run
+batch splits of 0, 1, 16, 64 and 128 vectors against the vectorized
+engine.
 
 The fixed designs cover the runners' flag paths: a ``never`` guard
 (idle under PM, enabled without it), a multicycle op (its start and end
@@ -34,14 +36,15 @@ from repro.pipeline import FlowConfig, Pipeline, run_pair
 from repro.sched.timing import critical_path_length
 from repro.sim.activity import ActivityCounter
 from repro.sim.engine import (
-    _OUTPUTS_CACHE,
     _RUNNER_CACHE,
     CompiledEngine,
     clear_compile_caches,
     design_fingerprint,
 )
 from repro.sim.simulator import RTLSimulator
+from repro.sim.vectorized import VectorizedEngine
 from repro.sim.vectors import random_vectors
+from tests.sim.engine_state import interpreter_state
 from tests.strategies import circuits
 
 
@@ -87,45 +90,49 @@ def fixed_design(kind):
 
 FIXED_KINDS = ("never_guard", "multicycle", "per_sample", "drop", "mutex")
 
-#: Batch sizes, run alternately on the PM-on and PM-off engines.
+#: Batch sizes, run alternately on the PM-on and PM-off engines, and
+#: the indices of batches whose activity is never read.
 batch_schedules = st.tuples(
-    st.booleans(), st.lists(st.integers(0, 5), min_size=2, max_size=6))
+    st.booleans(), st.lists(st.integers(0, 5), min_size=2, max_size=6),
+    st.sets(st.integers(0, 5)))
+
+#: The same, over the batch sizes callers use.
+long_batch_schedules = st.tuples(
+    st.booleans(),
+    st.lists(st.sampled_from((0, 1, 16, 64, 128)), min_size=2, max_size=4),
+    st.sets(st.integers(0, 3)))
 
 
-def assert_modes_share_one_runner(graph, design, schedule, seed):
-    first_pm, sizes = schedule
+def assert_modes_share_one_runner(graph, design, schedule, seed,
+                                  vectorized=False):
+    first_pm, sizes, unread = schedule
     clear_compile_caches()
+    modes = (first_pm, not first_pm)
     engines = {pm: CompiledEngine(design, power_management=pm)
-               for pm in (first_pm, not first_pm)}
-    outputs_only = {
-        pm: CompiledEngine(design, power_management=pm, activity=False)
-        for pm in (first_pm, not first_pm)}
+               for pm in modes}
     assert engines[True]._run is engines[False]._run
-    assert outputs_only[True]._run is outputs_only[False]._run
     assert list(_RUNNER_CACHE) == [design_fingerprint(design)]
-    assert list(_OUTPUTS_CACHE) == [design_fingerprint(design)]
+    references = {pm: RTLSimulator(design, power_management=pm)
+                  for pm in modes}
+    arrays = {pm: VectorizedEngine(design, power_management=pm)
+              for pm in modes} if vectorized else {}
 
     vectors = random_vectors(graph, sum(sizes), width=design.width,
                              seed=seed)
-    fed = {True: [], False: []}
-    outputs = {True: [], False: []}
-    activity = {pm: ActivityCounter(width=design.width) for pm in fed}
     offset = 0
     for i, size in enumerate(sizes):
         pm = first_pm ^ bool(i % 2)
         batch = vectors[offset:offset + size]
         offset += size
         result = engines[pm].run_batch(batch)
-        assert outputs_only[pm].run_batch(batch).outputs == result.outputs
-        fed[pm] += batch
-        outputs[pm] += result.outputs
-        activity[pm].merge(result.activity)
-    for pm in (True, False):
-        reference = RTLSimulator(design, power_management=pm)
-        assert (outputs[pm], activity[pm]) == reference.run_many(fed[pm]), pm
-        registers = outputs_only[pm].state()
-        assert registers == {name: engines[pm].state()[name]
-                             for name in registers}, pm
+        outputs, activity = references[pm].run_many(batch)
+        assert result.outputs == outputs, (i, pm)
+        if arrays:
+            assert arrays[pm].run_many(batch) == (outputs, activity), (i, pm)
+        if i not in unread:
+            assert result.activity == activity, (i, pm)
+    for pm in modes:
+        assert engines[pm].state() == interpreter_state(references[pm]), pm
 
 
 @pytest.mark.parametrize("kind", FIXED_KINDS)
@@ -164,3 +171,17 @@ def test_random_designs_share_one_runner(graph, slack, mutex, schedule,
     config = FlowConfig(n_steps=n_steps, mutex_sharing=mutex)
     design = run_pair(graph, config).managed.design
     assert_modes_share_one_runner(graph, design, schedule, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=circuits(max_ops=10), slack=st.integers(0, 2),
+       mutex=st.booleans(), schedule=long_batch_schedules,
+       seed=st.integers(0, 10_000))
+def test_random_designs_long_batches(graph, slack, mutex, schedule, seed):
+    """Batch splits of 0, 1, 16, 64 and 128 vectors against the
+    interpreter and the vectorized engine."""
+    n_steps = critical_path_length(graph) + slack
+    config = FlowConfig(n_steps=n_steps, mutex_sharing=mutex)
+    design = run_pair(graph, config).managed.design
+    assert_modes_share_one_runner(graph, design, schedule, seed,
+                                  vectorized=True)
