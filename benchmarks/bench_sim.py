@@ -11,15 +11,16 @@ across PRs:
   per vector plus the NumPy activity count over its value trace, timed
   on the full batch;
 * ``vectorized`` — :class:`VectorizedEngine`, generated NumPy array
-  programs per block (hybrid scalar-slot micro-loop on recurrent
-  plans), timed on the same batch fed as one pre-generated input matrix.
+  programs per block, timed on the same batch fed as one pre-generated
+  input matrix.
 
 The circuit set includes two stress rows beyond the paper suite:
 
 * ``recurrent`` — :func:`repro.circuits.extra.gated_recurrence`, the
-  pinned Hypothesis circuit whose schedule forces the hybrid scalar
-  micro-loop; its gate is "no slower than compiled", not the vector
-  floor (the recurrence serializes one slot by construction).
+  pinned Hypothesis circuit whose guarded state forms a cross-vector
+  recurrence: the vectorized codegen refuses it, so the row times the
+  interpreter and the compiled engine only, and records that ``auto``
+  builds the compiled engine.
 * ``logic`` — :func:`repro.circuits.extra.logic_mixer` at 32 stages x
   8 lanes, pure AND/OR/XOR/NOT/MUX dataflow: the largest plan of the
   set, and the lowest compiled/vectorized crossover.
@@ -34,7 +35,9 @@ the ``auto`` backend's vector-count rule against these rows.
 Every circuit row carries ``identical``: the vectorized backend must
 agree bit-for-bit (outputs + full ActivityCounter) with the compiled
 engine on the full batch, and the compiled engine with the interpreter
-on the reduced batch.
+on the reduced batch.  It also carries ``auto_backend`` and
+``auto_reason``: what ``create_engine(backend="auto")`` builds for the
+full batch, and why.
 
 Usage::
 
@@ -45,12 +48,11 @@ The full run writes ``BENCH_sim.json``; ``--smoke`` writes a report only
 to an explicit ``--out``, so it never replaces the committed full-run
 report.
 
-Exits nonzero if any backend diverges, if the vectorized-over-compiled
-speedup falls below ``--min-speedup`` (default 5x) on a non-hybrid
-circuit, or if a hybrid circuit is slower than compiled.  Under
-``--smoke`` the perf floors are advisory — millisecond-scale timings on
-shared CI runners are too noisy for a hard gate — while the equality
-checks stay fatal.
+Exits nonzero if any backend diverges, or if the vectorized-over-compiled
+speedup falls below ``--min-speedup`` (default 5x) on a circuit that
+vectorizes.  Under ``--smoke`` the perf floors are advisory —
+millisecond-scale timings on shared CI runners are too noisy for a hard
+gate — while the equality checks stay fatal.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -67,12 +70,16 @@ from repro.circuits import build  # noqa: E402
 from repro.circuits.extra import gated_recurrence, logic_mixer  # noqa: E402
 from repro.pipeline import FlowConfig, run_pair  # noqa: E402
 from repro.sched.timing import critical_path_length  # noqa: E402
+from repro.sim.backend import create_engine  # noqa: E402
 from repro.sim.engine import (  # noqa: E402
     CompiledEngine,
     clear_compile_caches,
 )
 from repro.sim.simulator import RTLSimulator  # noqa: E402
-from repro.sim.vectorized import VectorizedEngine  # noqa: E402
+from repro.sim.vectorized import (  # noqa: E402
+    VectorizationError,
+    VectorizedEngine,
+)
 from repro.sim.vectors import random_vectors, vectors_to_array  # noqa: E402
 
 # Circuit -> step budget; cordic is the largest circuit (Table I: 152
@@ -80,7 +87,7 @@ from repro.sim.vectors import random_vectors, vectors_to_array  # noqa: E402
 FULL_CIRCUITS = {"dealer": 6, "gcd": 7, "vender": 6, "cordic": 48,
                  "recurrent": None, "logic": None}
 # Smoke keeps one paper circuit plus both stress rows so CI always
-# exercises the hybrid micro-loop and the largest plan.
+# exercises the refused recurrence and the largest plan.
 SMOKE_CIRCUITS = {"dealer": 6, "gcd": 7, "recurrent": None, "logic": None}
 
 #: Batch sizes of the calibration rows: the verify stage's check and the
@@ -129,78 +136,81 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     design = run_pair(graph, FlowConfig(n_steps=steps)).managed.design
     batch = random_vectors(graph, n_batch)
     small = batch[:n_interp]
+    auto = create_engine(design, n_vectors=n_batch)
+    # A design the vectorized codegen refuses is timed on the compiled
+    # engine alone.
+    backends = {"compiled": CompiledEngine}
+    try:
+        VectorizedEngine(design)
+        backends["vectorized"] = VectorizedEngine
+    except VectorizationError:
+        pass
 
     builds = _best_times(
-        {"compiled": lambda: _cold_build(CompiledEngine, design),
-         "vectorized": lambda: _cold_build(VectorizedEngine, design)},
+        {backend: lambda cls=cls: _cold_build(cls, design)
+         for backend, cls in backends.items()},
         3 * repeats)
-    compiled_build_s = builds["compiled"]
-    vectorized_build_s = builds["vectorized"]
-    compiled = CompiledEngine(design)
-    vectorized = VectorizedEngine(design)
-    matrix = vectors_to_array(batch, vectorized.input_names)
-
-    interp_s = _timed(lambda: RTLSimulator(design).run_many(small), repeats)
+    engines = {backend: cls(design) for backend, cls in backends.items()}
+    compiled = engines["compiled"]
+    vectorized = engines.get("vectorized")
     # A compiled batch counts its activity when read: read it, so both
     # backends are timed on outputs plus activity.
-    runs = _best_times(
-        {"compiled": lambda: (compiled.reset(),
-                              compiled.run_batch(batch).activity),
-         "vectorized": lambda: (vectorized.reset(),
-                                vectorized.run_array(matrix))},
-        repeats)
-    compiled_s = runs["compiled"]
-    vectorized_s = runs["vectorized"]
+    calls = {"compiled": lambda n: (compiled.reset(),
+                                    compiled.run_batch(batch[:n]).activity)}
+    if vectorized is not None:
+        matrix = vectors_to_array(batch, vectorized.input_names)
+        calls["vectorized"] = lambda n: (vectorized.reset(),
+                                         vectorized.run_array(matrix[:n]))
+
+    interp_s = _timed(lambda: RTLSimulator(design).run_many(small), repeats)
+    runs = _best_times({backend: partial(call, n_batch)
+                        for backend, call in calls.items()}, repeats)
 
     # Bit-identity: vectorized == compiled on the full batch;
     # compiled == interpreter on the reduced batch.
     compiled.reset()
-    vectorized.reset()
     cout, cact = compiled.run_many(batch)
-    vout, vact = vectorized.run_many(batch)
+    identical = True
+    if vectorized is not None:
+        vectorized.reset()
+        identical = (cout, cact) == vectorized.run_many(batch)
     iout, iact = RTLSimulator(design).run_many(small)
     compiled.reset()
-    sout, sact = compiled.run_many(small)
-    identical = (cout == vout and cact == vact
-                 and sout == iout and sact == iact)
+    identical &= compiled.run_many(small) == (iout, iact)
 
     per_interp = interp_s / n_interp
-    per_compiled = compiled_s / n_batch
-    per_vectorized = vectorized_s / n_batch
-    rows = [
-        {"backend": "interpreter", "n_vectors": n_interp,
-         "seconds": interp_s, "per_vector_us": per_interp * 1e6},
-        {"backend": "compiled", "n_vectors": n_batch,
-         "seconds": compiled_s, "per_vector_us": per_compiled * 1e6,
-         "build_s": compiled_build_s,
-         "speedup_vs_interpreter": per_interp / per_compiled},
-        {"backend": "vectorized", "n_vectors": n_batch,
-         "seconds": vectorized_s, "per_vector_us": per_vectorized * 1e6,
-         "build_s": vectorized_build_s,
-         "speedup_vs_interpreter": per_interp / per_vectorized,
-         "speedup_vs_compiled": compiled_s / vectorized_s},
-    ]
+    rows = [{"backend": "interpreter", "n_vectors": n_interp,
+             "seconds": interp_s, "per_vector_us": per_interp * 1e6}]
+    for backend, seconds in runs.items():
+        row = {"backend": backend, "n_vectors": n_batch,
+               "seconds": seconds, "per_vector_us": seconds / n_batch * 1e6,
+               "build_s": builds[backend],
+               "speedup_vs_interpreter": per_interp * n_batch / seconds}
+        if backend == "vectorized":
+            row["speedup_vs_compiled"] = runs["compiled"] / seconds
+        rows.append(row)
     # Calibration rows: sub-millisecond runs, so more repeats.
     sizes = [n for n in CALIBRATION_VECTORS if n <= n_batch]
-    calls = {}
-    for n in sizes:
-        calls["compiled", n] = lambda n=n: (
-            compiled.reset(), compiled.run_batch(batch[:n]).activity)
-        calls["vectorized", n] = lambda n=n: (
-            vectorized.reset(), vectorized.run_array(matrix[:n]))
-    for (backend, n), seconds in _best_times(calls, 5 * repeats).items():
+    small_calls = {(backend, n): partial(call, n)
+                   for n in sizes for backend, call in calls.items()}
+    for (backend, n), seconds in _best_times(small_calls,
+                                             5 * repeats).items():
         rows.append({"backend": backend, "n_vectors": n,
                      "seconds": seconds,
                      "per_vector_us": seconds / n * 1e6,
                      "build_s": builds[backend]})
-    return {
+    result = {
         "circuit": name,
         "n_steps": steps,
-        "hybrid": vectorized.hybrid,
+        "auto_backend": auto.chosen_backend,
+        "auto_reason": auto.backend_reason,
         "rows": rows,
-        "vectorized_speedup_over_compiled": compiled_s / vectorized_s,
         "identical": identical,
     }
+    if vectorized is not None:
+        result["vectorized_speedup_over_compiled"] = \
+            runs["compiled"] / runs["vectorized"]
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -212,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="batch size (default 4096, smoke 256)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail if vectorized beats compiled by less "
-                             "than this on non-hybrid circuits (default "
+                             "than this on circuits that vectorize "
+                             "(default "
                              "5.0; advisory under --smoke)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default <repo>/BENCH_sim.json; "
@@ -240,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         "results": results,
         "min_vectorized_speedup_measured": min(
             r["vectorized_speedup_over_compiled"] for r in results
-            if not r["hybrid"]),
+            if "vectorized_speedup_over_compiled" in r),
     }
     if out_path is not None:
         out_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -259,9 +270,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"{row['per_vector_us']:>8.2f} "
                   f"{vs_i and f'{vs_i:8.1f}x' or '':>9s} "
                   f"{vs_c and f'{vs_c:10.1f}x' or '':>11s}")
-        notes = [f"identical={result['identical']}"]
-        if result["hybrid"]:
-            notes.append("hybrid scalar-slot plan")
+        notes = [f"identical={result['identical']}",
+                 f"auto={result['auto_backend']}"]
         print(f"{'':10s} {'; '.join(notes)}")
     if out_path is not None:
         print(f"wrote {out_path}")
@@ -271,16 +281,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: backends diverge on {failures}")
         return 1
     problems = []
-    slow = [r["circuit"] for r in results if not r["hybrid"]
-            and r["vectorized_speedup_over_compiled"] < args.min_speedup]
+    slow = [r["circuit"] for r in results
+            if r.get("vectorized_speedup_over_compiled", args.min_speedup)
+            < args.min_speedup]
     if slow:
         problems.append(
             f"vectorized speedup below {args.min_speedup}x on {slow}")
-    # The formerly-fallback (hybrid) set must at least match compiled.
-    regressed = [r["circuit"] for r in results if r["hybrid"]
-                 and r["vectorized_speedup_over_compiled"] < 1.0]
-    if regressed:
-        problems.append(f"hybrid plan slower than compiled on {regressed}")
     if problems:
         if args.smoke:
             # Millisecond-scale smoke timings are noisy on shared CI

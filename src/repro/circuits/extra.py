@@ -14,10 +14,10 @@
   (``test_batch_boundaries_do_not_matter``, seed 0) whose power-managed
   schedule produces an irreducible cross-vector recurrence: a guarded
   register's end-of-step value feeds a *stale* read in the same step, so
-  no closed-form column expression exists and the vectorized backend must
-  fall back to its hybrid scalar-slot micro-loop.  Kept as a named
-  circuit so the regression is deterministic instead of
-  generator-dependent.
+  no closed-form column expression exists.  The vectorized backend
+  raises ``VectorizationError`` on it, and ``create_engine(backend=
+  "auto")`` builds the compiled engine instead.  Kept as a named circuit
+  so the regression is deterministic instead of generator-dependent.
 
 * :func:`logic_mixer` — a wide pure-logic benchmark (AND/OR/XOR/NOT/MUX
   only, no arithmetic): a deep, wide dataflow circuit with no carries,
@@ -122,11 +122,12 @@ def gated_recurrence() -> CDFG:
     """Falsifying 14-node circuit pinned from the Hypothesis failure.
 
     Reconstructs, node for node (including the explicit control edge
-    ``one -> v1``), the seed-0 random circuit on which the pre-hybrid
-    ``VectorizedEngine`` raised ``VectorizationError``: after power
+    ``one -> v1``), the seed-0 random circuit on which
+    ``VectorizedEngine`` raises ``VectorizationError``: after power
     management the register holding ``v1`` is written under a guard *and*
     read stale in the same step, which closes a dependency cycle through
-    the cross-vector state.
+    the cross-vector state.  ``create_engine(backend="auto")`` runs it
+    on the compiled engine.
     """
     b = GraphBuilder("gated_recurrence")
     i0 = b.input("i0")

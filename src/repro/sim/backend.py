@@ -7,12 +7,15 @@ Two interchangeable, bit-identical batch engines exist:
   Cheap to build, any width; the program serves both power-management
   modes and every caller, and activity is counted only when read.
 * ``"vectorized"`` — :class:`~repro.sim.vectorized.VectorizedEngine`,
-  generated NumPy array programs run per *block* (a hybrid scalar loop
-  covers recurrent guarded state), specialized per mode, up to the
-  int64 width headroom.  About twice as costly to build, with a fixed
-  NumPy cost per call, and 8-30x faster per vector on 4096-vector blocks.
+  generated NumPy array programs run per *block*, specialized per mode.
+  It runs designs with a closed-form array program: up to the int64
+  width headroom, and with no cross-vector recurrence through guarded
+  state (it raises :class:`~repro.sim.vectorized.VectorizationError`
+  otherwise).  About twice as costly to build, with a fixed NumPy cost
+  per call, and 7-30x faster per vector on 4096-vector blocks.
 * ``"auto"`` — compiled for calls of at most
-  :data:`COMPILED_MAX_VECTORS` vectors, vectorized above.
+  :data:`COMPILED_MAX_VECTORS` vectors, vectorized above; compiled
+  whenever the vectorized codegen refuses the design.
 
 :func:`create_engine` is the single construction point the power
 estimator, the pipeline's verify stage and ``explore()`` go through.
@@ -27,7 +30,7 @@ import logging
 
 from repro.rtl.design import SynthesizedDesign
 from repro.sim.engine import VECTOR_WIDTH_LIMIT, CompiledEngine
-from repro.sim.vectorized import VectorizedEngine
+from repro.sim.vectorized import VectorizationError, VectorizedEngine
 
 BACKENDS = ("compiled", "vectorized", "auto")
 
@@ -64,10 +67,12 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
     call (negative: ``ValueError``).  ``"auto"`` builds the compiled
     engine when the design is wider than :data:`VECTOR_WIDTH_LIMIT` or
     for at most :data:`COMPILED_MAX_VECTORS` vectors per call, else (an
-    unknown count included) the vectorized one.  It reads nothing else,
-    so it never varies with what the compile caches hold.  The engine
-    records the choice on ``chosen_backend``, the cause on
-    ``backend_reason``.
+    unknown count included) the vectorized one.  When the vectorized
+    codegen refuses the design (a cross-vector recurrence through
+    guarded state), ``"auto"`` builds the compiled engine and gives the
+    refusal as the reason; the refusal is cached like a runner, so its
+    codegen runs once.  The engine records the choice on
+    ``chosen_backend``, the cause on ``backend_reason``.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -75,15 +80,22 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
             f"choose one of {', '.join(BACKENDS)}")
     if n_vectors is not None and n_vectors < 0:
         raise ValueError(f"n_vectors must be at least 0, got {n_vectors}")
-    reason = "requested"
+    requested, reason = backend, "requested"
     if backend == "auto":
         backend, reason = _auto(design.width, n_vectors)
-        logger.debug("auto backend for %r: %s -> %s", design.graph.name,
-                     reason, backend)
+    if backend == "vectorized":
+        try:
+            engine = VectorizedEngine(design,
+                                      power_management=power_management)
+        except VectorizationError as error:
+            if requested != "auto":
+                raise
+            backend, reason = "compiled", f"auto: {error}"
     if backend == "compiled":
         engine = CompiledEngine(design, power_management=power_management)
-    else:
-        engine = VectorizedEngine(design, power_management=power_management)
+    if requested == "auto":
+        logger.debug("auto backend for %r: %s -> %s", design.graph.name,
+                     reason, backend)
     engine.chosen_backend = backend
     engine.backend_reason = reason
     return engine

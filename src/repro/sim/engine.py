@@ -192,19 +192,12 @@ def compile_plan(design: SynthesizedDesign) -> ExecutionPlan:
 
 # -- code generation -------------------------------------------------------
 
-# Activity-counter state variables, in the order they appear per class.
-_CLASS_COUNTERS = ("_ai", "_ao", "_aa", "_id")
-
-
 def _state_names(plan: ExecutionPlan) -> tuple[str, ...]:
-    """Registers, latches ``l<unit>_<port>``, FU outputs ``fo<unit>``,
-    then the activity counters (the vectorized engine's state layout)."""
+    """Both engines' state layout: registers, latches ``l<unit>_<port>``
+    and FU outputs ``fo<unit>``."""
     names = [f"r{i}" for i in plan.registers]
     names += [f"l{u}_{p}" for u, p in plan.latch_ports]
     names += [f"fo{u}" for u in range(plan.n_units)]
-    names += ["_rt", "_cc", "_cl"]
-    for cls in plan.classes:
-        names += [f"{prefix}_{cls.name}" for prefix in _CLASS_COUNTERS]
     return tuple(names)
 
 
@@ -627,45 +620,7 @@ class BatchResult:
         return len(self.outputs)
 
 
-class _EngineBase:
-    """State plumbing of the vectorized backend: one flat tuple of ints
-    holding hardware state plus activity counters, persisted across
-    batches, with delta-based activity accounting."""
-
-    plan: ExecutionPlan
-
-    # The backend :func:`repro.sim.backend.create_engine` resolved to
-    # (``None`` for engines built directly), surfaced on power results and
-    # explore points, and why: for ``auto``, the rule that fired.
-    chosen_backend: str | None = None
-    backend_reason: str | None = None
-
-    def _init_state(self) -> None:
-        self._names = _state_names(self.plan)
-        self._state: tuple[int, ...] = tuple(0 for _ in self._names)
-        self.samples = 0
-
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        """Input names in plan order (the column order of input arrays)."""
-        return tuple(name for name, _reg in self.plan.inputs)
-
-    def _activity_delta(self, before: tuple[int, ...],
-                        after: tuple[int, ...]) -> ActivityCounter:
-        return _counter(self.plan, Counter(
-            {name: a - b for name, b, a in zip(self._names, before, after)}))
-
-    def state(self) -> dict[str, int]:
-        """Named snapshot of the persistent state (debug/test aid)."""
-        return dict(zip(self._names, self._state))
-
-    def reset(self) -> None:
-        """Zero all hardware state and counters (cold power-up)."""
-        self._state = tuple(0 for _ in self._names)
-        self.samples = 0
-
-
-class CompiledEngine(_EngineBase):
+class CompiledEngine:
     """Executes vector batches against a compiled design.
 
     Hardware state (registers, input latches, FU outputs) persists across
@@ -679,6 +634,10 @@ class CompiledEngine(_EngineBase):
     """
 
     backend = "compiled"
+    # Set by :func:`repro.sim.backend.create_engine`: the backend it
+    # resolved to and why (``None`` for engines built directly).
+    chosen_backend: str | None = None
+    backend_reason: str | None = None
 
     def __init__(self, design: SynthesizedDesign,
                  power_management: bool = True) -> None:

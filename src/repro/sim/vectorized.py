@@ -34,14 +34,14 @@ Reads that observe a stale slot (a consumer latching the dest register
 of a shut-down producer) read the shifted end column of that slot.  The
 generator emits all columns as SSA statements and topologically sorts
 them.  When the guarded writes form a genuine cross-vector cycle with no
-closed form, the generator does not refuse: it splits the program into
-the acyclic array prefix, a scalar micro-loop over just the recurrent
-statements (one running carry per recurrent slot, exact Python-int
-expressions), and an array suffix over the materialized core columns —
-so every valid design runs through this backend, bit-identically to the
-compiled engine.  :class:`VectorizationError` remains only for widths
-beyond the int64 headroom (``backend="auto"`` then selects the compiled
-backend).
+closed form, it raises :class:`VectorizationError` naming the recurrent
+slots, as it does for widths beyond the int64 headroom;
+``create_engine(backend="auto")`` then builds the compiled engine, which
+runs every design.
+
+The program's state is the hardware only: registers, latches and FU
+outputs.  The batch's :class:`~repro.sim.activity.ActivityCounter`
+tallies come back beside it, as a dict of counter totals.
 
 Power management stays a codegen specialization
 -----------------------------------------------
@@ -50,18 +50,18 @@ The compiled engine takes power management as a run-time argument, so
 one runner serves a design in both modes.  This backend deliberately
 does not: with power management off every guard is unconditional
 (:meth:`_VectorCodegen.guard_mask` returns ``None``), so the ungated
-program has no masked ``ffill`` recurrences and never needs the hybrid
-micro-loop.  A run-time flag would either ship both programs in one
-source, which saves no compile, or run the ungated mode through the
-masked path, which is slower on large blocks.  Its runner cache keys
-on ``(fingerprint, power_management)``.
+program has no masked ``ffill`` recurrences and always vectorizes.  A
+run-time flag would either ship both programs in one source, which saves
+no compile, or run the ungated mode through the masked path, which is
+slower on large blocks.  Its runner cache keys on ``(fingerprint,
+power_management)``, and holds a refusal as well as a runner.
 """
 
 from __future__ import annotations
 
 import heapq
-import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,11 @@ from repro.ir.ops import Op, ResourceClass
 from repro.rtl.design import SynthesizedDesign
 from repro.sim.activity import ActivityCounter
 from repro.sim.engine import (
+    VECTOR_WIDTH_LIMIT,
+    BatchResult,
     ExecutionPlan,
     SourcePlan,
-    _EngineBase,
+    _counter,
     _lru_get,
     _lru_put,
     _make_lru,
@@ -80,12 +82,13 @@ from repro.sim.engine import (
     cached_plan,
     design_fingerprint,
 )
+from repro.sim.vectors import vectors_to_array
 
 
 class VectorizationError(Exception):
-    """The plan exceeds the array backend's numeric envelope (width past
-    the int64 headroom); use the compiled backend instead.  Recurrent
-    guarded state no longer raises — it lowers to a hybrid plan."""
+    """The plan has no closed-form array program: its width is past the
+    int64 headroom, or its guarded state forms a cross-vector recurrence.
+    The compiled backend runs it instead."""
 
 
 # -- code generation -------------------------------------------------------
@@ -103,22 +106,11 @@ def _contradictory(implied: frozenset) -> bool:
 
 @dataclass(frozen=True)
 class _Stmt:
-    """One SSA statement: an array expression plus (when the statement
-    can participate in a recurrent core) a scalar twin evaluating the
-    same value for one batch row with plain Python ints.
-
-    ``kind`` marks the two cross-vector closures: ``"shift"`` statements
-    read a slot's previous-row end value (``S_<slot>``) and ``"ffill"``
-    statements are masked-scan end columns (``E_<slot>``); both read the
-    slot's running carry when lowered into the scalar micro-loop."""
+    """One SSA statement: ``target = expr``, reading the names ``deps``."""
 
     target: str
     expr: str
     deps: tuple[str, ...]
-    sexpr: str | None = field(default=None, compare=False)
-    kind: str = field(default="plain", compare=False)
-    slot: str | None = field(default=None, compare=False)
-    bool_: bool = field(default=False, compare=False)
 
 
 class _VectorCodegen:
@@ -131,7 +123,7 @@ class _VectorCodegen:
         self.pm = power_management
         self.mask = (1 << plan.width) - 1
         self.sign = 1 << (plan.width - 1)
-        if plan.width > 62:
+        if plan.width > VECTOR_WIDTH_LIMIT:
             raise VectorizationError(
                 f"width {plan.width} exceeds the array backend's "
                 "int64 headroom; use backend='compiled'")
@@ -156,9 +148,6 @@ class _VectorCodegen:
         self.cur: dict[str, str] = {}       # slot -> current true column
         self.start_used: set[str] = set()   # slots read before first write
         self.contribs: dict[str, list[str]] = {}  # counter -> contrib names
-        self.end_of: dict[str, str] = {}    # slot -> end-of-pass column name
-        self.hybrid = False                 # set by _assemble
-        self.scalar_slots: tuple[str, ...] = ()
         self._serial = 0
         self._cse: dict[str, str] = {}      # expr -> existing SSA name
 
@@ -220,18 +209,15 @@ class _VectorCodegen:
         self._serial += 1
         return f"_{stem}{self._serial}"
 
-    def stmt(self, target: str, expr: str, deps: tuple[str, ...],
-             sexpr: str | None = None, kind: str = "plain",
-             slot: str | None = None, bool_: bool = False) -> str:
-        self.stmts.append(_Stmt(target, expr, deps, sexpr, kind, slot, bool_))
+    def stmt(self, target: str, expr: str, deps: tuple[str, ...]) -> str:
+        self.stmts.append(_Stmt(target, expr, deps))
         return target
 
-    def cse_stmt(self, stem: str, expr: str, deps: tuple[str, ...],
-                 sexpr: str | None = None, bool_: bool = False) -> str:
+    def cse_stmt(self, stem: str, expr: str, deps: tuple[str, ...]) -> str:
         cached = self._cse.get(expr)
         if cached is not None:
             return cached
-        name = self.stmt(self.name(stem), expr, deps, sexpr, bool_=bool_)
+        name = self.stmt(self.name(stem), expr, deps)
         self._cse[expr] = name
         return name
 
@@ -272,8 +258,7 @@ class _VectorCodegen:
             prev = self.read_slot(slot)
             self.cur[slot] = self.cse_stmt(
                 "c", self.where_expr(guard, value, prev),
-                (guard, value, prev),
-                sexpr=f"({value} if {guard} else {prev})")
+                (guard, value, prev))
 
     def value_read(self, sp: SourcePlan, implied: frozenset) -> str:
         """Column name for an operand read on the value path (see above);
@@ -290,13 +275,11 @@ class _VectorCodegen:
         if base is None:
             self.start_used.add(slot)
             base = f"S_{slot}"
-        expr, sexpr, deps = base, base, (base,)
+        expr, deps = base, (base,)
         for guard, value in reversed(suffix):
             expr = self.where_expr(guard, value, expr)
-            sexpr = f"({value} if {guard} else {sexpr})"
             deps += (guard, value)
-        return self.cse_stmt("w", self.shift_chain(expr, sp.shifts), deps,
-                             sexpr=self.shift_chain_scalar(sexpr, sp.shifts))
+        return self.cse_stmt("w", self.shift_chain(expr, sp.shifts), deps)
 
     # -- expression rendering -------------------------------------------
 
@@ -304,10 +287,6 @@ class _VectorCodegen:
         """Rewrap an intermediate into signed ``width``-bit range."""
         if self.narrow is not None:
             return f"({expr}).astype({self.narrow}).astype({self.dtype})"
-        return f"((({expr}) & {self.mask}) ^ {self.sign}) - {self.sign}"
-
-    def wrap_scalar(self, expr: str) -> str:
-        """Scalar twin of :meth:`wrap` over plain Python ints."""
         return f"((({expr}) & {self.mask}) ^ {self.sign}) - {self.sign}"
 
     def shift_chain(self, expr: str, shifts) -> str:
@@ -324,27 +303,13 @@ class _VectorCodegen:
                 expr = f"(({expr}) >> {min(amount, self.plan.width - 1)})"
         return expr
 
-    def shift_chain_scalar(self, expr: str, shifts) -> str:
-        for op, amount in shifts:
-            if op is Op.SHL:
-                if amount >= self.plan.width:
-                    expr = "0"
-                else:
-                    expr = self.wrap_scalar(f"({expr}) << {amount}")
-            else:
-                expr = f"(({expr}) >> {min(amount, self.plan.width - 1)})"
-        return expr
-
-    def render_source(self, sp: SourcePlan) -> tuple[str, str,
-                                                     tuple[str, ...]]:
-        """(array expression, scalar expression, deps) for a pre-resolved
-        operand source (register column plus shift chain); constants stay
-        scalar in both renderings."""
+    def render_source(self, sp: SourcePlan) -> tuple[str, tuple[str, ...]]:
+        """(array expression, deps) for a pre-resolved operand source
+        (register column plus shift chain); a constant stays scalar."""
         if sp.const is not None:
-            return repr(sp.const), repr(sp.const), ()
+            return repr(sp.const), ()
         name = self.read_slot(f"r{sp.register}")
-        return (self.shift_chain(name, sp.shifts),
-                self.shift_chain_scalar(name, sp.shifts), (name,))
+        return self.shift_chain(name, sp.shifts), (name,)
 
     def op_expr(self, op: Op, ts: list[str]) -> str:
         wrap = self.wrap
@@ -380,41 +345,6 @@ class _VectorCodegen:
             return wrap(f"~{a}")
         raise ValueError(f"cannot vectorize {op!r}")  # pragma: no cover
 
-    def op_expr_scalar(self, op: Op, ts: list[str]) -> str:
-        """Scalar twin of :meth:`op_expr` for the hybrid micro-loop."""
-        wrap = self.wrap_scalar
-        a = ts[0]
-        b = ts[1] if len(ts) > 1 else None
-        if op is Op.ADD:
-            return wrap(f"{a} + {b}")
-        if op is Op.SUB:
-            return wrap(f"{a} - {b}")
-        if op is Op.MUL:
-            return wrap(f"{a} * {b}")
-        if op is Op.GT:
-            return f"int({a} > {b})"
-        if op is Op.LT:
-            return f"int({a} < {b})"
-        if op is Op.GE:
-            return f"int({a} >= {b})"
-        if op is Op.LE:
-            return f"int({a} <= {b})"
-        if op is Op.EQ:
-            return f"int({a} == {b})"
-        if op is Op.NE:
-            return f"int({a} != {b})"
-        if op is Op.MUX:
-            return f"({ts[2]} if {a} != 0 else {ts[1]})"
-        if op is Op.AND:
-            return wrap(f"{a} & {b}")
-        if op is Op.OR:
-            return wrap(f"{a} | {b}")
-        if op is Op.XOR:
-            return wrap(f"{a} ^ {b}")
-        if op is Op.NOT:
-            return wrap(f"~{a}")
-        raise ValueError(f"cannot vectorize {op!r}")  # pragma: no cover
-
     def popcount(self, prev: str, new: str, guard: str | None,
                  deps: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
         expr = f"_np.bitwise_count(({prev} ^ {new}) & {self.mask})"
@@ -436,7 +366,6 @@ class _VectorCodegen:
         if guard.never:
             return False, frozenset()
         conds = []
-        sconds = []
         live = []
         deps: tuple[str, ...] = ()
         for sp, value in guard.terms:
@@ -444,17 +373,14 @@ class _VectorCodegen:
                 if bool(sp.const) != bool(value):
                     return False, frozenset()  # contradiction: never
                 continue  # term always true: fold away
-            expr, sexpr, d = self.render_source(sp)
+            expr, d = self.render_source(sp)
             conds.append(self.cond_expr(expr, value))
-            sconds.append(f"(({sexpr}) != 0)" if value
-                          else f"(({sexpr}) == 0)")
             live.append((sp, 1 if value else 0))
             deps += d
         if not conds:
             return None, frozenset()
-        return self.stmt(self.name("g"), " & ".join(conds), deps,
-                         sexpr=" & ".join(sconds),
-                         bool_=True), frozenset(live)
+        return (self.stmt(self.name("g"), " & ".join(conds), deps),
+                frozenset(live))
 
     def run(self) -> str:
         plan = self.plan
@@ -488,11 +414,10 @@ class _VectorCodegen:
                 select = start.sources[0] if is_mux else None
                 tvs = []
                 for port, sp in enumerate(start.sources):
-                    expr, sexpr, deps = self.render_source(sp)
+                    expr, deps = self.render_source(sp)
                     if sp.const is not None:
                         expr = self.const_column(expr)
-                    t = self.stmt(f"t{start.nid}_{port}", expr, deps,
-                                  sexpr=sexpr)
+                    t = self.stmt(f"t{start.nid}_{port}", expr, deps)
                     # Value-path operand: a mux data port is additionally
                     # guarded by its own selection (the port's value only
                     # reaches the result when the select picks its side),
@@ -509,8 +434,7 @@ class _VectorCodegen:
                             (g is None and implied == terms):
                         tvs.append(t)
                     elif _contradictory(implied):
-                        tvs.append(self.cse_stmt(
-                            "z", self.zero_column(), (), sexpr="0"))
+                        tvs.append(self.cse_stmt("z", self.zero_column(), ()))
                     else:
                         tvs.append(self.value_read(sp, implied))
                     # Latches are observation-only leaves: their fold can
@@ -533,9 +457,7 @@ class _VectorCodegen:
                 # and — for mux data ports — the selected side).
                 x = self.stmt(f"x{end.nid}",
                               self.op_expr(end.op, tvalues[end.nid]),
-                              tuple(tvalues[end.nid]),
-                              sexpr=self.op_expr_scalar(end.op,
-                                                        tvalues[end.nid]))
+                              tuple(tvalues[end.nid]))
                 fo = f"fo{end.unit}"
                 prev = self.read_slot(fo)
                 self.contrib(f"_ao_{cls}", *self.popcount(prev, x, g,
@@ -552,7 +474,7 @@ class _VectorCodegen:
         # Output columns, read at end of pass.
         out_names = []
         for k, (_name, sp) in enumerate(plan.outputs):
-            expr, _sexpr, deps = self.render_source(sp)
+            expr, deps = self.render_source(sp)
             if sp.const is not None:
                 expr = self.const_column(expr)
             out_names.append(self.stmt(f"o{k}", expr, deps))
@@ -570,7 +492,6 @@ class _VectorCodegen:
         if any(guard is None for guard, _t, _v in writes):
             # An unconditional write anchors the pass: the final
             # where-chain is a pure column with no cross-vector term.
-            self.end_of[slot] = self.cur[slot]
             return self.cur[slot]
         # All writes guarded: masked-scan recurrence over the batch
         # (each written column is valid at its own guard's positions —
@@ -578,32 +499,15 @@ class _VectorCodegen:
         value = writes[0][2]
         for g, _terms, v in writes[1:]:
             value = self.stmt(self.name("v"),
-                              self.where_expr(g, v, value), (g, v, value),
-                              sexpr=f"({v} if {g} else {value})")
+                              self.where_expr(g, v, value), (g, v, value))
         guards = [g for g, _t, _v in writes]
-        mask = self.stmt(self.name("m"), " | ".join(guards), tuple(guards),
-                         sexpr=" | ".join(guards), bool_=True)
-        expr, deps = self.ffill_expr(value, mask, slot)
-        end = self.stmt(f"E_{slot}", expr, deps,
-                        sexpr=f"({value} if {mask} else _cy_{slot})",
-                        kind="ffill", slot=slot)
-        self.end_of[slot] = end
-        return end
+        mask = self.stmt(self.name("m"), " | ".join(guards), tuple(guards))
+        return self.stmt(f"E_{slot}", *self.ffill_expr(value, mask, slot))
 
     def _resolve_state(self) -> list[str]:
         self.stmt("_ar1", "_np.arange(1, _n + 1)", ())
         state_out = []
         for slot in _state_names(self.plan):
-            if slot.startswith(("_rt", "_cc", "_cl", "_ai", "_ao", "_aa",
-                                "_id")):
-                contribs = self.contribs.get(slot)
-                if not contribs:
-                    state_out.append(f"{slot}__in")
-                    continue
-                total = " + ".join([f"{slot}__in"] + contribs)
-                state_out.append(self.stmt(f"{slot}__out", total,
-                                           tuple(contribs)))
-                continue
             end = self._end_column(slot)
             if end is None:
                 state_out.append(f"{slot}__in")
@@ -613,26 +517,38 @@ class _VectorCodegen:
             if slot in self.start_used:
                 if end is None:
                     # Never written this pass: constant across the batch.
-                    self.stmt(f"S_{slot}", self.state_const_expr(slot),
-                              (), sexpr=f"{slot}__in")
+                    self.stmt(f"S_{slot}", self.state_const_expr(slot), ())
                 else:
                     self.stmt(f"S_{slot}", self.state_shift_expr(slot, end),
-                              (end,), kind="shift", slot=slot)
+                              (end,))
         return state_out
 
     # -- ordering + assembly --------------------------------------------
 
-    def _kahn(self, kept: list[_Stmt], by_target: dict[str, int],
-              drop: frozenset = frozenset()) -> list[_Stmt]:
-        """Kahn topological sort over ``kept``, stable on emission order.
-        Dep edges of statements whose target is in ``drop`` are ignored
-        (used to cut recurrent ``S_`` shift statements loose).  Returns
-        fewer statements than given when the graph is cyclic."""
+    def _assemble(self, out_names: list[str], state_out: list[str]) -> str:
+        plan = self.plan
+        by_target = {s.target: i for i, s in enumerate(self.stmts)}
+        if len(by_target) != len(self.stmts):  # pragma: no cover - invariant
+            raise VectorizationError(f"duplicate SSA target in {plan.name!r}")
+
+        # Dead-code elimination: keep only statements reachable from the
+        # outputs, the returned state tuple and the activity counts.
+        counts = [n for names in self.contribs.values() for n in names]
+        live: set[str] = set()
+        stack = [n for n in out_names + state_out + counts if n in by_target]
+        while stack:
+            target = stack.pop()
+            if target in live:
+                continue
+            live.add(target)
+            stack.extend(d for d in self.stmts[by_target[target]].deps
+                         if d in by_target and d not in live)
+
+        # Kahn topological sort, stable on emission order.
+        kept = [s for s in self.stmts if s.target in live]
         indegree = {s.target: 0 for s in kept}
         dependants: dict[str, list[str]] = {s.target: [] for s in kept}
         for s in kept:
-            if s.target in drop:
-                continue
             for d in set(s.deps):
                 if d in indegree:
                     indegree[s.target] += 1
@@ -647,202 +563,48 @@ class _VectorCodegen:
                 indegree[t] -= 1
                 if indegree[t] == 0:
                     heapq.heappush(ready, by_target[t])
-        return ordered
-
-    def _assemble(self, out_names: list[str], state_out: list[str]) -> str:
-        plan = self.plan
-        by_target = {s.target: i for i, s in enumerate(self.stmts)}
-        if len(by_target) != len(self.stmts):  # pragma: no cover - invariant
-            raise VectorizationError(f"duplicate SSA target in {plan.name!r}")
-
-        # Dead-code elimination: keep only statements reachable from the
-        # outputs and the returned state tuple.
-        roots = [n for n in out_names + state_out if n in by_target]
-        live: set[str] = set()
-        stack = list(roots)
-        while stack:
-            target = stack.pop()
-            if target in live:
-                continue
-            live.add(target)
-            stack.extend(d for d in self.stmts[by_target[target]].deps
-                         if d in by_target and d not in live)
-
-        # A leftover statement after the full topological sort means the
-        # guarded writes form a genuine cross-vector recurrence cycle: no
-        # closed-form masked scan exists, so the recurrent core runs as a
-        # scalar micro-loop stitched between two array sections instead.
-        kept = [s for s in self.stmts if s.target in live]
-        ordered = self._kahn(kept, by_target)
         if len(ordered) != len(kept):
-            return self._assemble_hybrid(kept, by_target, out_names,
-                                         state_out)
+            raise VectorizationError(self._recurrence(kept, ordered))
 
-        lines = self._prologue()
+        names = "".join(f"{n}__in, " for n in _state_names(plan))
+        lines = [f"def _run(_m, _state):  # vectorized from {plan.name!r}",
+                 f"    ({names}) = _state",
+                 "    _n = _m.shape[0]"]
         lines += [f"    {s.target} = {s.expr}" for s in ordered]
-        return self._epilogue(lines, out_names, state_out)
-
-    def _prologue(self) -> list[str]:
-        names = _state_names(self.plan)
-        return [f"def _run(_m, _state):  "
-                f"# vectorized from {self.plan.name!r}",
-                f"    ({', '.join(f'{n}__in' for n in names)},) = _state",
-                "    _n = _m.shape[0]"]
-
-    def _epilogue(self, lines: list[str], out_names: list[str],
-                  state_out: list[str]) -> str:
-        outs = ", ".join(out_names)
-        if out_names:
-            outs += ","
-        lines.append(f"    return ({outs}), ({', '.join(state_out)},)")
+        outs = "".join(f"{n}, " for n in out_names)
+        state = "".join(f"{n}, " for n in state_out)
+        totals = ", ".join(f"{counter!r}: {' + '.join(parts)}"
+                           for counter, parts in self.contribs.items())
+        lines.append(f"    return ({outs}), ({state}), {{{totals}}}")
         return "\n".join(lines) + "\n"
 
-    def _assemble_hybrid(self, kept: list[_Stmt], by_target: dict[str, int],
-                         out_names: list[str],
-                         state_out: list[str]) -> str:
-        """Emit the hybrid array/scalar program for a plan whose guarded
-        writes form a cross-vector recurrence.
-
-        Every dependency cycle passes through at least one ``S_<slot>``
-        shift statement (the only forward references the symbolic pass
-        emits), so the statements split three ways:
-
-        * **prefix** — statements with no transitive dependency on any
-          cycle: emitted as array code, exactly as the pure path would.
-        * **core** — the cycles plus everything squeezed between them
-          (ancestors-of-a-cycle among the cycle-dependent set): lowered
-          to scalar Python-int expressions and run row by row, with one
-          running carry per recurrent slot replacing the ``S_``/ffill
-          closed forms.
-        * **suffix** — statements downstream of the core that nothing in
-          the core depends on (activity popcounts, output reads, state
-          extraction): array code again, over core columns materialized
-          from the micro-loop.
-
-        Outputs and every counter stay bit-identical to the compiled
-        engine because the scalar expressions are exact unbounded-int
-        twins of the wrapped array expressions and the carries replay
-        the per-vector sequence the closed forms summarize."""
-        plan = self.plan
-        # Full-graph sort: what it orders is exactly the acyclic prefix.
-        prefix = self._kahn(kept, by_target)
-        prefix_targets = {s.target for s in prefix}
-        leftover = {s.target for s in kept if s.target not in prefix_targets}
-
-        # Peel the leftover from below (statements no other leftover
-        # statement depends on): whatever survives is an ancestor of a
-        # cycle — the recurrent core.  The peeled remainder only consumes
-        # core values and becomes the array suffix.
-        dependants: dict[str, set[str]] = {t: set() for t in leftover}
-        for t in leftover:
-            for d in set(self.stmts[by_target[t]].deps):
-                if d in leftover:
-                    dependants[d].add(t)
-        stack = [t for t in leftover if not dependants[t]]
-        peeled: set[str] = set()
-        while stack:
-            t = stack.pop()
-            peeled.add(t)
-            for d in set(self.stmts[by_target[t]].deps):
-                if d in leftover and d not in peeled:
-                    dependants[d].discard(t)
-                    if not dependants[d]:
-                        stack.append(d)
-        core = leftover - peeled
-
-        # Cutting the core shift statements loose (their scalar form
-        # reads the previous row's carry, not this row's end column)
-        # breaks every cycle; one stable sort then orders all three
-        # sections consistently.
-        cut = frozenset(s.target for s in kept
-                        if s.kind == "shift" and s.target in core)
-        full = self._kahn(kept, by_target, drop=cut)
-        if len(full) != len(kept):  # pragma: no cover - invariant
-            raise VectorizationError(
-                f"design {plan.name!r} has a recurrence not closed by "
-                "its shift statements")
-        core_stmts = [s for s in full if s.target in core]
-        down_stmts = [s for s in full if s.target in peeled]
-        pre_stmts = [s for s in full if s.target in prefix_targets]
-        for s in core_stmts:  # pragma: no branch
-            if s.kind != "shift" and s.sexpr is None:  # pragma: no cover
-                raise VectorizationError(
-                    f"statement {s.target} in {plan.name!r} has no scalar "
-                    "lowering for the recurrent core")
-
-        # Slots whose cross-vector closure now runs in the micro-loop.
-        slots = sorted({s.slot for s in core_stmts
-                        if s.kind in ("shift", "ffill")})
-        self.hybrid = True
-        self.scalar_slots = tuple(slots)
-        carry_after: dict[str, list[str]] = {}
-        for slot in slots:
-            end = self.end_of.get(slot)
-            if end is None or end not in core:  # pragma: no cover
-                raise VectorizationError(
-                    f"recurrent slot {slot} of {plan.name!r} has no end "
-                    "column inside the scalar core")
-            carry_after.setdefault(end, []).append(slot)
-
-        # Array columns the suffix (or the result tuple) reads from the
-        # core are materialized row by row; prefix columns the core reads
-        # cross the boundary as plain Python lists.
-        need: set[str] = {n for n in out_names + state_out if n in core}
-        for s in down_stmts:
-            need.update(d for d in set(s.deps) if d in core)
-        materialized = [s.target for s in core_stmts if s.target in need]
-        bounds: list[str] = []
-        seen: set[str] = set()
-        for s in core_stmts:
-            for d in s.deps:
-                if d in prefix_targets and d not in seen:
-                    seen.add(d)
-                    bounds.append(d)
-
-        mapping = {t: f"{t}_s" for t in core}
-        mapping.update({d: f"{d}_l[_i]" for d in bounds})
-        pattern = re.compile(
-            r"\b(" + "|".join(map(re.escape, mapping)) + r")\b")
-
-        def lower(sexpr: str) -> str:
-            return pattern.sub(lambda m: mapping[m.group(0)], sexpr)
-
-        lines = self._prologue()
-        lines[0] = (f"def _run(_m, _state):  # hybrid vectorized from "
-                    f"{plan.name!r}")
-        lines += [f"    {s.target} = {s.expr}" for s in pre_stmts]
-        lines += [f"    {d}_l = ({d}).tolist()" for d in bounds]
-        lines += [f"    _cy_{slot} = {slot}__in" for slot in slots]
-        lines += [f"    {t}_l = []" for t in materialized]
-        lines.append("    for _i in range(_n):")
-        # Shift reads first: they must observe the previous row's carry
-        # before any end-column update this row.
-        for s in core_stmts:
-            if s.kind == "shift":
-                lines.append(f"        {s.target}_s = _cy_{s.slot}")
-        for s in core_stmts:
-            if s.kind == "shift":
-                continue
-            lines.append(f"        {s.target}_s = {lower(s.sexpr)}")
-            for slot in carry_after.get(s.target, ()):
-                lines.append(f"        _cy_{slot} = {s.target}_s")
-        lines += [f"        {t}_l.append({t}_s)" for t in materialized]
-        for t in materialized:
-            dtype = "bool" if self.stmts[by_target[t]].bool_ else self.dtype
-            lines.append(f"    {t} = _np.asarray({t}_l, dtype={dtype})")
-        lines += [f"    {s.target} = {s.expr}" for s in down_stmts]
-        return self._epilogue(lines, out_names, state_out)
+    def _recurrence(self, kept: list[_Stmt], ordered: list[_Stmt]) -> str:
+        """Why the sort left statements behind: every cycle runs through
+        a slot's shift-by-one start column ``S_<slot>``.  Peeling the
+        leftover statements nothing else left over reads keeps those on
+        or feeding a cycle; their ``S_`` slots are the recurrent ones."""
+        done = {s.target for s in ordered}
+        left = {s.target: s.deps for s in kept if s.target not in done}
+        while True:
+            read = {d for deps in left.values() for d in deps}
+            sinks = [t for t in left if t not in read]
+            if not sinks:
+                break
+            for t in sinks:
+                del left[t]
+        slots = sorted(t[2:] for t in left if t.startswith("S_"))
+        return (f"design {self.plan.name!r} has a cross-vector recurrence "
+                f"through guarded state {', '.join(slots)}")
 
 
 def generate_vector_source(plan: ExecutionPlan,
                            power_management: bool) -> str:
-    """NumPy source of the specialized ``_run(matrix, state)`` runner.
+    """NumPy source of the specialized ``_run(matrix, state)`` runner,
+    which returns ``(output columns, state, activity counts)``.
 
-    Plans whose guarded state has no closed-form batch formulation come
-    back as a *hybrid* program: array code around a scalar micro-loop
-    over just the recurrent statements.  Raises
-    :class:`VectorizationError` only for plans beyond the backend's
-    int64 width headroom.
+    Raises :class:`VectorizationError` for plans beyond the backend's
+    int64 width headroom and for plans whose guarded state forms a
+    cross-vector recurrence with no closed-form batch formulation.
     """
     return _VectorCodegen(plan, power_management).run()
 
@@ -859,12 +621,12 @@ class ArrayBatchResult:
     samples: int
 
 
-# (fingerprint, power_management) ->
-# (plan, source, runner, hybrid, scalar_slots) — compile-once.
+# (fingerprint, power_management) -> (plan, source, runner), or the text
+# of the VectorizationError its codegen raised — compile or refuse once.
 _VECTOR_CACHE = _make_lru()
 
 
-class VectorizedEngine(_EngineBase):
+class VectorizedEngine:
     """Executes whole vector blocks as NumPy array programs.
 
     Drop-in for :class:`~repro.sim.engine.CompiledEngine`: same persistent
@@ -875,9 +637,14 @@ class VectorizedEngine(_EngineBase):
     (:class:`~repro.sim.vectors.RandomMatrixStream` draws seeded random
     ones, :func:`~repro.sim.vectors.vectors_to_array` packs dicts) —
     :meth:`run_batch` accepts vector dicts for API parity and converts.
+    Raises :class:`VectorizationError` for a design it cannot vectorize.
     """
 
     backend = "vectorized"
+    # Set by :func:`repro.sim.backend.create_engine`: the backend it
+    # resolved to and why (``None`` for engines built directly).
+    chosen_backend: str | None = None
+    backend_reason: str | None = None
 
     def __init__(self, design: SynthesizedDesign,
                  power_management: bool = True) -> None:
@@ -887,17 +654,35 @@ class VectorizedEngine(_EngineBase):
         cached = _lru_get(_VECTOR_CACHE, key)
         if cached is None:
             plan = cached_plan(design)
-            codegen = _VectorCodegen(plan, power_management)
-            source = codegen.run()
-            namespace: dict[str, object] = {"_np": np, "_ffill": _masked_ffill}
-            exec(compile(source, f"<vectorized:{design.graph.name}>", "exec"),
-                 namespace)
-            cached = (plan, source, namespace["_run"], codegen.hybrid,
-                      codegen.scalar_slots)
+            try:
+                source = generate_vector_source(plan, power_management)
+            except VectorizationError as error:
+                cached = str(error)
+            else:
+                namespace: dict[str, object] = {"_np": np,
+                                                "_ffill": _masked_ffill}
+                exec(compile(source, f"<vectorized:{design.graph.name}>",
+                             "exec"), namespace)
+                cached = (plan, source, namespace["_run"])
             _lru_put(_VECTOR_CACHE, key, cached)
-        self.plan, self.source, self._run, self.hybrid, self.scalar_slots = \
-            cached
-        self._init_state()
+        if isinstance(cached, str):
+            raise VectorizationError(cached)
+        self.plan, self.source, self._run = cached
+        self.reset()
+
+    @property
+    def input_names(self) -> tuple[str, ...]:
+        """Input names in plan order (the column order of input arrays)."""
+        return tuple(name for name, _reg in self.plan.inputs)
+
+    def state(self) -> dict[str, int]:
+        """Named registers, latches and FU outputs (debug/test aid)."""
+        return dict(zip(_state_names(self.plan), self._state))
+
+    def reset(self) -> None:
+        """Zero all hardware state (cold power-up)."""
+        self._state = (0,) * len(_state_names(self.plan))
+        self.samples = 0
 
     def run_array(self, matrix: np.ndarray) -> ArrayBatchResult:
         """Run a ``(batch, n_inputs)`` int64 matrix (column order =
@@ -920,22 +705,17 @@ class VectorizedEngine(_EngineBase):
                 outputs={name: np.empty(0, dtype=np.int64)
                          for name, _sp in self.plan.outputs},
                 activity=ActivityCounter(width=self.plan.width), samples=0)
-        before = self._state
         n = matrix.shape[0]
-        cols, after = self._run(matrix, before)
-        self._state = after
+        cols, self._state, counts = self._run(matrix, self._state)
         self.samples += n
         return ArrayBatchResult(
             outputs={name: col for (name, _sp), col
                      in zip(self.plan.outputs, cols)},
-            activity=self._activity_delta(before, after),
+            activity=_counter(self.plan, Counter(counts)),
             samples=n)
 
-    def run_batch(self, vectors) -> "BatchResult":
+    def run_batch(self, vectors) -> BatchResult:
         """Run vector dicts (any iterable); converts to one matrix."""
-        from repro.sim.engine import BatchResult
-        from repro.sim.vectors import vectors_to_array
-
         matrix = vectors_to_array(vectors, self.input_names)
         result = self.run_array(matrix)
         columns = [col.tolist() for col in result.outputs.values()]

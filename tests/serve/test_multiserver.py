@@ -7,13 +7,17 @@ keep-alive loop and the slowloris/size guards.
 """
 
 import json
+import os
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.durable import open_journal
+from repro.pipeline.explore import run_chunk
+from repro.serve import server as server_module
 from repro.serve import (
     EventGapError,
     JobState,
@@ -25,6 +29,31 @@ from repro.serve import (
 
 EXPLORE = {"circuits": ["gcd"], "budgets": [6, 7]}
 PARAMS = {"circuits": ["gcd"], "budgets": [6]}
+
+
+class _PointGate:
+    """``run_chunk`` for forked pool workers: the first chunk runs at
+    once, every later one waits (at most a minute) for :meth:`open`.
+    The gate is a directory of marker files, so it holds across the
+    workers of both servers of a test."""
+
+    root: Path | None = None
+
+    @classmethod
+    def run(cls, job):
+        try:
+            os.close(os.open(cls.root / "gate.first",
+                             os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            deadline = time.monotonic() + 60.0
+            while not (cls.root / "gate.open").exists() \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return run_chunk(job)
+
+    @classmethod
+    def open(cls) -> None:
+        (cls.root / "gate.open").touch()
 
 
 @pytest.fixture()
@@ -199,8 +228,14 @@ class TestMultiServerRecovery:
             b.stop()
 
     def test_kill_one_server_survivor_recovers_without_recompute(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         state = tmp_path / "state"
+        # Gate the pool: one point runs, the other 8 wait until the
+        # victim is dead, so the kill provably lands mid-job.  Without
+        # the gate all 9 points could finish before the kill, leaving
+        # nothing for the survivor to re-claim.
+        monkeypatch.setattr(_PointGate, "root", tmp_path)
+        monkeypatch.setattr(server_module, "run_chunk", _PointGate.run)
         a = start_in_thread(state, workers=2, lease_s=2.0)
         b = start_in_thread(state, workers=2, lease_s=2.0)
         try:
@@ -218,12 +253,13 @@ class TestMultiServerRecovery:
             victim, survivor = ((a, b)
                                 if row.server_id == a.server.server_id
                                 else (b, a))
-            # Let at least one fresh point land, then kill the owner.
+            # Let the one ungated point land, then kill the owner.
             owner = ServeClient(port=victim.port)
             for event in owner.stream(job["id"], timeout=120):
                 if event["type"] == "point" and not event.get("resumed"):
                     break
             victim.kill()
+            _PointGate.open()
 
             journal = state / "journals" / f"{job['key']}.jsonl"
             with open(journal, encoding="utf-8") as handle:
@@ -241,6 +277,7 @@ class TestMultiServerRecovery:
             with open(journal, encoding="utf-8") as handle:
                 assert sum(1 for _ in handle) - 1 == 9
         finally:
+            _PointGate.open()
             a.stop()
             b.stop()
 

@@ -16,6 +16,7 @@ from repro.sched.timing import critical_path_length
 from repro.sim.backend import create_engine
 from repro.sim.engine import CompiledEngine
 from repro.sim.reference import evaluate
+from repro.sim.vectorized import VectorizationError, VectorizedEngine
 from repro.sim.vectors import random_vectors
 
 #: (spec, extra slack) — paper benchmarks, generated families, and the
@@ -52,6 +53,25 @@ class TestPipelinedDesignsAreBitIdentical:
         graph, result = synthesize(spec, slack, mode)
         vectors = random_vectors(graph, 24, seed=sum(map(ord, spec)))
         assert_matches_reference(graph, result.design, vectors)
+
+    def test_recurrent_pipelined_design_runs_compiled(self):
+        """``gen:branchy:7`` at II 6 in ``drop`` mode (a point of
+        ``benchmarks/bench_pipeline.py``): its gated state forms a
+        cross-vector recurrence, so the vectorized codegen refuses it
+        and ``auto`` builds the compiled engine, which matches the
+        reference."""
+        graph = build("gen:branchy:7")
+        result = Pipeline().run(graph, FlowConfig(
+            n_steps=critical_path_length(graph) + 3, scheduler="pipeline",
+            initiation_interval=6, pipelined_gating="drop"))
+        with pytest.raises(VectorizationError, match="recurrence"):
+            VectorizedEngine(result.design)
+        engine = create_engine(result.design, n_vectors=4096)
+        assert engine.chosen_backend == "compiled"
+        vectors = random_vectors(graph, 24, seed=7)
+        outputs, _ = engine.run_many(vectors)
+        assert outputs == [evaluate(graph, v, width=result.design.width)
+                           for v in vectors]
 
     def test_gating_modes_share_one_function(self):
         """per_sample and drop elaborate different gating but must agree

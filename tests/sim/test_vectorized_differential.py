@@ -292,10 +292,9 @@ class TestGeneratedCircuitFuzz:
     runs every time) are synthesized baseline + managed and executed on
     all three backends; outputs and the full merged activity must be
     bit-identical, and outputs must also match the functional reference
-    model evaluated on the input CDFG.  Since the hybrid scalar-slot
-    plan, the vectorized backend is total: every seed must vectorize
-    (possibly via the hybrid micro-loop) with **zero** fallbacks — the
-    PR-4 fallback budget is gone.
+    model evaluated on the input CDFG.  Every seed must vectorize with
+    **zero** fallbacks: none of these families builds a cross-vector
+    recurrence through guarded state.
     """
 
     #: (preset, seed range) — 220 seeds total, ≥200 per the acceptance
@@ -329,7 +328,7 @@ class TestGeneratedCircuitFuzz:
                 for pm in (True, False):
                     # No try/except: VectorizationError here is a bug.
                     assert_identical(result.design, vectors, pm)
-                # auto never falls back to the compiled engine anymore.
+                # auto never falls back to the compiled engine here.
                 engine = create_engine(result.design, backend="auto")
                 assert engine.chosen_backend == "vectorized", spec
                 # Functionally correct, not just mutually consistent.
@@ -338,14 +337,16 @@ class TestGeneratedCircuitFuzz:
 
 
 class TestGatedRecurrenceRegression:
-    """Pinned 14-node circuit that used to raise ``VectorizationError``.
+    """Pinned 14-node circuit whose guarded state has no closed form.
 
     Hypothesis (seed 0) found it through
     ``test_batch_boundaries_do_not_matter``: power management leaves a
     register that is written under a guard and read stale within the same
-    step, an irreducible cross-vector recurrence.  The circuit is frozen
-    as :func:`repro.circuits.extra.gated_recurrence` so the regression
-    stays deterministic even if the strategy or its shrinker changes.
+    step, an irreducible cross-vector recurrence.  The vectorized codegen
+    refuses it with :class:`VectorizationError`, and ``auto`` builds the
+    compiled engine instead.  The circuit is frozen as
+    :func:`repro.circuits.extra.gated_recurrence` so the regression stays
+    deterministic even if the strategy or its shrinker changes.
     """
 
     @pytest.fixture(scope="class")
@@ -357,36 +358,87 @@ class TestGatedRecurrenceRegression:
         design = run_pair(graph, FlowConfig(n_steps=cp + 1)).managed.design
         return graph, design
 
-    def test_plan_is_hybrid(self, recurrent_design):
+    def test_vectorized_engine_refuses_it(self, recurrent_design):
         _, design = recurrent_design
-        engine = VectorizedEngine(design)
-        assert engine.hybrid
-        assert engine.scalar_slots  # at least one scalar micro-loop slot
+        with pytest.raises(VectorizationError, match="recurrence"):
+            VectorizedEngine(design)
+        with pytest.raises(VectorizationError, match="recurrence"):
+            create_engine(design, backend="vectorized")
 
-    def test_bit_identical_to_compiled(self, recurrent_design):
+    def test_power_management_off_still_vectorizes(self, recurrent_design):
+        """Without guards there is no masked scan, so no recurrence."""
         graph, design = recurrent_design
-        vectors = random_vectors(graph, 48, seed=0)
-        assert_identical(design, vectors, True)
-        assert_identical(design, vectors, False)
+        assert_identical(design, random_vectors(graph, 48, seed=0), False)
 
-    def test_batch_boundaries_do_not_matter(self, recurrent_design):
-        """The exact property the Hypothesis failure falsified."""
+    def test_auto_builds_compiled_naming_the_recurrence(
+            self, recurrent_design):
+        _, design = recurrent_design
+        engine = create_engine(design, n_vectors=4096)
+        assert isinstance(engine, CompiledEngine)
+        assert engine.chosen_backend == "compiled"
+        assert engine.backend_reason.startswith("auto: ")
+        assert "cross-vector recurrence" in engine.backend_reason
+
+    def test_auto_engine_matches_interpreter_over_split_batches(
+            self, recurrent_design):
         graph, design = recurrent_design
         vectors = random_vectors(graph, 9, seed=0)
-        one = VectorizedEngine(design).run_batch(vectors)
-        split = VectorizedEngine(design)
-        parts = [split.run_batch(vectors[:4]), split.run_batch(vectors[4:])]
-        assert sum((p.outputs for p in parts), []) == one.outputs
+        engine = create_engine(design, n_vectors=4096)
+        reference = RTLSimulator(design)
         merged = ActivityCounter(width=design.width)
-        for p in parts:
-            merged.merge(p.activity)
-        assert merged == one.activity
+        outputs = []
+        for part in (vectors[:4], vectors[4:]):
+            result = engine.run_batch(part)
+            outputs += result.outputs
+            merged.merge(result.activity)
+        louts, lact = reference.run_many(vectors)
+        assert outputs == louts
+        assert merged == lact
 
-    def test_auto_stays_vectorized(self, recurrent_design):
+    def test_refusal_is_cached(self, recurrent_design, monkeypatch):
+        """A second build does not run the failed codegen again."""
+        from repro.sim import vectorized
+        from repro.sim.engine import clear_compile_caches
+
         _, design = recurrent_design
-        engine = create_engine(design, backend="auto")
-        assert isinstance(engine, VectorizedEngine)
-        assert engine.chosen_backend == "vectorized"
+        clear_compile_caches()
+        calls = []
+        real = vectorized.generate_vector_source
+
+        def counting(plan, power_management):
+            calls.append(power_management)
+            return real(plan, power_management)
+
+        monkeypatch.setattr(vectorized, "generate_vector_source", counting)
+        first = create_engine(design, n_vectors=4096)
+        second = create_engine(design, n_vectors=4096)
+        assert calls == [True]
+        assert first.backend_reason == second.backend_reason
+        with pytest.raises(VectorizationError, match="recurrence"):
+            VectorizedEngine(design)
+        assert calls == [True]
+
+
+class TestStateParity:
+    """The two engines name and hold the same hardware state: registers,
+    latches and FU outputs, after the same split batches."""
+
+    @pytest.mark.parametrize("name", ["dealer", "gcd", "vender", "cordic"])
+    def test_state_equal_after_split_batches(self, name):
+        graph = build(name)
+        steps = critical_path_length(graph) + 1
+        pair = run_pair(graph, FlowConfig(n_steps=steps))
+        n, cut = (8, 3) if name == "cordic" else (90, 41)
+        vectors = random_vectors(graph, n, seed=steps)
+        for design in (pair.managed.design, pair.baseline.design):
+            for pm in (True, False):
+                compiled = CompiledEngine(design, power_management=pm)
+                vector = VectorizedEngine(design, power_management=pm)
+                for part in (vectors[:cut], vectors[cut:]):
+                    compiled.run_batch(part)
+                    vector.run_batch(part)
+                assert vector.state() == compiled.state(), (name, pm)
+                assert any(vector.state().values())
 
 
 class TestRandomCircuits:
@@ -399,8 +451,8 @@ class TestRandomCircuits:
         vectors = random_vectors(graph, 6, seed=seed)
         for result in (pair.managed, pair.baseline):
             for pm in (True, False):
-                # Cross-vector recurrences run through the hybrid
-                # scalar-slot plan; nothing may raise or fall back.
+                # None of these examples builds a cross-vector
+                # recurrence; nothing may raise or fall back.
                 assert_identical(result.design, vectors, pm)
 
     @settings(max_examples=20, deadline=None)
