@@ -146,6 +146,13 @@ class JobServer:
     ``state_dir``; they coordinate through the lease queue and the
     artifact store alone.  ``lease_s`` is the crash-detection horizon:
     a job whose owner misses heartbeats for that long is re-claimed.
+
+    A server claims one job ahead of its pool: while its last task
+    runs, the next job is claimed and its tasks queue behind it, so the
+    workers never idle through the claim and setup in between.  Such a
+    job already reports ``running`` while it waits for a worker, and
+    it waits at most for the tasks that were running when it was
+    claimed (for a single-task ``optimize`` job, one whole search).
     """
 
     def __init__(self, state_dir: "str | Path", host: str = "127.0.0.1",
@@ -181,6 +188,10 @@ class JobServer:
         self._tasks: set[asyncio.Task] = set()
         self._job_tasks: dict[str, asyncio.Task] = {}
         self._active: set[str] = set()
+        #: Claimed jobs that have not yet sent a task to the pool.
+        self._unsubmitted: set[str] = set()
+        #: Pool tasks submitted and not yet ended (running or queued).
+        self._pool_tasks = 0
         self._waiters: dict[str, set[asyncio.Event]] = {}
         self._connections: set[asyncio.StreamWriter] = set()
         self._claim_event = asyncio.Event()
@@ -280,17 +291,25 @@ class JobServer:
     # -- claiming and leases ---------------------------------------------
 
     async def _claim_loop(self) -> None:
-        """Drain the shared queue: claim up to ``workers`` jobs at a
-        time; wake instantly on local submissions/completions, poll on
-        a short interval for peers' submissions and expired leases."""
+        """Drain the shared queue, one job ahead of the pool: claim
+        while every claimed job has sent its tasks to the pool and at
+        most ``workers`` of those tasks are outstanding — that is, while
+        no task of this server waits for a worker.  The next job's tasks
+        are then queued before the last running task ends, and a server
+        whose own tasks already wait leaves new jobs to idle peers.
+        Wakes instantly on local job submissions, pool submissions and
+        task completions, and polls on a short interval for peers'
+        submissions and expired leases."""
         while True:
             try:
-                while len(self._active) < self.workers:
+                while (not self._unsubmitted
+                       and self._pool_tasks <= self.workers):
                     row = await self._q(self.queue.claim, self.server_id)
                     if row is None:
                         break
                     job = self.registry.adopt(row)
                     self._active.add(job.id)
+                    self._unsubmitted.add(job.id)
                     self._schedule(job)
                     # Followers that attached while the job was queued
                     # switch to its live local feed now.
@@ -369,9 +388,35 @@ class JobServer:
             self._tasks.discard(t)
             self._job_tasks.pop(job_id, None)
             self._active.discard(job_id)
+            self._unsubmitted.discard(job_id)
             self._claim_event.set()
 
         task.add_done_callback(_done)
+
+    def _run_in_pool(self, job: Job, fn, arg) -> asyncio.Future:
+        """Submit one task of ``job`` to the pool: the one way work
+        reaches the workers, so the claim rule's counts stay exact."""
+        self._unsubmitted.discard(job.id)
+        self._claim_event.set()
+        task = self.pool.submit(fn, arg)
+        self._pool_tasks += 1
+        # Counted down when the task itself ends, not when the job
+        # stops waiting for it: a cancelled job's running task still
+        # holds its worker.
+        task.add_done_callback(self._pool_task_ended)
+        return asyncio.wrap_future(task, loop=self._loop)
+
+    def _pool_task_ended(self, _task) -> None:
+        """Done-callback of a pool task; runs on whichever thread ended
+        it (the pool's, or the loop's when a cancel ends it)."""
+        def ended() -> None:
+            self._pool_tasks -= 1
+            self._claim_event.set()
+
+        try:
+            self._loop.call_soon_threadsafe(ended)
+        except RuntimeError:
+            pass  # the loop has closed: nothing is left to claim for
 
     async def _run_job(self, job: Job) -> None:
         try:
@@ -406,8 +451,9 @@ class JobServer:
                       last_seq=job.last_seq)
 
     async def _cancelled(self, job: Job) -> bool:
-        """Local cancel flag, or — checked at chunk boundaries — the
-        cluster-wide flag a cancel sent to any peer set on the row."""
+        """Local cancel flag, or — checked at chunk boundaries and once
+        per claim poll between them — the cluster-wide flag a cancel
+        sent to any peer set on the row."""
         if job.state.terminal or job.abandoned:
             return True
         if not job.cancel_requested:
@@ -482,18 +528,23 @@ class JobServer:
         journal = open_point_journal(journal_path, durability="record")
         futures: set = set()
         try:
-            futures = {
-                self._loop.run_in_executor(self.pool, run_chunk,
-                                           (self.store, chunk))
-                for chunk in chunks}
+            futures = {self._run_in_pool(job, run_chunk, (self.store, chunk))
+                       for chunk in chunks}
             while futures:
                 if await self._cancelled(job):
                     for future in futures:
                         future.cancel()
                     await asyncio.gather(*futures, return_exceptions=True)
                     return
+                # The timeout re-reads the cancel flag of a job whose
+                # chunks wait for a worker (or run long); a cancelled
+                # job pushes no point after the cancel.
                 done, futures = await asyncio.wait(
-                    futures, return_when=asyncio.FIRST_COMPLETED)
+                    futures, timeout=self._claim_poll,
+                    return_when=asyncio.FIRST_COMPLETED)
+                if not done or job.cancel_requested:
+                    futures |= done
+                    continue
                 for future in done:
                     for index, key, point in future.result():
                         points[index] = point
@@ -575,8 +626,7 @@ class JobServer:
         if "graph" in params:
             payload["graph"] = params["graph"]
 
-        future = self._loop.run_in_executor(self.pool, run_optimize_job,
-                                            payload)
+        future = self._run_in_pool(job, run_optimize_job, payload)
         offset = 0
         while True:
             records, offset = read_progress(progress_path, offset)
@@ -650,6 +700,7 @@ class JobServer:
             "jobs": self.queue.counts(),
             "server_id": self.server_id,
             "active": len(self._active),
+            "pool_tasks": self._pool_tasks,
             "workers": self.workers,
             "store": {
                 "entries": len(self.store),

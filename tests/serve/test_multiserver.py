@@ -617,3 +617,169 @@ class TestConcurrentSubmitters:
         assert len(set(ids)) == 1
         assert created_flags.count(True) == 1
         queue.close()
+
+
+def _until(predicate, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+def _points(client: ServeClient, job_id: str) -> list[str]:
+    """A finished job's points, minus the fields a re-run may change."""
+    volatile = ("config_label", "cache_hits", "cache_misses",
+                "store_hits", "store_misses")
+    events = client.job(job_id, since=0)["events"]
+    return sorted(json.dumps({k: v for k, v in e["point"].items()
+                              if k not in volatile}, sort_keys=True)
+                  for e in events if e["type"] == "point")
+
+
+class TestClaimAhead:
+    """A server claims its next job while its last task still runs, so
+    the job's tasks wait in the pool instead of the pool waiting on the
+    claim; it claims nothing while one of its own tasks waits."""
+
+    FIRST = {"circuits": ["gcd"], "budgets": [6, 7], "sim_vectors": 16}
+    NEXT = {"circuits": ["dealer"], "budgets": [4, 5], "sim_vectors": 16}
+
+    @pytest.fixture()
+    def gate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_PointGate, "root", tmp_path)
+        monkeypatch.setattr(server_module, "run_chunk", _PointGate.run)
+        yield _PointGate
+        _PointGate.open()
+
+    def _waiting_behind_held_chunk(self, client):
+        """FIRST runs its first chunk and holds its second; NEXT is
+        claimed meanwhile and queues both its chunks behind it."""
+        first = client.submit("explore", **self.FIRST)
+        _until(lambda: client.job(first["id"])["completed"] == 1)
+        waiting = client.submit("explore", **self.NEXT)
+        _until(lambda: client.stats()["pool_tasks"] == 3)
+        return first, waiting
+
+    def test_next_job_runs_before_the_last_task_ends(self, tmp_path,
+                                                     gate):
+        a = start_in_thread(tmp_path / "state", workers=1, lease_s=5.0)
+        try:
+            client = ServeClient(port=a.port)
+            first, waiting = self._waiting_behind_held_chunk(client)
+            snapshot = client.job(waiting["id"])
+            assert snapshot["state"] == "running"
+            assert snapshot["server_id"] == a.server.server_id
+            assert client.job(first["id"])["state"] == "running"
+            gate.open()
+            assert client.wait(first["id"], timeout=120)["state"] == "done"
+            assert client.wait(waiting["id"], timeout=120)["state"] == "done"
+            together = _points(client, waiting["id"])
+            assert client.stats()["pool_tasks"] == 0
+        finally:
+            a.stop()
+        alone = start_in_thread(tmp_path / "alone", workers=1)
+        try:
+            client = ServeClient(port=alone.port)
+            job = client.submit("explore", **self.NEXT)
+            assert client.wait(job["id"], timeout=120)["state"] == "done"
+            assert together == _points(client, job["id"])
+        finally:
+            alone.stop()
+
+    def test_server_with_waiting_tasks_leaves_new_jobs_to_its_peer(
+            self, tmp_path, gate):
+        (tmp_path / "gate.first").touch()  # hold every chunk
+        state = tmp_path / "state"
+        x = start_in_thread(state, workers=1, lease_s=1.0)
+        y = None
+        try:
+            cx = ServeClient(port=x.port)
+            held = cx.submit("explore", circuits=["gcd"], budgets=[5, 6, 7])
+            _until(lambda: cx.stats()["pool_tasks"] == 3)
+            y = start_in_thread(state, workers=1, lease_s=1.0)
+            spill = cx.submit("explore", circuits=["dealer"], budgets=[4])
+            _until(lambda: cx.job(spill["id"])["server_id"] is not None)
+            time.sleep(2.5 * x.server._claim_poll)
+            assert cx.job(spill["id"])["server_id"] == y.server.server_id
+            assert cx.job(held["id"])["server_id"] == x.server.server_id
+            assert cx.stats()["pool_tasks"] == 3
+            gate.open()
+            assert cx.wait(held["id"], timeout=120)["state"] == "done"
+            assert cx.wait(spill["id"], timeout=120)["state"] == "done"
+        finally:
+            gate.open()
+            x.stop()
+            if y is not None:
+                y.stop()
+
+    def test_cancelling_a_job_that_waits_for_a_worker(self, tmp_path, gate):
+        a = start_in_thread(tmp_path / "state", workers=1, lease_s=1.0)
+        try:
+            client = ServeClient(port=a.port)
+            first, waiting = self._waiting_behind_held_chunk(client)
+            client.cancel(waiting["id"])
+            # The gate is still shut: the cancel lands while the job's
+            # chunks wait.  Chunks the pool already dispatched to its
+            # call queue cannot be cancelled; they run, and are dropped.
+            final = client.wait(waiting["id"], timeout=30)
+            assert final["state"] == "cancelled"
+            gate.open()
+            assert client.wait(first["id"], timeout=120)["state"] == "done"
+            third = client.submit("explore", circuits=["vender"],
+                                  budgets=[5])
+            assert client.wait(third["id"], timeout=120)["state"] == "done"
+            events = client.job(waiting["id"], since=0)["events"]
+            assert [e for e in events if e["type"] == "point"] == []
+            _until(lambda: client.stats()["pool_tasks"] == 0)
+        finally:
+            a.stop()
+
+    def test_graceful_stop_requeues_running_and_waiting_jobs(self, tmp_path,
+                                                             gate):
+        state = tmp_path / "state"
+        # Long lease: only the release on stop can requeue the jobs.
+        a = start_in_thread(state, workers=1, lease_s=120.0)
+        try:
+            first, waiting = self._waiting_behind_held_chunk(
+                ServeClient(port=a.port))
+        finally:
+            a.stop()
+        queue = LeaseStore(state / "queue.sqlite", lease_s=120.0)
+        try:
+            for job in (first, waiting):
+                row = queue.get(job["id"])
+                assert row.state == "queued" and row.server_id is None
+        finally:
+            queue.close()
+
+    def test_pool_task_count_returns_to_zero(self, tmp_path):
+        a = start_in_thread(tmp_path / "state", workers=1, lease_s=1.0)
+        try:
+            client = ServeClient(port=a.port)
+            cancelled = client.submit("explore", circuits=["gcd"],
+                                      budgets=[5, 6, 7, 8, 9])
+            for event in client.stream(cancelled["id"], timeout=120):
+                if event["type"] == "point":
+                    break
+            client.cancel(cancelled["id"])
+            jobs = [
+                cancelled,
+                client.submit("explore", **EXPLORE),
+                # Below gcd's critical path: the chunk raises.
+                client.submit("explore", circuits=["gcd"], budgets=[2]),
+                # No budgets for the circuit: fails before any task.
+                client.submit("explore", circuits=["gcd"],
+                              budgets={"dealer": [4]}),
+            ]
+            states = [client.wait(job["id"], timeout=120,
+                                  raise_on_failure=False)["state"]
+                      for job in jobs]
+            assert states == ["cancelled", "done", "failed", "failed"]
+            _until(lambda: client.stats()["pool_tasks"] == 0)
+            # Nothing claimed is left unsubmitted: the server claims on.
+            last = client.submit("explore", circuits=["vender"], budgets=[5])
+            assert client.wait(last["id"], timeout=120)["state"] == "done"
+            stats = client.stats()
+            assert stats["pool_tasks"] == 0 and stats["active"] == 0
+        finally:
+            a.stop()
