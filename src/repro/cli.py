@@ -394,6 +394,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {error}") from None
     except (ServeError, ConnectionError, OSError, TimeoutError) as error:
         raise SystemExit(f"error: {error}") from None
+    finally:
+        client.close()
     return 0
 
 
@@ -443,6 +445,8 @@ def cmd_jobs(args: argparse.Namespace) -> int:
                       f"{job['state']:<10s} {job['completed']}/{total}")
     except (ServeError, ConnectionError, OSError) as error:
         raise SystemExit(f"error: {error}") from None
+    finally:
+        client.close()
     return 0
 
 

@@ -10,9 +10,9 @@ optimizer into an always-on service:
   with;
 * :class:`LeaseStore` — the shared SQLite job queue every server on
   one state directory drains;
-* :class:`JobRegistry` / :class:`Job` / :class:`JobState` — one
-  server's table of the jobs it claimed, their event feeds and the
-  lifecycle state machine;
+* :class:`JobRow` / :class:`JobState` — a job's queue row, its only
+  lifecycle state; :class:`Job` — the claiming server's record of it:
+  the task running it, live counters and the event feed;
 * :func:`start_in_thread` — run a server on a background thread (tests,
   benches, notebooks).
 
@@ -28,10 +28,8 @@ from repro.serve.client import (
 from repro.serve.jobs import (
     Job,
     JobError,
-    JobRegistry,
     JobRow,
     JobState,
-    JobStateError,
     LeaseStore,
     UnknownJobError,
     job_content_key,
@@ -43,11 +41,9 @@ __all__ = [
     "Job",
     "JobError",
     "JobFailed",
-    "JobRegistry",
     "JobRow",
     "JobServer",
     "JobState",
-    "JobStateError",
     "LeaseStore",
     "ServeClient",
     "ServeError",

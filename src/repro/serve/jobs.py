@@ -1,18 +1,19 @@
-"""Job identity, state machine, the per-server registry, and the
-shared lease queue.
+"""Job identity, this server's record of a claimed job, and the shared
+lease queue.
 
-One :class:`Job` is a client's request — an ``explore`` sweep or an
-``optimize`` search — moving through a fixed lifecycle::
+A job is a client's request — an ``explore`` sweep or an ``optimize``
+search.  Its one lifecycle lives on its :class:`LeaseStore` row::
 
     queued ──> running ──> done
        │          ├──────> failed
        └──────────┴──────> cancelled
 
-Transitions outside those edges raise :class:`JobStateError`; terminal
-states are final.  Every job also carries a monotonically-sequenced
-event feed (finished points, Pareto fronts, optimizer best-so-far) that
+The server that claims a job keeps one :class:`Job` record of it: the
+task running it, live counters, and a monotonically-sequenced event
+feed (finished points, Pareto fronts, optimizer best-so-far) that
 clients poll incrementally with ``?since=<seq>`` or follow live over
-the server's SSE endpoint.
+the server's SSE endpoint.  The record has no state of its own; the
+queue row is the only state machine.
 
 Identity is content-addressed: :func:`job_content_key` digests
 ``(kind, params)``, and the job's resume journal lives under that key —
@@ -29,19 +30,16 @@ lease_deadline)`` on the row, heartbeats extend live leases, and a
 lease that expires — the owning server crashed or stalled — makes the
 row claimable again.  The content-keyed resume journals make the
 re-claimed job warm, so kill -9 of any server loses no finished work.
-
-:class:`JobRegistry` is the per-server view: the in-memory job table
-and bounded event feeds for jobs *this* server claimed, each adopted
-from its queue row.  It persists nothing; the queue is the durable
-record.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -73,10 +71,6 @@ class UnknownJobError(JobError, KeyError):
     """No job with that id."""
 
 
-class JobStateError(JobError):
-    """An illegal lifecycle transition was attempted."""
-
-
 class JobState(str, Enum):
     QUEUED = "queued"
     RUNNING = "running"
@@ -91,14 +85,6 @@ class JobState(str, Enum):
 
 _TERMINAL = {JobState.DONE, JobState.FAILED, JobState.CANCELLED}
 
-_TRANSITIONS: dict[JobState, set[JobState]] = {
-    JobState.QUEUED: {JobState.RUNNING, JobState.CANCELLED},
-    JobState.RUNNING: {JobState.DONE, JobState.FAILED, JobState.CANCELLED},
-    JobState.DONE: set(),
-    JobState.FAILED: set(),
-    JobState.CANCELLED: set(),
-}
-
 
 def job_content_key(kind: str, params: dict) -> str:
     """Stable identity of one request: same (kind, params) — across
@@ -109,178 +95,74 @@ def job_content_key(kind: str, params: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
-@dataclass
+@dataclass(eq=False)
 class Job:
-    """One submitted request and everything observable about it."""
+    """This server's record of one job it claimed.
+
+    Made fresh from the row at each claim (:meth:`claimed`): the feed's
+    sequence continues from the row's ``last_seq``, which
+    :meth:`LeaseStore.claim` rebased past the previous owner's
+    high-water mark on a re-claim, so a client cursor from the old
+    owner's feed is always *behind* the new feed and resumes with an
+    explicit gap + replay instead of silently filtering the new
+    owner's events out.  The run is over when ``task`` is done.
+    """
 
     id: str
     kind: str
     params: dict
     key: str
-    state: JobState = JobState.QUEUED
-    error: str | None = None
+    last_seq: int = 0
+    cancel_requested: bool = False
+    #: The asyncio task running the job.
+    task: "asyncio.Task | None" = None
+    #: Whether the job has sent a task to the pool yet.
+    submitted: bool = False
+    #: Set when this server lost the job's lease: work stops, and no
+    #: terminal event is pushed — the job is alive under its new
+    #: owner, whose queue row is now the truth.
+    abandoned: bool = False
     #: Work units when known (the explore grid size; optimize leaves it
     #: unset until the evaluation count arrives with the result).
     total: int | None = None
     completed: int = 0
     resumed: int = 0
-    cancel_requested: bool = False
-    #: Set when this server lost the job's lease: work stops, but no
-    #: terminal transition happens locally — the job is alive under
-    #: its new owner, whose queue row is now the truth.
-    abandoned: bool = False
-    result: dict | None = None
-    events: list[dict] = field(default_factory=list)
+    events: deque = field(default_factory=lambda: deque(maxlen=MAX_EVENTS))
     events_dropped: int = 0
-    last_seq: int = 0
 
-    def snapshot(self, since: int | None = None) -> dict:
-        """JSON view; with ``since`` the event feed past that seq rides
-        along (``since=0`` streams from the beginning)."""
-        view = {
-            "id": self.id,
-            "kind": self.kind,
-            "key": self.key,
-            "state": self.state.value,
-            "error": self.error,
-            "total": self.total,
-            "completed": self.completed,
-            "resumed": self.resumed,
-            "cancel_requested": self.cancel_requested,
-            "result": self.result,
-            "last_seq": self.last_seq,
-            "events_dropped": self.events_dropped,
-        }
-        if since is not None:
-            view["events"] = [e for e in self.events if e["seq"] > since]
-        return view
+    @classmethod
+    def claimed(cls, row: "JobRow") -> "Job":
+        return cls(id=row.id, kind=row.kind, params=dict(row.params),
+                   key=row.key, last_seq=int(row.last_seq),
+                   cancel_requested=bool(row.cancel_requested))
 
+    def push(self, event: dict) -> int:
+        """Append one event to the feed; returns its seq."""
+        self.last_seq += 1
+        if len(self.events) == self.events.maxlen:
+            self.events_dropped += 1
+        self.events.append({"seq": self.last_seq, **event})
+        return self.last_seq
 
-class JobRegistry:
-    """This server's view of the jobs it claimed: a thread-safe job
-    table, lifecycle enforcement and the bounded event feeds.
-
-    Jobs enter only through :meth:`adopt` of a claimed
-    :class:`LeaseStore` row; the queue row stays the cluster-wide
-    truth.  ``max_events`` bounds each job's in-memory feed ring;
-    ``on_event`` (called outside the lock, with the job) lets the
-    server wake SSE streams the moment anything is pushed.
-    """
-
-    def __init__(self, *, max_events: int = MAX_EVENTS,
-                 on_event=None) -> None:
-        self._lock = threading.Lock()
-        self._jobs: dict[str, Job] = {}
-        self.max_events = max(1, int(max_events))
-        self._on_event = on_event
-
-    # -- lookup ----------------------------------------------------------
-
-    def get(self, job_id: str) -> Job:
-        with self._lock:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise UnknownJobError(job_id) from None
-
-    def find(self, job_id: str) -> "Job | None":
-        """Like :meth:`get`, but ``None`` for an unknown id — the lookup
-        a lease-queue server makes for jobs other servers may own."""
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def adopt(self, row: "JobRow") -> Job:
-        """Mirror a just-claimed queue row as this server's local job.
-
-        The queue assigned the id; the local job starts ``queued`` so
-        the ordinary ``queued -> running`` transition (and its feed
-        event) still happens.  The feed's sequence continues from the
-        row's ``last_seq`` — which :meth:`LeaseStore.claim` rebased
-        past the previous owner's high-water mark on a re-claim — so a
-        client cursor from the old owner's feed is always *behind* the
-        new feed and resumes with an explicit gap + replay instead of
-        silently filtering the new owner's events out.
-        """
-        with self._lock:
-            job = Job(id=row.id, kind=row.kind, params=dict(row.params),
-                      key=row.key)
-            job.cancel_requested = bool(row.cancel_requested)
-            job.last_seq = int(row.last_seq)
-            self._jobs[row.id] = job
-            return job
-
-    def jobs(self) -> list[Job]:
-        with self._lock:
-            return list(self._jobs.values())
-
-    # -- lifecycle -------------------------------------------------------
-
-    def transition(self, job: Job, to: JobState,
-                   error: str | None = None,
-                   result: dict | None = None) -> None:
-        with self._lock:
-            if to not in _TRANSITIONS[job.state]:
-                raise JobStateError(
-                    f"job {job.id}: illegal transition "
-                    f"{job.state.value} -> {to.value}")
-            job.state = to
-            if error is not None:
-                job.error = error
-            if result is not None:
-                job.result = result
-            self._push(job, {"type": "state", "state": to.value,
-                             **({"error": error} if error else {})})
-        self._notify(job)
-
-    def request_cancel(self, job: Job) -> bool:
-        """Ask for cancellation; ``True`` if it took effect immediately
-        (the job was still queued).  A running job is cancelled
-        cooperatively at its next chunk boundary."""
-        with self._lock:
-            if job.state.terminal:
-                return False
-            job.cancel_requested = True
-            if job.state is JobState.QUEUED:
-                job.state = JobState.CANCELLED
-                self._push(job, {"type": "state",
-                                 "state": JobState.CANCELLED.value})
-            else:
-                return False
-        self._notify(job)
-        return True
-
-    # -- event feed ------------------------------------------------------
-
-    def push(self, job: Job, event: dict) -> int:
-        """Append one event to the job's feed; returns its seq."""
-        with self._lock:
-            seq = self._push(job, event)
-        self._notify(job)
-        return seq
-
-    def _push(self, job: Job, event: dict) -> int:
-        job.last_seq += 1
-        job.events.append({"seq": job.last_seq, **event})
-        if len(job.events) > self.max_events:
-            drop = len(job.events) - self.max_events
-            del job.events[:drop]
-            job.events_dropped += drop
-        return job.last_seq
-
-    def _notify(self, job: Job) -> None:
-        if self._on_event is not None:
-            self._on_event(job)
-
-    def events_since(self, job: Job, since: int) -> tuple[list[dict], int]:
+    def events_since(self, since: int) -> tuple[list[dict], int]:
         """Feed events past ``since`` plus the count that aged out of
         the ring before they could be seen (the gap an honest stream
         must surface instead of silently skipping)."""
-        with self._lock:
-            events = [e for e in job.events if e["seq"] > since]
-            dropped = 0
-            if events and events[0]["seq"] > since + 1:
-                dropped = events[0]["seq"] - since - 1
-            return events, dropped
+        events = [e for e in self.events if e["seq"] > since]
+        dropped = 0
+        if events and events[0]["seq"] > since + 1:
+            dropped = events[0]["seq"] - since - 1
+        return events, dropped
+
+    def lay_over(self, view: dict, since: int | None = None) -> dict:
+        """Lay this record's live counters and feed over its row's
+        :meth:`JobRow.snapshot`."""
+        view.update(total=self.total, completed=self.completed,
+                    resumed=self.resumed, last_seq=self.last_seq,
+                    events_dropped=self.events_dropped)
+        if since is not None:
+            view["events"] = self.events_since(since)[0]
+        return view
 
 
 # -- the shared lease queue ----------------------------------------------
@@ -367,10 +249,11 @@ class JobRow:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def snapshot(self) -> dict:
-        """The JSON view every server answers for this job, local or
-        not (feed fields ride along only where the feed lives)."""
-        return {
+    def snapshot(self, since: int | None = None) -> dict:
+        """The JSON view every server answers for this job.  The feed
+        fields read empty: the feed lives with the job's owner, which
+        lays its :class:`Job` record over this view."""
+        view = {
             "id": self.id,
             "kind": self.kind,
             "key": self.key,
@@ -383,7 +266,12 @@ class JobRow:
             "result": self.result,
             "server_id": self.server_id,
             "claims": self.claims,
+            "last_seq": 0,
+            "events_dropped": 0,
         }
+        if since is not None:
+            view["events"] = []
+        return view
 
 
 def _row(raw) -> JobRow:
@@ -522,40 +410,29 @@ class LeaseStore:
 
         return self._transaction(body)
 
-    def heartbeat(self, server_id: str, jobs,
+    def heartbeat(self, server_id: str, leases: dict[str, int],
                   now: float | None = None) -> list[str]:
         """Extend the leases on the given jobs; returns the ids among
         them ``server_id`` still owns (missing = re-claimed by a peer).
 
-        ``jobs`` is the ids of the jobs the caller is *actually
-        running* — either an iterable of ids, or a mapping of id to
-        the job's feed high-water ``last_seq``, which is mirrored onto
-        the row so a later re-claim can rebase the event sequence.
-        Only the listed rows are touched: a row stamped with this
-        ``server_id`` by a crashed predecessor (a server restarted
+        ``leases`` maps the ids of the jobs the caller is *actually
+        running* to each job's feed high-water ``last_seq``, which is
+        mirrored onto the row so a later re-claim can rebase the event
+        sequence.  Only the listed rows are touched: a row stamped with
+        this ``server_id`` by a crashed predecessor (a server restarted
         under a stable identity) keeps its old deadline, expires on
-        schedule, and becomes re-claimable instead of being kept
-        fresh forever.
+        schedule, and becomes re-claimable instead of being kept fresh
+        forever.
         """
         now = time.time() if now is None else now
-        leases = (dict(jobs) if isinstance(jobs, dict)
-                  else {job_id: None for job_id in jobs})
 
         def body(conn):
-            owned = []
-            for job_id, last_seq in leases.items():
-                sets = "lease_deadline=?"
-                values: list = [now + self.lease_s]
-                if last_seq is not None:
-                    sets += ", last_seq=?"
-                    values.append(int(last_seq))
-                if conn.execute(
-                        f"UPDATE jobs SET {sets} WHERE id=? AND "
-                        "server_id=? AND state=?",
-                        (*values, job_id, server_id,
-                         JobState.RUNNING.value)).rowcount:
-                    owned.append(job_id)
-            return owned
+            return [job_id for job_id, last_seq in leases.items()
+                    if conn.execute(
+                        "UPDATE jobs SET lease_deadline=?, last_seq=? "
+                        "WHERE id=? AND server_id=? AND state=?",
+                        (now + self.lease_s, int(last_seq), job_id,
+                         server_id, JobState.RUNNING.value)).rowcount]
 
         return self._transaction(body)
 
@@ -583,24 +460,9 @@ class LeaseStore:
         onto the row so any server can answer status queries and a
         re-claim can rebase the feed; a no-op unless ``server_id``
         owns the job."""
-        sets, values = [], []
-        for column, value in (("completed", completed),
-                              ("resumed", resumed), ("total", total),
-                              ("last_seq", last_seq)):
-            if value is not None:
-                sets.append(f"{column}=?")
-                values.append(int(value))
-        if not sets:
-            return False
-
-        def body(conn):
-            return conn.execute(
-                f"UPDATE jobs SET {', '.join(sets)} WHERE id=? AND "
-                "server_id=? AND state=?",
-                (*values, job_id, server_id,
-                 JobState.RUNNING.value)).rowcount > 0
-
-        return self._transaction(body)
+        return self._update_owned(job_id, server_id, [], [],
+                                  completed=completed, resumed=resumed,
+                                  total=total, last_seq=last_seq)
 
     def finish(self, job_id: str, server_id: str, state: JobState, *,
                error: str | None = None, result: dict | None = None,
@@ -614,17 +476,26 @@ class LeaseStore:
         the caller must abandon the work, not record it.
         """
         if state not in _TERMINAL:
-            raise JobStateError(f"finish() needs a terminal state, "
-                                f"got {state.value}")
-        sets = ["state=?", "error=?", "result=?", "lease_deadline=NULL"]
-        values: list = [state.value, error,
-                        json.dumps(result) if result is not None else None]
-        for column, value in (("completed", completed),
-                              ("resumed", resumed), ("total", total),
-                              ("last_seq", last_seq)):
+            raise ValueError(f"finish() needs a terminal state, "
+                             f"got {state.value}")
+        return self._update_owned(
+            job_id, server_id,
+            ["state=?", "error=?", "result=?", "lease_deadline=NULL"],
+            [state.value, error,
+             json.dumps(result) if result is not None else None],
+            completed=completed, resumed=resumed, total=total,
+            last_seq=last_seq)
+
+    def _update_owned(self, job_id: str, server_id: str, sets: list,
+                      values: list, **counters) -> bool:
+        """One UPDATE of ``sets`` plus every counter given, applied
+        only while ``server_id`` owns the running row."""
+        for column, value in counters.items():
             if value is not None:
                 sets.append(f"{column}=?")
                 values.append(int(value))
+        if not sets:
+            return False
 
         def body(conn):
             return conn.execute(

@@ -20,8 +20,10 @@ One :class:`JobServer` owns five things:
   lease (owner crashed) makes the job claimable by any surviving
   server, whose content-keyed resume journal replay makes the re-run
   warm — kill -9 of any server loses nothing;
-* a :class:`~repro.serve.jobs.JobRegistry` as the purely-local view:
-  in-memory jobs + event feeds for the work *this* server claimed.
+* one table of the jobs *this* server claimed: a
+  :class:`~repro.serve.jobs.Job` record each, holding the task that
+  runs the job, its live counters and its bounded event feed.  The
+  queue row stays the job's only lifecycle state.
 
 Endpoints (JSON unless noted)::
 
@@ -72,10 +74,8 @@ from repro.serve.jobs import (
     QUEUE_NAME,
     Job,
     JobError,
-    JobRegistry,
     JobRow,
     JobState,
-    JobStateError,
     LeaseStore,
     UnknownJobError,
 )
@@ -97,6 +97,11 @@ REQUEST_TIMEOUT_S = 30.0
 #: SSE comment-frame interval, so proxies and client socket timeouts
 #: see traffic on a quiet stream.
 SSE_KEEPALIVE_S = 15.0
+
+#: Records of finished jobs a server keeps, oldest dropped first.  A
+#: dropped job's feed reads as aged out: an empty feed with
+#: ``events_dropped`` set, and a ``gap`` before the SSE terminal state.
+MAX_FINISHED_JOBS = 256
 
 MAX_HEADERS = 64
 MAX_HEADER_BYTES = 8192
@@ -182,14 +187,13 @@ class JobServer:
                                           max_entries=max_store_entries)
         self.queue = LeaseStore(self.state_dir / QUEUE_NAME,
                                 lease_s=lease_s)
-        self.registry = JobRegistry(on_event=self._on_job_event)
         self.pool: ProcessPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._tasks: set[asyncio.Task] = set()
-        self._job_tasks: dict[str, asyncio.Task] = {}
-        self._active: set[str] = set()
-        #: Claimed jobs that have not yet sent a task to the pool.
-        self._unsubmitted: set[str] = set()
+        #: One record per claimed job.  A record moves to the end when
+        #: its job finishes; the oldest finished ones beyond
+        #: MAX_FINISHED_JOBS are dropped.
+        self._jobs: dict[str, Job] = {}
         #: Pool tasks submitted and not yet ended (running or queued).
         self._pool_tasks = 0
         self._waiters: dict[str, set[asyncio.Event]] = {}
@@ -302,18 +306,17 @@ class JobServer:
         submissions and expired leases."""
         while True:
             try:
-                while (not self._unsubmitted
+                while (all(job.submitted for job in self._live())
                        and self._pool_tasks <= self.workers):
                     row = await self._q(self.queue.claim, self.server_id)
                     if row is None:
                         break
-                    job = self.registry.adopt(row)
-                    self._active.add(job.id)
-                    self._unsubmitted.add(job.id)
+                    job = Job.claimed(row)
                     self._schedule(job)
                     # Followers that attached while the job was queued
                     # switch to its live local feed now.
-                    self._on_job_event(job)
+                    self._push(job, {"type": "state",
+                                     "state": JobState.RUNNING.value})
                 self._claim_event.clear()
                 # A timer, not wait_for: 3.11's wait_for can drop a cancel
                 # that lands as the event fires, and shutdown hangs on us.
@@ -339,64 +342,65 @@ class JobServer:
         the event sequence past everything our clients saw."""
         while True:
             await asyncio.sleep(self.lease_s / 3.0)
-            leases = {}
-            for job_id in list(self._active):
-                local = self.registry.find(job_id)
-                leases[job_id] = (local.last_seq
-                                  if local is not None else None)
-            if not leases:
+            live = self._live()
+            if not live:
                 continue
             try:
-                owned = set(await self._q(self.queue.heartbeat,
-                                          self.server_id, leases))
+                owned = set(await self._q(
+                    self.queue.heartbeat, self.server_id,
+                    {job.id: job.last_seq for job in live}))
             except asyncio.CancelledError:
                 raise
             except Exception:  # noqa: BLE001 - retry next beat
                 continue
-            for job_id in leases:
-                if job_id not in owned:
-                    local = self.registry.find(job_id)
-                    if local is not None:
-                        self._abandon(local)
-                    else:
-                        task = self._job_tasks.get(job_id)
-                        if task is not None and not task.done():
-                            task.cancel()
+            for job in live:
+                if job.id not in owned:
+                    self._abandon(job)
+
+    def _live(self) -> list[Job]:
+        """Records of the jobs this server is running."""
+        return [job for job in self._jobs.values() if not job.task.done()]
 
     def _abandon(self, job: Job) -> None:
         """Stop work on a job whose lease this server lost.
 
-        No terminal transition and no ``state`` event: the job is
-        alive under its new owner, and a local ``cancelled`` would
-        read as the job's end to stream followers.  SSE streams are
-        woken instead; they notice ``abandoned`` and fall back to the
-        queue-row state stream (the new owner has the full feed)."""
+        No terminal event: the job is alive under its new owner, and a
+        local ``cancelled`` would read as the job's end to stream
+        followers.  SSE streams are woken instead; they notice
+        ``abandoned`` and fall back to the queue-row state stream (the
+        new owner has the full feed)."""
+        if job.task.done():
+            return  # finished: nothing left to stop
         job.abandoned = True
-        task = self._job_tasks.get(job.id)
-        if task is not None and not task.done():
-            task.cancel()
-        self._on_job_event(job)
+        job.task.cancel()
+        self._wake(job.id)
 
     # -- job scheduling --------------------------------------------------
 
     def _schedule(self, job: Job) -> None:
-        task = self._loop.create_task(self._run_job(job))
-        self._job_tasks[job.id] = task
-        self._tasks.add(task)
+        """Enter a just-claimed job's record and start its task."""
+        self._jobs[job.id] = job
+        job.task = self._loop.create_task(self._run_job(job))
+        self._tasks.add(job.task)
 
-        def _done(t, job_id=job.id):
-            self._tasks.discard(t)
-            self._job_tasks.pop(job_id, None)
-            self._active.discard(job_id)
-            self._unsubmitted.discard(job_id)
+        def _done(task) -> None:
+            self._tasks.discard(task)
+            if self._jobs.get(job.id) is job:  # not replaced by a re-claim
+                del self._jobs[job.id]
+                self._jobs[job.id] = job
+                finished = [record.id for record in self._jobs.values()
+                            if record.task.done()]
+                for job_id in finished[:-MAX_FINISHED_JOBS]:
+                    del self._jobs[job_id]
+            self._wake(job.id)
             self._claim_event.set()
 
-        task.add_done_callback(_done)
+        job.task.add_done_callback(_done)
 
     def _run_in_pool(self, job: Job, fn, arg) -> asyncio.Future:
         """Submit one task of ``job`` to the pool: the one way work
         reaches the workers, so the claim rule's counts stay exact."""
-        self._unsubmitted.discard(job.id)
+        job.submitted = True
         self._claim_event.set()
         task = self.pool.submit(fn, arg)
         self._pool_tasks += 1
@@ -422,7 +426,6 @@ class JobServer:
         try:
             if await self._cancelled(job):
                 return
-            self.registry.transition(job, JobState.RUNNING)
             if job.kind == "explore":
                 await self._run_explore(job)
             else:
@@ -432,29 +435,30 @@ class JobServer:
             # (released, or re-claimed by the new owner) stays live and
             # the journals make the next run warm.
             raise
-        except JobStateError:
-            raise
         except Exception as error:  # noqa: BLE001 - job isolation boundary
             detail = "".join(traceback.format_exception_only(error)).strip()
-            if not job.state.terminal:
-                await self._finish(job, JobState.FAILED, error=detail)
+            await self._finish(job, JobState.FAILED, error=detail)
 
     async def _finish(self, job: Job, state: JobState, *,
                       error: str | None = None,
                       result: dict | None = None) -> None:
-        """The one terminal write: the local transition (and its
-        ``state`` event), then the lease-guarded queue row."""
-        self.registry.transition(job, state, error=error, result=result)
-        await self._q(self.queue.finish, job.id, self.server_id, state,
-                      error=error, result=result, completed=job.completed,
-                      resumed=job.resumed, total=job.total,
-                      last_seq=job.last_seq)
+        """The one terminal write: the lease-guarded queue row, then the
+        feed's terminal ``state`` event (whose seq the row records).  A
+        server that lost the lease abandons the run instead."""
+        if await self._q(self.queue.finish, job.id, self.server_id, state,
+                         error=error, result=result,
+                         completed=job.completed, resumed=job.resumed,
+                         total=job.total, last_seq=job.last_seq + 1):
+            self._push(job, {"type": "state", "state": state.value,
+                             **({"error": error} if error else {})})
+        else:
+            self._abandon(job)
 
     async def _cancelled(self, job: Job) -> bool:
         """Local cancel flag, or — checked at chunk boundaries and once
         per claim poll between them — the cluster-wide flag a cancel
         sent to any peer set on the row."""
-        if job.state.terminal or job.abandoned:
+        if job.abandoned:
             return True
         if not job.cancel_requested:
             row = await self._q(self.queue.get, job.id)
@@ -469,7 +473,7 @@ class JobServer:
                     # writes anyway.
                     self._abandon(job)
                     return True
-        if job.cancel_requested and not job.state.terminal:
+        if job.cancel_requested:
             await self._finish(job, JobState.CANCELLED)
             return True
         return False
@@ -509,7 +513,7 @@ class JobServer:
         job.resumed = len(planned) - len(pending)
         job.completed = job.resumed
         for index in sorted(points):
-            self.registry.push(job, {
+            self._push(job, {
                 "type": "point", "resumed": True,
                 "point": points[index].to_dict()})
         if points:
@@ -554,7 +558,7 @@ class JobServer:
                         self.store.stats.hits += point.store_hits
                         self.store.stats.misses += point.store_misses
                         job.completed += 1
-                        self.registry.push(job, {
+                        self._push(job, {
                             "type": "point", "resumed": False,
                             "point": point.to_dict()})
                     self._push_pareto(job, points)
@@ -590,7 +594,7 @@ class JobServer:
         result = ExplorationResult(
             points=tuple(points[i] for i in sorted(points)))
         front = result.pareto()
-        self.registry.push(job, {
+        self._push(job, {
             "type": "pareto",
             "size": len(front.points),
             "of": len(result.points),
@@ -632,7 +636,7 @@ class JobServer:
             records, offset = read_progress(progress_path, offset)
             for record in records:
                 job.completed += 1
-                self.registry.push(job, {"type": "best", **record})
+                self._push(job, {"type": "best", **record})
             if records:
                 await self._q(self.queue.progress, job.id, self.server_id,
                               completed=job.completed,
@@ -651,7 +655,7 @@ class JobServer:
         records, offset = read_progress(progress_path, offset)
         for record in records:
             job.completed += 1
-            self.registry.push(job, {"type": "best", **record})
+            self._push(job, {"type": "best", **record})
         if await self._cancelled(job):
             return
         job.total = summary["evaluations"] + summary["reused"]
@@ -695,48 +699,56 @@ class JobServer:
         return {"journals": journals, "store": self.store.gc(),
                 "queue": self.queue.checkpoint()}
 
-    def stats(self) -> dict:
+    async def stats(self) -> dict:
+        """``GET /stats``: the queue and the store are read on the I/O
+        thread, this server's own counts on the event loop."""
+        jobs, store = await self._q(self._shared_stats)
         return {
-            "jobs": self.queue.counts(),
+            "jobs": jobs,
             "server_id": self.server_id,
-            "active": len(self._active),
+            "active": len(self._live()),
             "pool_tasks": self._pool_tasks,
             "workers": self.workers,
-            "store": {
-                "entries": len(self.store),
-                "bytes": self.store.total_bytes(),
-                "hits": self.store.stats.hits,
-                "misses": self.store.stats.misses,
-                "evictions": self.store.total_evictions(),
-            },
+            "store": store,
         }
 
-    # -- snapshots -------------------------------------------------------
+    def _shared_stats(self) -> tuple[dict, dict]:
+        return self.queue.counts(), {
+            "entries": len(self.store),
+            "bytes": self.store.total_bytes(),
+            "hits": self.store.stats.hits,
+            "misses": self.store.stats.misses,
+            "evictions": self.store.total_evictions(),
+        }
+
+    # -- snapshots and the event feed ------------------------------------
 
     def _snapshot(self, row: JobRow, since: int | None = None) -> dict:
-        """Merge the authoritative queue row with the local event feed.
+        """The queue row's view, with this server's live record laid
+        over it when this server owns the job.
 
-        A job this server owns (or finished) answers with its live
-        local view; anything else — queued, or another server's — gets
-        the queue row plus an empty feed (events live with the owner;
-        follow them over its SSE endpoint).
+        Anything else — queued, or another server's — gets an empty
+        feed (events live with the owner; follow them over its SSE
+        endpoint).  A job that finished here after its record was
+        dropped reports its whole feed as aged out.
         """
-        job = self.registry.find(row.id)
-        if job is not None and row.server_id == self.server_id:
-            view = job.snapshot(since=since)
-            view["server_id"] = row.server_id
-            view["claims"] = row.claims
+        view = row.snapshot(since)
+        if row.server_id != self.server_id:
             return view
-        view = row.snapshot()
-        view["last_seq"] = 0
-        view["events_dropped"] = 0
-        if since is not None:
-            view["events"] = []
-        return view
+        job = self._jobs.get(row.id)
+        if job is None:
+            view["last_seq"] = view["events_dropped"] = row.last_seq
+            return view
+        return job.lay_over(view, since)
 
-    def _on_job_event(self, job: Job) -> None:
-        """Registry hook: wake every SSE stream following this job."""
-        for waiter in self._waiters.get(job.id, ()):
+    def _push(self, job: Job, event: dict) -> None:
+        """Append to a job's feed and wake every SSE stream following
+        it."""
+        job.push(event)
+        self._wake(job.id)
+
+    def _wake(self, job_id: str) -> None:
+        for waiter in self._waiters.get(job_id, ()):
             waiter.set()
 
     # -- HTTP plumbing ---------------------------------------------------
@@ -909,7 +921,7 @@ class JobServer:
                 return 200, {"ok": True, "server_id": self.server_id,
                              "jobs": counts}
             if path == "/stats" and method == "GET":
-                return 200, await self._q(self.stats)
+                return 200, await self.stats()
             if path == "/jobs" and method == "GET":
                 rows = await self._q(self.queue.jobs)
                 return 200, {"jobs": [self._snapshot(row)
@@ -926,8 +938,6 @@ class JobServer:
                 return 200, {"ok": True, "stopping": True}
         except UnknownJobError as error:
             return 404, {"error": f"unknown job {error.args[0]!r}"}
-        except JobStateError as error:
-            return 409, {"error": str(error)}
         except JobError as error:
             return 400, {"error": str(error)}
         return 404, {"error": f"no route {method} {path}"}
@@ -960,9 +970,10 @@ class JobServer:
             return 200, self._snapshot(row, since=since)
         if rest == ["cancel"] and method == "POST":
             outcome = await self._q(self.queue.request_cancel, job_id)
-            local = self.registry.find(job_id)
-            if local is not None and not local.state.terminal:
-                self.registry.request_cancel(local)
+            job = self._jobs.get(job_id)
+            if job is not None:
+                # Seen at the run's next check, which finishes the row.
+                job.cancel_requested = True
             row = await self._q(self.queue.get, job_id) or row
             return 200, {"ok": True, "immediate": outcome == "immediate",
                          **self._snapshot(row)}
@@ -975,8 +986,8 @@ class JobServer:
                              query: dict) -> None:
         """``GET /jobs/<id>/events``: chunked ``text/event-stream``.
 
-        Local jobs stream their feed live (woken by the registry hook,
-        no polling); ``Last-Event-ID`` (or ``?last_event_id=``) resumes
+        Local jobs stream their feed live (woken by every push, no
+        polling); ``Last-Event-ID`` (or ``?last_event_id=``) resumes
         past already-seen events, and a feed gap is surfaced as an
         explicit ``gap`` event.  Jobs owned elsewhere stream
         queue-level ``state`` transitions — follow the owner for the
@@ -1008,92 +1019,91 @@ class JobServer:
             "Transfer-Encoding: chunked\r\n"
             "Connection: close\r\n\r\n").encode("ascii"))
         await writer.drain()
-        last_remote_state = None
-        while True:
-            job = self.registry.find(job_id)
-            row = await self._q(self.queue.get, job_id)
-            if row is None:
-                break
-            if (job is not None and not job.abandoned
-                    and row.server_id == self.server_id):
-                since = await self._stream_local(writer, job, since)
-                row = await self._q(self.queue.get, job_id)
-                if row is None or row.server_id == self.server_id:
-                    break  # finished here: terminal state already sent
-                continue  # lease moved mid-stream: fall back to remote
-            if row.state != last_remote_state:
-                self._write_frame(writer, None, "state", {
-                    "type": "state", "state": row.state,
-                    "completed": row.completed,
-                    "server_id": row.server_id})
-                await writer.drain()
-                last_remote_state = row.state
-            if row.terminal:
-                break
-            await self._await_claim(job_id, job)
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-
-    async def _await_claim(self, job_id: str, seen: Job | None) -> None:
-        """Wait one claim poll for a job followed through its queue row
-        (a peer's progress shows nowhere else), returning early when
-        this server claims it: ``_claim_loop`` wakes the job's waiters
-        on adoption.  ``seen`` is the local job as of the last row read,
-        so an adoption in between ends the wait at once."""
+        # One waiter for the whole stream, set by every push to the job
+        # (the claim's ``running`` event included) and cleared as each
+        # wait ends: a wake that lands while the stream writes or reads
+        # the row ends the next wait at once instead of being lost.
         waiter = asyncio.Event()
         waiters = self._waiters.setdefault(job_id, set())
         waiters.add(waiter)
         try:
-            if self.registry.find(job_id) is seen:
-                await asyncio.wait_for(waiter.wait(),
-                                       timeout=self._claim_poll)
-        except asyncio.TimeoutError:
-            pass
+            last_remote_state = None
+            while True:
+                row = await self._q(self.queue.get, job_id)
+                if row is None:
+                    break
+                job = self._jobs.get(job_id)
+                if job is not None and row.server_id == self.server_id:
+                    since = await self._stream_local(writer, job, since,
+                                                     waiter)
+                    row = await self._q(self.queue.get, job_id)
+                    if row is None or row.server_id == self.server_id:
+                        break  # finished here: terminal state sent
+                    continue  # lease moved mid-stream: fall back to remote
+                if row.state != last_remote_state:
+                    if (row.terminal and row.server_id == self.server_id
+                            and row.last_seq > since):
+                        # Finished here, its record since dropped.
+                        self._write_frame(writer, None, "gap", {
+                            "type": "gap", "dropped": row.last_seq - since})
+                    self._write_frame(writer, None, "state", {
+                        "type": "state", "state": row.state,
+                        "completed": row.completed,
+                        "server_id": row.server_id})
+                    await writer.drain()
+                    last_remote_state = row.state
+                if row.terminal:
+                    break
+                # A peer's progress shows only on the row: re-read it
+                # each claim poll, at once when this server claims it.
+                await self._woken(waiter, self._claim_poll)
         finally:
             waiters.discard(waiter)
             if not waiters:
                 self._waiters.pop(job_id, None)
+        writer.write(b"0\r\n\r\n")
+        await writer.drain()
 
-    async def _stream_local(self, writer: asyncio.StreamWriter,
-                            job: Job, since: int) -> int:
-        """Stream a local job's feed until it goes terminal — or until
+    async def _stream_local(self, writer: asyncio.StreamWriter, job: Job,
+                            since: int, waiter: asyncio.Event) -> int:
+        """Stream a local job's feed until its run ends — or until
         this server loses the job's lease, so a client attached to a
         deposed server falls back to the queue-row stream instead of
         hanging on keep-alives forever; returns the last seq sent (for
         the remote fallback's resume)."""
-        waiter = asyncio.Event()
-        waiters = self._waiters.setdefault(job.id, set())
-        waiters.add(waiter)
-        try:
-            while True:
-                waiter.clear()
-                events, dropped = self.registry.events_since(job, since)
-                if dropped:
-                    self._write_frame(writer, None, "gap",
-                                      {"type": "gap", "dropped": dropped})
-                for event in events:
-                    since = event["seq"]
-                    self._write_frame(writer, event["seq"],
-                                      event.get("type", "event"), event)
-                if events or dropped:
-                    await writer.drain()
-                if job.state.terminal or job.abandoned:
+        while True:
+            events, dropped = job.events_since(since)
+            if dropped:
+                self._write_frame(writer, None, "gap",
+                                  {"type": "gap", "dropped": dropped})
+            for event in events:
+                since = event["seq"]
+                self._write_frame(writer, event["seq"],
+                                  event.get("type", "event"), event)
+            if events or dropped:
+                await writer.drain()
+            if job.task.done() or job.abandoned:
+                return since
+            if not await self._woken(waiter, self.sse_keepalive_s):
+                self._write_chunk(writer, b": keep-alive\n\n")
+                await writer.drain()
+                # Belt and braces for a heartbeat that cannot reach
+                # the queue: notice a moved lease ourselves.
+                row = await self._q(self.queue.get, job.id)
+                if row is None or row.server_id != self.server_id:
                     return since
-                try:
-                    await asyncio.wait_for(waiter.wait(),
-                                           timeout=self.sse_keepalive_s)
-                except asyncio.TimeoutError:
-                    self._write_chunk(writer, b": keep-alive\n\n")
-                    await writer.drain()
-                    # Belt and braces for a heartbeat that cannot reach
-                    # the queue: notice a moved lease ourselves.
-                    row = await self._q(self.queue.get, job.id)
-                    if row is None or row.server_id != self.server_id:
-                        return since
+
+    @staticmethod
+    async def _woken(waiter: asyncio.Event, timeout: float) -> bool:
+        """Wait for ``waiter`` at most ``timeout`` seconds; ``False`` if
+        the time ran out.  Clears it, so each wake is seen once."""
+        try:
+            await asyncio.wait_for(waiter.wait(), timeout=timeout)
+            return True
+        except asyncio.TimeoutError:
+            return False
         finally:
-            waiters.discard(waiter)
-            if not waiters:
-                self._waiters.pop(job.id, None)
+            waiter.clear()
 
     def _write_frame(self, writer: asyncio.StreamWriter,
                      eid: int | None, event_type: str,
@@ -1111,7 +1121,7 @@ class JobServer:
 
 
 _REASONS = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-            408: "Request Timeout", 409: "Conflict",
+            408: "Request Timeout",
             413: "Payload Too Large", 431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 

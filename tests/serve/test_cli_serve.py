@@ -90,6 +90,28 @@ class TestJobs:
             main(["jobs", "j-999-deadbeef", "--port", str(served.port)])
 
 
+class TestClientLifetime:
+    @pytest.mark.parametrize("argv", [
+        ["jobs"],
+        ["jobs", "j-999-deadbeef"],  # an error exit closes it too
+        ["submit", "explore", "gcd", "--budgets", "5"],
+    ])
+    def test_command_closes_its_client(self, served, monkeypatch, argv):
+        closed = []
+        close = ServeClient.close
+
+        def recording_close(client):
+            closed.append(client)
+            close(client)
+
+        monkeypatch.setattr(ServeClient, "close", recording_close)
+        try:
+            main([*argv, "--port", str(served.port)])
+        except SystemExit:
+            pass
+        assert closed and closed[-1]._local.conn is None
+
+
 class TestServeCommand:
     def test_serve_runs_until_shutdown(self, tmp_path, capsys):
         status: dict[str, int] = {}

@@ -17,6 +17,7 @@ import pytest
 
 from repro.durable import open_journal
 from repro.pipeline.explore import run_chunk
+from repro.serve import jobs as jobs_module
 from repro.serve import server as server_module
 from repro.serve import (
     EventGapError,
@@ -103,11 +104,11 @@ class TestLeaseStore:
     def test_heartbeat_extends_leases_and_reports_ownership(self, queue):
         row, _ = queue.submit("explore", PARAMS)
         queue.claim("a", now=100.0)                  # deadline 110
-        assert queue.heartbeat("a", [row.id], now=108.0) == [row.id]
+        assert queue.heartbeat("a", {row.id: 0}, now=108.0) == [row.id]
         assert queue.claim("b", now=115.0) is None   # extended to 118
-        assert queue.heartbeat("b", [row.id], now=116.0) == []
+        assert queue.heartbeat("b", {row.id: 0}, now=116.0) == []
         assert queue.claim("b", now=119.0).id == row.id
-        assert queue.heartbeat("a", [row.id], now=119.5) == []  # lost
+        assert queue.heartbeat("a", {row.id: 0}, now=119.5) == []  # lost
 
     def test_heartbeat_extends_only_the_listed_jobs(self, queue):
         # A server restarted under the same --server-id must not keep
@@ -119,7 +120,7 @@ class TestLeaseStore:
                                              "budgets": [7]})
         queue.claim("a", now=100.0)
         queue.claim("a", now=100.0)                  # both leased by "a"
-        assert queue.heartbeat("a", [mine.id], now=109.0) == [mine.id]
+        assert queue.heartbeat("a", {mine.id: 0}, now=109.0) == [mine.id]
         stolen = queue.claim("b", now=112.0)
         assert stolen.id == zombie.id                # expired on time
         assert queue.claim("b", now=112.0) is None   # mine was extended
@@ -450,10 +451,11 @@ class TestServerSentEvents:
         finally:
             handle.stop()
 
-    def test_event_ring_overflow_surfaces_as_gap(self, tmp_path):
+    def test_event_ring_overflow_surfaces_as_gap(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_EVENTS", 2)  # tiny ring
         handle = start_in_thread(tmp_path / "state", workers=1)
         try:
-            handle.server.registry.max_events = 2  # tiny ring
             client = ServeClient(port=handle.port)
             job = client.submit("explore", circuits=["gcd"],
                                 budgets=[5, 6, 7])
@@ -686,6 +688,19 @@ class TestClaimAhead:
         finally:
             alone.stop()
 
+    def test_stats_count_the_live_records(self, tmp_path, gate):
+        a = start_in_thread(tmp_path / "state", workers=1, lease_s=5.0)
+        try:
+            client = ServeClient(port=a.port)
+            first, waiting = self._waiting_behind_held_chunk(client)
+            assert client.stats()["active"] == 2
+            gate.open()
+            for job in (first, waiting):
+                assert client.wait(job["id"], timeout=120)["state"] == "done"
+            _until(lambda: client.stats()["active"] == 0)
+        finally:
+            a.stop()
+
     def test_server_with_waiting_tasks_leaves_new_jobs_to_its_peer(
             self, tmp_path, gate):
         (tmp_path / "gate.first").touch()  # hold every chunk
@@ -783,3 +798,70 @@ class TestClaimAhead:
             assert stats["pool_tasks"] == 0 and stats["active"] == 0
         finally:
             a.stop()
+
+
+class TestJobRecords:
+    """A server keeps one record per claimed job; the queue row is the
+    job's only lifecycle state."""
+
+    def test_cancel_before_the_first_step_ends_the_row(self, tmp_path):
+        """A cancel that lands between the claim and the job's first step
+        still ends the row ``cancelled``: the run sees the flag and makes
+        the one terminal write, instead of leaving the row ``running``
+        under its owner (which never re-claims it)."""
+        handle = start_in_thread(tmp_path / "state", workers=1, lease_s=2.0)
+        server = handle.server
+        run_job = server._run_job
+
+        async def cancel_then_run(job):
+            # The whole cancel route runs after the claim, before the
+            # job's first step.
+            await server._route("POST", f"/jobs/{job.id}/cancel", {}, {})
+            server._run_job = run_job
+            await run_job(job)
+
+        server._run_job = cancel_then_run
+        try:
+            client = ServeClient(port=handle.port)
+            job = client.submit("explore", **PARAMS)
+            assert client.wait(job["id"], timeout=10)["state"] == "cancelled"
+            assert "running" not in client.health()["jobs"]
+            again = client.submit("explore", **PARAMS)
+            assert again["id"] != job["id"]  # a new job, not the old one
+            assert client.wait(again["id"], timeout=120)["state"] == "done"
+        finally:
+            handle.stop()
+
+    def test_finished_records_are_bounded_and_age_out_as_a_gap(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", 2)
+        handle = start_in_thread(tmp_path / "state", workers=1)
+        records = handle.server._jobs
+        try:
+            client = ServeClient(port=handle.port)
+            ids = []
+            for budget in (5, 6, 7, 8):
+                job = client.submit("explore", circuits=["gcd"],
+                                    budgets=[budget])
+                assert client.wait(job["id"], timeout=120)["state"] == "done"
+                _until(lambda: len(records) <= 2)
+                ids.append(job["id"])
+            _until(lambda: list(records) == ids[2:])
+            # The oldest job's record is gone: its feed reads as aged
+            # out, never as silently empty.
+            oldest = client.job(ids[0], since=0)
+            assert oldest["state"] == "done"
+            assert oldest["events"] == [] and oldest["events_dropped"] > 0
+            sse = list(client.stream(ids[0], timeout=60))
+            assert [e["type"] for e in sse] == ["gap", "state"]
+            assert sse[0]["dropped"] == oldest["events_dropped"]
+            assert sse[1]["state"] == "done"
+            with pytest.raises(EventGapError):
+                list(client.stream(ids[0], timeout=60, raise_on_gap=True))
+            # A kept record still answers with its whole feed.
+            newest = client.job(ids[-1], since=0)
+            assert newest["events_dropped"] == 0
+            assert [e["type"] for e in newest["events"]][::len(
+                newest["events"]) - 1] == ["state", "state"]
+        finally:
+            handle.stop()
