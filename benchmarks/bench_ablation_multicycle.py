@@ -32,7 +32,7 @@ def vender_multicycle(mul_latency: int) -> CDFG:
     p2 = b.mul(price, 2, name="p2")
     p3 = b.mul(price, 3, name="p3")
     for value in (p2, p3):
-        b.graph.node(value.nid).latency = mul_latency
+        b.graph.set_latency(value.nid, mul_latency)
     cost = b.mux(c_two, p2, p3, name="cost")
     funds = b.add(coins, credit, name="funds")
     c_pay = b.gt(funds, ACCEPT_THRESHOLD, name="c_pay")

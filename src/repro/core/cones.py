@@ -44,10 +44,6 @@ class MuxCones:
     control: frozenset[int]       # TFI(select) incl. the driver, non-structural
     shutdown: tuple[frozenset[int], frozenset[int]]  # per side (0, 1)
 
-    @property
-    def select_driver_included(self) -> bool:
-        return bool(self.control)
-
     def shutdown_ops(self, graph: CDFG, side: int) -> frozenset[int]:
         """Schedulable operations gated on ``side`` (what Tables II counts)."""
         return self._ops(graph)[side]

@@ -30,10 +30,11 @@ Each MUX's decision depends only on the input graph, the budget, the
 committed before it, whatever order got the run there.  A caller that
 runs the pass over many MUX orders can hold a decision memo (a plain
 dict, passed as ``memo=``) keyed on exactly that state: a hit replays
-the decision's edges and adopts its post-commit timing frame without
-probing.  The memo belongs to the caller (the optimizer's
-:class:`~repro.opt.evaluate.Evaluator` keeps one per search); without
-one the pass probes every MUX, as the synthesis pipeline does.
+the decision's edges, acyclic since accepted in that state, and adopts
+its post-commit timing frame, all without probing.  The memo belongs to
+the caller (the optimizer's :class:`~repro.opt.evaluate.Evaluator`
+keeps one per search); without one the pass probes every MUX, as the
+synthesis pipeline does.
 
 Two opt-in generalizations beyond the Figure-3 pseudo-code:
 
@@ -120,10 +121,6 @@ class PMResult:
     def partially_selected_muxes(self) -> list[int]:
         return [d.mux for d in self.decisions
                 if d.selected and d.reason == REASON_PARTIAL]
-
-    @property
-    def rejected_muxes(self) -> list[int]:
-        return [d.mux for d in self.decisions if not d.selected]
 
     @property
     def managed_count(self) -> int:
@@ -298,11 +295,11 @@ def apply_power_management(
             memo[key] = (decision, probe.frame)
         else:
             decision, probe.frame = known
-            # Probing would have keyed the select driver, even for a
-            # refused edge; the replay keeps that edge order.
-            work.reserve_control_source(work.node(mux_id).select_operand)
-            for src, dst in decision.added_edges:
-                work.add_control_edge(src, dst)
+            # Every edge leaves the select driver, which a probe keys
+            # even when it refuses the edge.
+            work.replay_control_edges(
+                work.node(mux_id).select_operand,
+                [dst for _src, dst in decision.added_edges])
         if decision.added_edges:
             committed = committed.union(decision.added_edges)
         result.decisions.append(decision)

@@ -11,8 +11,9 @@ schedulers and the power models can query it as often as they like:
 * the **data level** (:class:`_DataMemo`) reads only nodes and operands:
   data adjacency, the data-only topological order, the schedulable
   operation ids and the per-MUX cones of :mod:`repro.core.cones`.  Only
-  ``add_node`` drops it, and :meth:`CDFG.copy` shares it, since a copy
-  has the same data structure until one side adds a node;
+  ``add_node`` and ``set_latency`` drop it, and :meth:`CDFG.copy` shares
+  it, since a copy has the same data structure until one side changes a
+  node;
 * the **control level** (:class:`_ControlMemo`) also reads the control
   edges: full adjacency and order, the fingerprint, a passed validation,
   and the timing analysis of :mod:`repro.sched.timing`.  Every mutation
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
+from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
 from repro.ir.node import Node
@@ -88,17 +90,18 @@ class CDFG:
 
     Both kinds constrain scheduling; only data edges carry values.
 
-    All mutation goes through CDFG methods: ``add_node`` drops both memo
-    levels, the control edge methods only the control level (see the
-    module docstring).  ``Node`` fields must not be mutated after
-    ``add_node``: the memo, possibly shared with copies, would not see
-    the change.
+    All mutation goes through CDFG methods: ``add_node`` and
+    ``set_latency`` drop both memo levels, the control edge methods only
+    the control level (see the module docstring).  Nodes are frozen and
+    the data adjacency holds tuples that a mutation rebinds, never edits,
+    so :meth:`copy` shares both with the original; only the control edge
+    sets are copied.
     """
 
     def __init__(self, name: str = "cdfg") -> None:
         self.name = name
         self._nodes: dict[int, Node] = {}
-        self._succs: dict[int, list[int]] = {}
+        self._succs: dict[int, tuple[int, ...]] = {}
         self._control_succs: dict[int, set[int]] = {}
         self._control_preds: dict[int, set[int]] = {}
         self._next_id = 0
@@ -147,7 +150,7 @@ class CDFG:
         latency: int = -1,
     ) -> int:
         """Create a node and return its id.  Operands must already exist."""
-        operands = list(operands)
+        operands = tuple(operands)
         for producer in operands:
             if producer not in self._nodes:
                 raise CDFGError(f"operand {producer} does not exist")
@@ -156,11 +159,19 @@ class CDFG:
         node = Node(nid=nid, op=op, operands=operands, name=name, value=value,
                     latency=latency)
         self._nodes[nid] = node
-        self._succs[nid] = []
+        self._succs[nid] = ()
         for producer in operands:
-            self._succs[producer].append(nid)
+            self._succs[producer] += (nid,)
         self._invalidate(data=True)
         return nid
+
+    def set_latency(self, nid: int, latency: int) -> None:
+        """Give node ``nid`` a new latency (a multicycle unit, say).
+
+        Swaps in a new node; a copy that shares the old one keeps it.
+        """
+        self._nodes[nid] = replace(self.node(nid), latency=latency)
+        self._invalidate(data=True)
 
     def add_control_edge(self, src: int, dst: int) -> None:
         """Add a pure precedence edge ``src`` -> ``dst`` (paper step 10).
@@ -173,8 +184,7 @@ class CDFG:
         if src == dst:
             raise CDFGError(f"control self-edge on node {src}")
         # Keyed before the cycle probe, even for a refused edge.
-        self.reserve_control_source(src)
-        succs = self._control_succs[src]
+        succs = self._control_succs.setdefault(src, set())
         preds = self._control_preds.setdefault(dst, set())
         if dst in succs:
             return
@@ -184,16 +194,17 @@ class CDFG:
         preds.add(src)
         self._invalidate()
 
-    def reserve_control_source(self, src: int) -> None:
-        """Give ``src`` its place in :meth:`control_edges` order without
-        adding an edge.
-
-        That order is the order in which sources were first passed to
-        :meth:`add_control_edge`, refused edges included; a caller that
-        replays recorded edges instead of probing them calls this where
-        the probe would have been.
-        """
-        self._control_succs.setdefault(src, set())
+    def replay_control_edges(self, src: int, dsts: Iterable[int]) -> None:
+        """Add edges ``src`` -> each of ``dsts`` with no cycle probe, and
+        key ``src`` as :meth:`add_control_edge` would, even with no
+        ``dsts``.  Only for edges that call accepted on a graph in this
+        graph's state, which are acyclic by construction."""
+        succs = self._control_succs.setdefault(src, set())
+        preds = self._control_preds
+        for dst in dsts:
+            succs.add(dst)
+            preds.setdefault(dst, set()).add(src)
+        self._invalidate()
 
     def remove_control_edge(self, src: int, dst: int) -> None:
         self._control_succs.get(src, set()).discard(dst)
@@ -274,6 +285,8 @@ class CDFG:
         return set(self._control_succs.get(nid, ()))
 
     def control_edges(self) -> list[tuple[int, int]]:
+        """Sources in the order they were first keyed (refused edges
+        included), destinations ascending."""
         return [(u, v) for u, vs in self._control_succs.items() for v in sorted(vs)]
 
     def preds(self, nid: int) -> list[int]:
@@ -386,7 +399,7 @@ class CDFG:
         outputs = [node.nid for node in self.outputs()]
         return self._reach(outputs, self._operands, include_self=True)
 
-    def _operands(self, nid: int) -> list[int]:
+    def _operands(self, nid: int) -> tuple[int, ...]:
         return self._nodes[nid].operands
 
     def _reach(self, starts: list[int], step, include_self: bool) -> set[int]:
@@ -437,24 +450,21 @@ class CDFG:
         return memo.fingerprint
 
     def copy(self, name: str | None = None) -> "CDFG":
-        """Deep copy (nodes, data and control edges), preserving node ids.
+        """Independent copy with the same node ids.
 
-        The copy shares this graph's data-level memo, so analysis either
-        side fills in is computed once, until one of them adds a node; it
-        starts without a control-level memo."""
+        The copy shares this graph's frozen nodes, data adjacency tuples
+        and data-level memo, so analysis either side fills in is computed
+        once, until one of them changes a node; it copies the control
+        edge sets and starts without a control-level memo."""
         clone = CDFG(name=name or self.name)
         clone._next_id = self._next_id
         clone._data_memo = self._data()
-        for nid, node in self._nodes.items():
-            clone._nodes[nid] = Node(
-                nid=node.nid, op=node.op, operands=list(node.operands),
-                name=node.name, value=node.value, latency=node.latency,
-            )
-            clone._succs[nid] = list(self._succs[nid])
-        for src, dsts in self._control_succs.items():
-            clone._control_succs[src] = set(dsts)
-        for dst, srcs in self._control_preds.items():
-            clone._control_preds[dst] = set(srcs)
+        clone._nodes = dict(self._nodes)
+        clone._succs = dict(self._succs)
+        clone._control_succs = {src: set(dsts) for src, dsts
+                                in self._control_succs.items()}
+        clone._control_preds = {dst: set(srcs) for dst, srcs
+                                in self._control_preds.items()}
         return clone
 
     def op_counts(self) -> dict[str, int]:

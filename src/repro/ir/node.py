@@ -2,25 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.ops import Op, arity, default_latency, is_schedulable, resource_class
 
-# Operand-port indices for MUX nodes (operands are [select, in0, in1]).
+# Operand-port indices for MUX nodes (operands are (select, in0, in1)).
 MUX_SELECT = 0
 MUX_IN0 = 1
 MUX_IN1 = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
-    """One CDFG operation.
+    """One CDFG operation, immutable once built.
+
+    Graphs share their ``Node`` objects (``CDFG.copy`` does not rebuild
+    them), so a field can never change in place: the one post-build edit,
+    a multicycle latency, is ``CDFG.set_latency``, which swaps in a new
+    node.
 
     Attributes:
         nid: Unique integer id within its graph.
         op: Operation performed.
-        operands: Ordered producer node ids.  Order matters for SUB, shifts,
-            comparisons and MUX (``[select, in0, in1]``).
+        operands: Ordered producer node ids, as a tuple (any sequence is
+            converted).  Order matters for SUB, shifts, comparisons and
+            MUX (``(select, in0, in1)``).
         name: Human-readable name (variable the result is bound to).
         value: Constant value for CONST nodes, shift amount for SHL/SHR
             second operands folded at build time, else None.
@@ -29,14 +35,16 @@ class Node:
 
     nid: int
     op: Op
-    operands: list[int] = field(default_factory=list)
+    operands: tuple[int, ...] = ()
     name: str = ""
     value: int | None = None
     latency: int = -1  # filled in __post_init__ if left at sentinel
 
     def __post_init__(self) -> None:
+        if not isinstance(self.operands, tuple):
+            object.__setattr__(self, "operands", tuple(self.operands))
         if self.latency < 0:
-            self.latency = default_latency(self.op)
+            object.__setattr__(self, "latency", default_latency(self.op))
         expected = arity(self.op)
         if self.op is not Op.CONST and self.op is not Op.INPUT:
             if len(self.operands) != expected:

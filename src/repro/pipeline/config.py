@@ -69,9 +69,6 @@ class FlowConfig:
                 f"before running (got {self.n_steps!r})")
         return self.n_steps
 
-    def with_steps(self, n_steps: int) -> "FlowConfig":
-        return replace(self, n_steps=n_steps)
-
     def baseline(self) -> "FlowConfig":
         """The traditional (non-power-managed) twin of this config."""
         return replace(self, pm=PMOptions(enabled=False), verify=False,

@@ -73,8 +73,9 @@ class StageStore(Protocol):
         """Drop every entry and reset the statistics."""
 
 #: Bump when the entry format changes incompatibly; part of the digest,
-#: so old entries are simply never hit instead of misread.
-STORE_FORMAT = 1
+#: so old entries are simply never hit instead of misread.  Format 2:
+#: graphs hold frozen nodes with tuple operands.
+STORE_FORMAT = 2
 
 #: Bump when the database schema changes incompatibly; a mismatched
 #: database is dropped and recreated empty.

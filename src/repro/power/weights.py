@@ -37,9 +37,6 @@ class PowerWeights:
         except KeyError:
             raise KeyError(f"no power weight for resource class {cls}") from None
 
-    def of_node(self, graph: CDFG, nid: int) -> float:
-        return self.of(graph.node(nid).resource)
-
     def total(self, graph: CDFG) -> float:
         """Weighted cost of executing every operation once (the paper's
         'without power management all operations are always executed')."""

@@ -33,14 +33,6 @@ class ActivityCounter:
     controller_cycles: int = 0
     controller_literals: int = 0
 
-    def record_execution(self, cls: ResourceClass, input_toggles: int,
-                         output_toggles: int) -> None:
-        self.fu_activations[cls] = self.fu_activations.get(cls, 0) + 1
-        self.fu_input_toggles[cls] = \
-            self.fu_input_toggles.get(cls, 0) + input_toggles
-        self.fu_output_toggles[cls] = \
-            self.fu_output_toggles.get(cls, 0) + output_toggles
-
     def record_idle(self, cls: ResourceClass) -> None:
         """A scheduled op whose latches stayed disabled (shut down)."""
         self.fu_idles[cls] = self.fu_idles.get(cls, 0) + 1

@@ -19,6 +19,25 @@ settings.load_profile("ci")
 
 
 @pytest.fixture
+def serve_client():
+    """``serve_client(port)``: a ``repro.serve.ServeClient`` whose
+    keep-alive connection is closed when the test ends.  A thread that
+    uses a client closes its own connection."""
+    from repro.serve import ServeClient
+
+    clients = []
+
+    def make(port: int) -> ServeClient:
+        client = ServeClient(port=port)
+        clients.append(client)
+        return client
+
+    yield make
+    for client in clients:
+        client.close()
+
+
+@pytest.fixture
 def abs_diff_graph():
     return abs_diff()
 

@@ -15,6 +15,7 @@ input graph) left in the memo must equal the memo-free run.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -151,3 +152,38 @@ def test_memo_hits_keep_the_control_edge_order():
         "insufficient-slack", "selected", "selected"]
     for _ in range(2):
         assert _outcome(graph, cp, options, memo) == cold
+
+
+@pytest.mark.parametrize("name", ["gcd", "vender", "gen:branchy:19"])
+def test_replayed_edges_pass_the_cycle_probe(name, monkeypatch):
+    """A memo hit adds its decision's edges with no cycle probe.  Every
+    run's edges, re-added in order through the probing
+    ``add_control_edge`` on a fresh copy, are all accepted and rebuild
+    the same graph."""
+    from repro.ir.graph import CDFG
+
+    replays = []
+    replay = CDFG.replay_control_edges
+
+    def counting(self, src, dsts):
+        replays.append(src)
+        return replay(self, src, dsts)
+
+    monkeypatch.setattr(CDFG, "replay_control_edges", counting)
+    graph = build(name)
+    muxes = [m.nid for m in graph.muxes()]
+    cp = critical_path_length(graph)
+    rng = random.Random(name)
+    memo = {}
+    for _ in range(24):
+        options = PMOptions(ordering="given",
+                            given_order=rng.sample(muxes, len(muxes)),
+                            partial=rng.random() < 0.5)
+        pm = apply_power_management(graph, cp + rng.randrange(3), options,
+                                    memo=memo)
+        probed = graph.copy()
+        for src, dst in pm.graph.control_edges():
+            probed.add_control_edge(src, dst)
+        assert probed.control_edges() == pm.graph.control_edges()
+        assert probed.fingerprint() == pm.graph.fingerprint()
+    assert replays

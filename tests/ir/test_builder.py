@@ -78,7 +78,7 @@ class TestMux:
         c, x, y = b.input("c"), b.input("x"), b.input("y")
         m = b.mux(c, x, y)
         node = b.graph.node(m.nid)
-        assert node.operands == [c.nid, x.nid, y.nid]
+        assert node.operands == (c.nid, x.nid, y.nid)
         assert node.select_operand == c.nid
         assert node.data_operand(0) == x.nid
         assert node.data_operand(1) == y.nid

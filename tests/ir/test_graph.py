@@ -93,13 +93,23 @@ class TestEdges:
         with pytest.raises(CDFGError, match="unknown node"):
             g.add_control_edge(0, 99)
 
-    def test_a_reserved_source_keeps_its_place_in_edge_order(self):
+    def test_a_replayed_source_keeps_its_place_in_edge_order(self):
         g, (a, b, c, s0, s1, m, o) = make_diamond()
-        g.reserve_control_source(s1)
+        g.replay_control_edges(s1, [])
         assert g.control_edges() == []
         g.add_control_edge(c, s0)
-        g.add_control_edge(s1, s0)
+        g.replay_control_edges(s1, [s0])
         assert g.control_edges() == [(s1, s0), (c, s0)]
+        assert g.control_preds(s0) == {c, s1}
+
+    def test_a_replayed_edge_drops_the_control_memo(self):
+        g, (a, b, c, s0, s1, m, o) = make_diamond()
+        order = g.topological_order()
+        assert order.index(s0) < order.index(s1)
+        g.replay_control_edges(s1, [s0])
+        order = g.topological_order()
+        assert order.index(s1) < order.index(s0)
+        assert s1 in g.preds(s0)
 
     def test_a_refused_edge_reserves_its_source(self):
         g, (a, b, c, s0, s1, m, o) = make_diamond()
@@ -172,7 +182,7 @@ class TestQueries:
 
 
 class TestCopy:
-    def test_copy_is_deep(self):
+    def test_copy_is_independent(self):
         g, (a, b, c, s0, s1, m, o) = make_diamond()
         g.add_control_edge(c, s0)
         clone = g.copy()
@@ -190,6 +200,11 @@ class TestCopy:
             assert other.op is node.op
             assert other.operands == node.operands
             assert other.name == node.name
+
+    def test_copy_shares_the_nodes(self):
+        g, _ = make_diamond()
+        clone = g.copy()
+        assert all(clone.node(nid) is g.node(nid) for nid in g.node_ids)
 
     def test_copy_can_extend_without_id_clash(self):
         g, _ = make_diamond()

@@ -5,12 +5,14 @@ removed, clears), copies and pickle round trips are checked against
 adjacency, topological orders, fingerprints, operation lists and entry
 timing frames recomputed here from the node operands and the
 control-edge list alone, and against MUX cones decomposed on a
-memo-free clone.  Copies share the data-level memo, so a node added on
-either side of a copy must stay invisible to the other.
+memo-free clone.  Copies share the nodes and the data-level memo, so a
+node added, or a latency set, on either side of a copy must stay
+invisible to the other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -20,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import vender
 from repro.core.cones import compute_cones
-from repro.ir.graph import CDFGError
+from repro.ir.graph import CDFG, CDFGError
 from repro.ir.ops import Op
 from repro.ir.serialize import graph_to_dict
 from repro.sched.timing import critical_path_length, entry_frame
@@ -138,9 +141,19 @@ def _assert_isolated(graph, before, other, added):
     assert_coherent(other)
 
 
+def _set_latency(graph, data):
+    """Set a drawn operation's latency; returns (nid, old latency)."""
+    nid = data.draw(st.sampled_from(
+        [node.nid for node in graph.operations()]))
+    old = graph.node(nid).latency
+    graph.set_latency(nid, data.draw(st.integers(1, 3)))
+    return nid, old
+
+
 _ACTIONS = st.sampled_from(("add_edge", "add_edge", "add_edge", "remove_edge",
                             "clear", "add_node", "copy", "pickle",
-                            "add_node_to_copy", "add_node_after_copy"))
+                            "add_node_to_copy", "add_node_after_copy",
+                            "set_latency", "set_latency_on_copy"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,6 +189,13 @@ def test_memo_matches_recomputation_after_any_mutation(graph, data):
             _assert_isolated(clone, before, graph,
                              _add_dead_node(graph, data))
             graph = clone
+        elif action == "set_latency":
+            _set_latency(graph, data)
+        elif action == "set_latency_on_copy":
+            clone = graph.copy()
+            nid, old = _set_latency(clone, data)
+            assert graph.node(nid).latency == old
+            assert_coherent(clone)
         elif action == "copy":
             graph = graph.copy()
         elif action == "pickle":
@@ -236,3 +256,25 @@ def test_public_adjacency_is_a_fresh_list(gcd_graph):
     gcd_graph.topological_order().clear()
     assert -1 not in gcd_graph.preds(nid)
     assert_coherent(gcd_graph)
+
+
+def test_set_latency_refreshes_the_fingerprint_and_timing():
+    graph = vender()
+    fingerprint = graph.fingerprint()
+    cp = critical_path_length(graph)
+    for node in graph.operations():
+        if node.op is Op.MUL:
+            graph.set_latency(node.nid, 3)
+    # Built with those latencies from the start, node by node.
+    fresh = CDFG(graph.name)
+    for node in vender():
+        fresh.add_node(node.op, node.operands, name=node.name,
+                       value=node.value,
+                       latency=3 if node.op is Op.MUL else node.latency)
+    assert graph.fingerprint() != fingerprint
+    assert graph.fingerprint() == fresh.fingerprint()
+    assert critical_path_length(graph) != cp
+    assert critical_path_length(graph) == critical_path_length(fresh)
+    mul = next(node for node in graph if node.op is Op.MUL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mul.latency = 3

@@ -1,5 +1,7 @@
 """Node helpers and DOT export."""
 
+import dataclasses
+
 import pytest
 
 from repro.ir.dot import to_dot
@@ -40,6 +42,12 @@ class TestNode:
     def test_latency_override(self):
         n = Node(nid=0, op=Op.MUL, operands=[0, 0], latency=2)
         assert n.latency == 2
+
+    def test_node_is_frozen_with_tuple_operands(self):
+        n = Node(nid=0, op=Op.MUL, operands=[0, 0])
+        assert n.operands == (0, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            n.latency = 3
 
 
 class TestDot:

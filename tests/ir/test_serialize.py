@@ -31,7 +31,7 @@ def test_control_edges_survive():
 def test_custom_latency_preserved():
     graph = build("vender")
     mul = next(n for n in graph if n.name == "p2")
-    mul.latency = 3
+    graph.set_latency(mul.nid, 3)
     restored = loads(dumps(graph))
     restored_mul = next(n for n in restored if n.name == "p2")
     assert restored_mul.latency == 3

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.circuits import build
+from repro.pipeline import store as store_module
 from repro.pipeline import (
     ArtifactCache,
     FlowConfig,
@@ -121,6 +122,17 @@ class TestPersistence:
         ctx = Pipeline(cache=store).run_context(build("gcd"),
                                                 FlowConfig(n_steps=7))
         assert ctx.cache_hits == list(CACHEABLE)
+
+    def test_a_row_of_format_1_is_a_miss(self, store, monkeypatch):
+        """Format-1 rows pickled graphs of mutable nodes with list
+        operands; their digests are never looked up again."""
+        key = ("power_manage", graph_fingerprint(build("gcd")), ())
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "STORE_FORMAT", 1)
+            store.store(key, {"v": 1})
+        assert len(store) == 1
+        assert key not in store
+        assert store.lookup(key) is None
 
     def test_digest_is_stable_across_processes(self):
         # sha256 over the key repr — not Python's salted hash().

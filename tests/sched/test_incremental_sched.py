@@ -89,7 +89,7 @@ def test_list_schedule_matches_the_rescan_oracle(graph, slack, managed,
     if multicycle:
         for node in graph.operations():
             if node.op is Op.MUL:
-                node.latency = 2
+                graph.set_latency(node.nid, 2)
     n_steps = critical_path_length(graph) + slack
     if managed:
         graph = apply_power_management(graph, n_steps).graph

@@ -44,7 +44,7 @@ class TestResourceMII:
         graph = two_muls_graph()
         for node in graph.operations():
             if node.op is Op.MUL:
-                node.latency = 2
+                graph.set_latency(node.nid, 2)
         # 2 muls x 2 cycles on one unit: II >= 4.
         assert resource_mii(graph, Allocation(
             {ResourceClass.MUL: 1, ResourceClass.ADD: 1})) == 4
@@ -89,7 +89,7 @@ class TestModuloReservationTable:
         graph = two_muls_graph()
         for node in graph.operations():
             if node.op is Op.MUL:
-                node.latency = 2
+                graph.set_latency(node.nid, 2)
         tight = Allocation({ResourceClass.MUL: 1, ResourceClass.ADD: 1})
         with pytest.raises(ModuloSchedulingError) as err:
             modulo_schedule(graph, 8, tight, 2)
@@ -103,7 +103,7 @@ class TestModuloReservationTable:
         graph = two_muls_graph()
         for node in graph.operations():
             if node.op is Op.MUL:
-                node.latency = 3
+                graph.set_latency(node.nid, 3)
         with pytest.raises(ModuloSchedulingError) as err:
             modulo_schedule(graph, 9, Allocation(
                 {ResourceClass.MUL: 1, ResourceClass.ADD: 1}), 2)
@@ -131,7 +131,7 @@ class TestResourceUsageModuloWrap:
         by_name = {n.name: n.nid for n in graph.operations()}
         for node in graph.operations():
             if node.op is Op.MUL:
-                node.latency = 2
+                graph.set_latency(node.nid, 2)
         start = {by_name["p"]: starts[0], by_name["q"]: starts[1],
                  by_name["s"]: 4}
         for node in graph:

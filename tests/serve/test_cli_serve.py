@@ -40,12 +40,12 @@ class TestSubmit:
         assert "best" in out and "best score" in out
 
     def test_submit_without_watch_returns_immediately(self, served,
-                                                      capsys):
+                                                      capsys, serve_client):
         assert submit(served, "explore", "gcd", "--budgets", "6") == 0
         out = capsys.readouterr().out
         assert "job j-" in out
         job_id = out.split()[1]
-        ServeClient(port=served.port).wait(job_id, timeout=120)
+        serve_client(served.port).wait(job_id, timeout=120)
 
     def test_optimize_needs_exactly_one_circuit(self, served):
         with pytest.raises(SystemExit, match="exactly one"):
@@ -113,7 +113,8 @@ class TestClientLifetime:
 
 
 class TestServeCommand:
-    def test_serve_runs_until_shutdown(self, tmp_path, capsys):
+    def test_serve_runs_until_shutdown(self, tmp_path, capsys,
+                                      serve_client):
         status: dict[str, int] = {}
 
         def run() -> None:
@@ -137,7 +138,7 @@ class TestServeCommand:
             else:
                 time.sleep(0.05)
         assert port is not None, "serve never printed its address"
-        client = ServeClient(port=port)
+        client = serve_client(port)
         assert client.health()["ok"] is True
         client.shutdown()
         thread.join(timeout=30)

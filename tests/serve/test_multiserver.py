@@ -208,16 +208,16 @@ class TestLeaseStore:
 
 
 class TestMultiServerRecovery:
-    def test_two_servers_drain_one_queue(self, tmp_path):
+    def test_two_servers_drain_one_queue(self, tmp_path, serve_client):
         state = tmp_path / "state"
         a = start_in_thread(state, workers=1, lease_s=5.0)
         b = start_in_thread(state, workers=1, lease_s=5.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             jobs = [client.submit("explore", circuits=["gcd"],
                                   budgets=[budget])["id"]
                     for budget in (5, 6, 7, 8)]
-            peer = ServeClient(port=b.port)
+            peer = serve_client(b.port)
             finals = [peer.wait(job_id, timeout=180) for job_id in jobs]
             assert all(f["state"] == "done" for f in finals)
             assert all(f["result"]["points"] == 1 for f in finals)
@@ -229,7 +229,7 @@ class TestMultiServerRecovery:
             b.stop()
 
     def test_kill_one_server_survivor_recovers_without_recompute(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, serve_client):
         state = tmp_path / "state"
         # Gate the pool: one point runs, the other 8 wait until the
         # victim is dead, so the kill provably lands mid-job.  Without
@@ -240,7 +240,7 @@ class TestMultiServerRecovery:
         a = start_in_thread(state, workers=2, lease_s=2.0)
         b = start_in_thread(state, workers=2, lease_s=2.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             params = {"circuits": ["gcd", "dealer", "vender"],
                       "budgets": [5, 6, 7]}
             job = client.submit("explore", **params)
@@ -255,7 +255,7 @@ class TestMultiServerRecovery:
                                 if row.server_id == a.server.server_id
                                 else (b, a))
             # Let the one ungated point land, then kill the owner.
-            owner = ServeClient(port=victim.port)
+            owner = serve_client(victim.port)
             for event in owner.stream(job["id"], timeout=120):
                 if event["type"] == "point" and not event.get("resumed"):
                     break
@@ -267,7 +267,7 @@ class TestMultiServerRecovery:
                 banked = sum(1 for _ in handle) - 1  # minus meta line
             assert banked >= 1
 
-            peer = ServeClient(port=survivor.port)
+            peer = serve_client(survivor.port)
             final = peer.wait(job["id"], timeout=180)
             assert final["state"] == "done"
             assert final["result"]["points"] == 9
@@ -282,7 +282,8 @@ class TestMultiServerRecovery:
             a.stop()
             b.stop()
 
-    def test_restart_with_same_server_id_recovers_own_jobs(self, tmp_path):
+    def test_restart_with_same_server_id_recovers_own_jobs(
+            self, tmp_path, serve_client):
         state = tmp_path / "state"
         # Long lease: recovery must come from the restart itself —
         # start() re-queues rows stamped with its own id — because
@@ -290,7 +291,7 @@ class TestMultiServerRecovery:
         a = start_in_thread(state, workers=1, lease_s=300.0,
                             server_id="box-1")
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             job = client.submit("explore", circuits=["gcd", "dealer"],
                                 budgets=[5, 6, 7])
             for event in client.stream(job["id"], timeout=120):
@@ -302,7 +303,7 @@ class TestMultiServerRecovery:
         b = start_in_thread(state, workers=1, lease_s=300.0,
                             server_id="box-1")
         try:
-            final = ServeClient(port=b.port).wait(job["id"], timeout=180)
+            final = serve_client(b.port).wait(job["id"], timeout=180)
             assert final["state"] == "done"
             assert final["result"]["points"] == 6
             assert final["resumed"] >= 1  # journaled points replayed
@@ -310,12 +311,12 @@ class TestMultiServerRecovery:
             b.stop()
 
     def test_deposed_server_stream_falls_back_instead_of_hanging(
-            self, tmp_path):
+            self, tmp_path, serve_client):
         state = tmp_path / "state"
         a = start_in_thread(state, workers=1, lease_s=1.0)
         thief = LeaseStore(state / "queue.sqlite", lease_s=60.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             job = client.submit("explore",
                                 circuits=["gcd", "dealer", "vender"],
                                 budgets=[5, 6, 7])
@@ -341,11 +342,12 @@ class TestMultiServerRecovery:
             thief.close()
             a.stop()
 
-    def test_graceful_stop_releases_leases_immediately(self, tmp_path):
+    def test_graceful_stop_releases_leases_immediately(
+            self, tmp_path, serve_client):
         state = tmp_path / "state"
         # Long lease: a released job must NOT wait out the lease.
         a = start_in_thread(state, workers=1, lease_s=120.0)
-        client = ServeClient(port=a.port)
+        client = serve_client(a.port)
         job = client.submit("explore", circuits=["gcd", "dealer"],
                             budgets=[5, 6, 7])
         for event in client.stream(job["id"], timeout=120):
@@ -354,7 +356,7 @@ class TestMultiServerRecovery:
         a.stop()
         b = start_in_thread(state, workers=1, lease_s=120.0)
         try:
-            final = ServeClient(port=b.port).wait(job["id"], timeout=180)
+            final = serve_client(b.port).wait(job["id"], timeout=180)
             assert final["state"] == "done"
             assert final["result"]["points"] == 6
         finally:
@@ -363,10 +365,10 @@ class TestMultiServerRecovery:
 
 class TestServerSentEvents:
     def test_sse_matches_feed_snapshot_and_resumes_by_last_event_id(
-            self, tmp_path):
+            self, tmp_path, serve_client):
         handle = start_in_thread(tmp_path / "state", workers=2)
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             job = client.submit("explore", **EXPLORE)
             events = list(client.stream(job["id"], timeout=120))
             kinds = [e["type"] for e in events]
@@ -387,12 +389,13 @@ class TestServerSentEvents:
         finally:
             handle.stop()
 
-    def test_sse_streams_remote_jobs_as_state_transitions(self, tmp_path):
+    def test_sse_streams_remote_jobs_as_state_transitions(
+            self, tmp_path, serve_client):
         state = tmp_path / "state"
         a = start_in_thread(state, workers=1, lease_s=5.0)
         b = start_in_thread(state, workers=1, lease_s=5.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             job = client.submit("explore", **EXPLORE)
             # Follow from whichever server does NOT own the job.
             row = None
@@ -401,8 +404,8 @@ class TestServerSentEvents:
                 if row.server_id is not None or row.terminal:
                     break
                 time.sleep(0.05)
-            follower = ServeClient(
-                port=b.port if row.server_id == a.server.server_id
+            follower = serve_client(
+                b.port if row.server_id == a.server.server_id
                 else a.port)
             events = list(follower.stream(job["id"], timeout=120))
             states = [e["state"] for e in events if e["type"] == "state"]
@@ -411,7 +414,8 @@ class TestServerSentEvents:
             a.stop()
             b.stop()
 
-    def test_follower_of_a_queued_job_sees_its_claim_at_once(self, tmp_path):
+    def test_follower_of_a_queued_job_sees_its_claim_at_once(
+            self, tmp_path, serve_client):
         """A stream attached while its job is queued switches to the live
         feed when this server claims the job, not one claim poll later.
         The poll is stretched to 30 s and the claim loop woken by hand, so
@@ -435,7 +439,7 @@ class TestServerSentEvents:
 
         queue.claim = gated_claim
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             job = client.submit("explore", **EXPLORE)
             seen = {}
             for event in client.stream(job["id"], timeout=120):
@@ -452,11 +456,11 @@ class TestServerSentEvents:
             handle.stop()
 
     def test_event_ring_overflow_surfaces_as_gap(self, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, serve_client):
         monkeypatch.setattr(jobs_module, "MAX_EVENTS", 2)  # tiny ring
         handle = start_in_thread(tmp_path / "state", workers=1)
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             job = client.submit("explore", circuits=["gcd"],
                                 budgets=[5, 6, 7])
             client.wait(job["id"], timeout=120)
@@ -561,8 +565,8 @@ class TestHTTPHardening:
                    b"Content-Length: 999999999\r\n\r\n")
         assert b"413" in raw.split(b"\r\n", 1)[0]
 
-    def test_chunk_size_validation(self, served):
-        client = ServeClient(port=served.port)
+    def test_chunk_size_validation(self, served, serve_client):
+        client = serve_client(served.port)
         for bad in (0, -3, "2", True):
             with pytest.raises(ServeError) as err:
                 client.submit("explore", circuits=["gcd"], budgets=[6],
@@ -663,10 +667,10 @@ class TestClaimAhead:
         return first, waiting
 
     def test_next_job_runs_before_the_last_task_ends(self, tmp_path,
-                                                     gate):
+                                                     gate, serve_client):
         a = start_in_thread(tmp_path / "state", workers=1, lease_s=5.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             first, waiting = self._waiting_behind_held_chunk(client)
             snapshot = client.job(waiting["id"])
             assert snapshot["state"] == "running"
@@ -681,17 +685,17 @@ class TestClaimAhead:
             a.stop()
         alone = start_in_thread(tmp_path / "alone", workers=1)
         try:
-            client = ServeClient(port=alone.port)
+            client = serve_client(alone.port)
             job = client.submit("explore", **self.NEXT)
             assert client.wait(job["id"], timeout=120)["state"] == "done"
             assert together == _points(client, job["id"])
         finally:
             alone.stop()
 
-    def test_stats_count_the_live_records(self, tmp_path, gate):
+    def test_stats_count_the_live_records(self, tmp_path, gate, serve_client):
         a = start_in_thread(tmp_path / "state", workers=1, lease_s=5.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             first, waiting = self._waiting_behind_held_chunk(client)
             assert client.stats()["active"] == 2
             gate.open()
@@ -702,13 +706,13 @@ class TestClaimAhead:
             a.stop()
 
     def test_server_with_waiting_tasks_leaves_new_jobs_to_its_peer(
-            self, tmp_path, gate):
+            self, tmp_path, gate, serve_client):
         (tmp_path / "gate.first").touch()  # hold every chunk
         state = tmp_path / "state"
         x = start_in_thread(state, workers=1, lease_s=1.0)
         y = None
         try:
-            cx = ServeClient(port=x.port)
+            cx = serve_client(x.port)
             held = cx.submit("explore", circuits=["gcd"], budgets=[5, 6, 7])
             _until(lambda: cx.stats()["pool_tasks"] == 3)
             y = start_in_thread(state, workers=1, lease_s=1.0)
@@ -727,10 +731,11 @@ class TestClaimAhead:
             if y is not None:
                 y.stop()
 
-    def test_cancelling_a_job_that_waits_for_a_worker(self, tmp_path, gate):
+    def test_cancelling_a_job_that_waits_for_a_worker(
+            self, tmp_path, gate, serve_client):
         a = start_in_thread(tmp_path / "state", workers=1, lease_s=1.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             first, waiting = self._waiting_behind_held_chunk(client)
             client.cancel(waiting["id"])
             # The gate is still shut: the cancel lands while the job's
@@ -749,14 +754,14 @@ class TestClaimAhead:
         finally:
             a.stop()
 
-    def test_graceful_stop_requeues_running_and_waiting_jobs(self, tmp_path,
-                                                             gate):
+    def test_graceful_stop_requeues_running_and_waiting_jobs(
+            self, tmp_path, gate, serve_client):
         state = tmp_path / "state"
         # Long lease: only the release on stop can requeue the jobs.
         a = start_in_thread(state, workers=1, lease_s=120.0)
         try:
             first, waiting = self._waiting_behind_held_chunk(
-                ServeClient(port=a.port))
+                serve_client(a.port))
         finally:
             a.stop()
         queue = LeaseStore(state / "queue.sqlite", lease_s=120.0)
@@ -767,10 +772,10 @@ class TestClaimAhead:
         finally:
             queue.close()
 
-    def test_pool_task_count_returns_to_zero(self, tmp_path):
+    def test_pool_task_count_returns_to_zero(self, tmp_path, serve_client):
         a = start_in_thread(tmp_path / "state", workers=1, lease_s=1.0)
         try:
-            client = ServeClient(port=a.port)
+            client = serve_client(a.port)
             cancelled = client.submit("explore", circuits=["gcd"],
                                       budgets=[5, 6, 7, 8, 9])
             for event in client.stream(cancelled["id"], timeout=120):
@@ -804,7 +809,8 @@ class TestJobRecords:
     """A server keeps one record per claimed job; the queue row is the
     job's only lifecycle state."""
 
-    def test_cancel_before_the_first_step_ends_the_row(self, tmp_path):
+    def test_cancel_before_the_first_step_ends_the_row(
+            self, tmp_path, serve_client):
         """A cancel that lands between the claim and the job's first step
         still ends the row ``cancelled``: the run sees the flag and makes
         the one terminal write, instead of leaving the row ``running``
@@ -822,7 +828,7 @@ class TestJobRecords:
 
         server._run_job = cancel_then_run
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             job = client.submit("explore", **PARAMS)
             assert client.wait(job["id"], timeout=10)["state"] == "cancelled"
             assert "running" not in client.health()["jobs"]
@@ -833,12 +839,12 @@ class TestJobRecords:
             handle.stop()
 
     def test_finished_records_are_bounded_and_age_out_as_a_gap(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, serve_client):
         monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", 2)
         handle = start_in_thread(tmp_path / "state", workers=1)
         records = handle.server._jobs
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             ids = []
             for budget in (5, 6, 7, 8):
                 job = client.submit("explore", circuits=["gcd"],

@@ -26,6 +26,7 @@ def served(tmp_path_factory):
     handle = start_in_thread(state, workers=2)
     client = ServeClient(port=handle.port)
     yield state, handle, client
+    client.close()
     handle.stop()
 
 
@@ -162,12 +163,13 @@ class TestAPI:
         assert all(path.name.startswith("index.db")
                    for path in (state / "store").rglob("*"))
 
-    def test_stats_count_the_pool_workers_store_lookups(self, tmp_path):
+    def test_stats_count_the_pool_workers_store_lookups(
+            self, tmp_path, serve_client):
         """Only pool workers look the store up; /stats must still
         report their hits and misses."""
         handle = start_in_thread(tmp_path / "state", workers=1)
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             jobs = [client.wait(client.submit(
                 "explore", circuits=["gcd"], budgets=[7],
                 label=label)["id"], timeout=120)["result"]
@@ -179,11 +181,11 @@ class TestAPI:
         finally:
             handle.stop()
 
-    def test_stats_report_the_workers_evictions(self, tmp_path):
+    def test_stats_report_the_workers_evictions(self, tmp_path, serve_client):
         handle = start_in_thread(tmp_path / "state", workers=1,
                                  max_store_entries=4)
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             client.wait(client.submit("explore", **EXPLORE)["id"],
                         timeout=120)
             store = client.stats()["store"]
@@ -212,6 +214,8 @@ class TestConcurrentClients:
                     results[slot] = client.wait(job["id"], timeout=180)
                 except Exception as error:  # noqa: BLE001 - collected
                     errors.append(error)
+                finally:
+                    client.close()
 
             threads = [threading.Thread(target=run_client,
                                         args=(slot, kind, params))
@@ -263,12 +267,13 @@ class TestConcurrentClients:
 
 
 class TestCrashRecovery:
-    def test_kill_and_restart_resumes_without_recompute(self, tmp_path):
+    def test_kill_and_restart_resumes_without_recompute(
+            self, tmp_path, serve_client):
         state = tmp_path / "state"
         # Short lease: the kill leaves the row leased to a dead server,
         # and the restart can only re-claim it once that lease expires.
         handle = start_in_thread(state, workers=2, lease_s=2.0)
-        client = ServeClient(port=handle.port)
+        client = serve_client(handle.port)
         params = {"circuits": ["gcd", "dealer", "vender"],
                   "budgets": [5, 6, 7]}
         job = client.submit("explore", **params)
@@ -284,7 +289,7 @@ class TestCrashRecovery:
 
         restarted = start_in_thread(state, workers=2, lease_s=2.0)
         try:
-            client = ServeClient(port=restarted.port)
+            client = serve_client(restarted.port)
             revived = client.job(job["id"])  # same id, re-queued
             assert revived["state"] in ("queued", "running", "done")
             final = client.wait(job["id"], timeout=180)
@@ -294,10 +299,10 @@ class TestCrashRecovery:
         finally:
             restarted.stop()
 
-    def test_restart_with_clean_state_is_empty(self, tmp_path):
+    def test_restart_with_clean_state_is_empty(self, tmp_path, serve_client):
         handle = start_in_thread(tmp_path / "state", workers=1)
         try:
-            assert ServeClient(port=handle.port).jobs() == []
+            assert serve_client(handle.port).jobs() == []
         finally:
             handle.stop()
 
@@ -323,10 +328,10 @@ class TestShutdown:
 
 
 class TestCancellation:
-    def test_cancel_running_explore(self, tmp_path):
+    def test_cancel_running_explore(self, tmp_path, serve_client):
         handle = start_in_thread(tmp_path / "state", workers=1)
         try:
-            client = ServeClient(port=handle.port)
+            client = serve_client(handle.port)
             job = client.submit("explore",
                                 circuits=["gcd", "dealer", "vender"],
                                 budgets=[5, 6, 7, 8])

@@ -71,7 +71,7 @@ class TestRegisteredCircuits:
         graph = vender()
         for node in graph.operations():
             if node.op is Op.MUL:
-                node.latency = 2
+                graph.set_latency(node.nid, 2)
         cp = critical_path_length(graph)
         pair = run_pair(graph, FlowConfig(n_steps=cp + 1))
         vectors = random_vectors(graph, 24)

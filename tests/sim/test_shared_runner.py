@@ -65,7 +65,7 @@ def multicycle_graph():
     graph = vender()
     for node in graph.operations():
         if node.op is Op.MUL:
-            node.latency = 2
+            graph.set_latency(node.nid, 2)
     return graph
 
 
