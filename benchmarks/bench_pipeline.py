@@ -102,7 +102,7 @@ def recount_mrt(schedule, allocation) -> str | None:
 def check_function(graph, design, n_vectors: int, seed: int) -> str | None:
     """Backends vs the reference model; None when bit-identical."""
     vectors = random_vectors(graph, n_vectors, seed=seed)
-    expected = [evaluate(graph, v, width=design.width) for v in vectors]
+    expected = evaluate(graph, vectors, width=design.width)
     outs, _ = CompiledEngine(design).run_many(vectors)
     if outs != expected:
         return "compiled backend diverged from the reference"

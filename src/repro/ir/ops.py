@@ -11,6 +11,7 @@ operations.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 
@@ -151,6 +152,9 @@ class OpSemantics:
 
     width: int = 8
 
+    def __post_init__(self) -> None:
+        check_width(self.width)
+
     @property
     def mask(self) -> int:
         return (1 << self.width) - 1
@@ -200,3 +204,51 @@ class OpSemantics:
         if op is Op.PASS or op is Op.OUTPUT:
             return operands[0]
         raise ValueError(f"cannot evaluate {op!r}")
+
+    def evaluate_column(self, op: Op,
+                        columns: Sequence[Sequence[int]]) -> list[int]:
+        """:meth:`evaluate` row by row over operand ``columns`` (one
+        sequence per operand, one entry per row), in one call."""
+        kernel = _COLUMN_KERNELS.get(op)
+        if kernel is None:
+            raise ValueError(f"cannot evaluate {op!r}")
+        half = 1 << (self.width - 1)
+        return kernel(half, 2 * half - 1, *columns)
+
+
+def check_width(width: object) -> None:
+    """Reject a datapath width that is not an ``int`` of at least 1 bit."""
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise ValueError(
+            f"width must be an int of at least 1 bit (got {width!r})")
+
+
+# One list comprehension per op for :meth:`OpSemantics.evaluate_column`.
+# Each takes ``half`` (2**(w-1)) and ``mask`` (2**w - 1), then the operand
+# columns; ``((v + half) & mask) - half`` is ``OpSemantics.wrap(v)``.
+_COLUMN_KERNELS: dict[Op, Callable[..., list[int]]] = {
+    Op.ADD: lambda h, m, x, y: [((a + b + h) & m) - h for a, b in zip(x, y)],
+    Op.SUB: lambda h, m, x, y: [((a - b + h) & m) - h for a, b in zip(x, y)],
+    Op.MUL: lambda h, m, x, y: [((a * b + h) & m) - h for a, b in zip(x, y)],
+    Op.GT: lambda h, m, x, y: [int(a > b) for a, b in zip(x, y)],
+    Op.LT: lambda h, m, x, y: [int(a < b) for a, b in zip(x, y)],
+    Op.GE: lambda h, m, x, y: [int(a >= b) for a, b in zip(x, y)],
+    Op.LE: lambda h, m, x, y: [int(a <= b) for a, b in zip(x, y)],
+    Op.EQ: lambda h, m, x, y: [int(a == b) for a, b in zip(x, y)],
+    Op.NE: lambda h, m, x, y: [int(a != b) for a, b in zip(x, y)],
+    Op.MUX: lambda h, m, s, x, y: [
+        b if c else a for c, a, b in zip(s, x, y)],
+    Op.AND: lambda h, m, x, y: [(((a & b) + h) & m) - h
+                                for a, b in zip(x, y)],
+    Op.OR: lambda h, m, x, y: [(((a | b) + h) & m) - h
+                               for a, b in zip(x, y)],
+    Op.XOR: lambda h, m, x, y: [(((a ^ b) + h) & m) - h
+                                for a, b in zip(x, y)],
+    Op.NOT: lambda h, m, x: [((~a + h) & m) - h for a in x],
+    Op.SHL: lambda h, m, x, y: [(((a << b) + h) & m) - h
+                                for a, b in zip(x, y)],
+    Op.SHR: lambda h, m, x, y: [(((a >> b) + h) & m) - h
+                                for a, b in zip(x, y)],
+    Op.PASS: lambda h, m, x: list(x),
+    Op.OUTPUT: lambda h, m, x: list(x),
+}

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from repro.core.pm_pass import PMOptions
+from repro.ir.ops import check_width
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class FlowConfig:
                           (``list``, ``force_directed``, ``exact``, or
                           anything registered via
                           :func:`repro.pipeline.register_scheduler`).
-    width:                datapath bit width.
+    width:                datapath bit width, an ``int`` of at least 1.
     initiation_interval:  pipelined initiation interval.  The ``list``
                           strategy schedules at exactly this II; the
                           ``pipeline`` strategy treats it as an upper
@@ -56,6 +57,9 @@ class FlowConfig:
     mutex_sharing: bool = False
     verify: bool = False
     label: str = field(default="default", compare=False)
+
+    def __post_init__(self) -> None:
+        check_width(self.width)
 
     @property
     def pm_options(self) -> PMOptions:

@@ -22,14 +22,10 @@ def profile_selects(graph: CDFG, vectors: list[dict[str, int]],
     if not vectors:
         raise ValueError("need at least one vector to profile")
     drivers = {m.select_operand for m in graph.muxes()}
-    ones = {d: 0 for d in drivers}
-    for vector in vectors:
-        values = evaluate_all(graph, vector, width=width)
-        for driver in drivers:
-            if values[driver]:
-                ones[driver] += 1
+    columns = evaluate_all(graph, vectors, width=width)
     n = len(vectors)
     return SelectModel(
         default=0.5,
-        per_driver={d: count / n for d, count in ones.items()},
+        per_driver={d: sum(1 for value in columns[d] if value) / n
+                    for d in drivers},
     )

@@ -23,7 +23,6 @@ alike, as ``tests/sim/test_engine_differential.py`` pins.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -529,34 +528,32 @@ def design_fingerprint(design: SynthesizedDesign) -> str:
     guards, controller complexity and datapath width; memoized on the
     design instance (designs are treated as immutable once elaborated).
     Control edges are hashed as a set: the order the PM pass happened to
-    add them in changes no plan.
+    add them in changes no plan.  The hash is over the ``repr`` of one
+    tuple of sorted plain values (ints, strings, tuples), which is stable
+    across processes.
     """
     cached = design.__dict__.get("_sim_fingerprint")
     if cached is not None:
         return cached
-    from repro.ir.serialize import graph_to_dict
-
-    graph = graph_to_dict(design.graph)
-    graph["control_edges"].sort()
-    payload = {
-        "graph": graph,
-        "width": design.width,
-        "n_steps": design.schedule.n_steps,
-        "start": sorted(design.schedule.start.items()),
-        "binding": sorted(
-            (nid, unit.resource.name, unit.index)
-            for nid, unit in design.binding.assignment.items()),
-        "registers": sorted(
-            (nid, reg.index)
-            for nid, reg in design.registers.assignment.items()),
-        "guards": sorted(
-            (nid, guard.never,
-             [(t.driver, t.value) for t in guard.terms])
-            for nid, guard in design.guards.items()),
-        "controller_literals": design.controller.literal_count,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    graph = design.graph
+    payload = (
+        graph.name,
+        sorted((node.nid, node.op.name, node.operands, node.name,
+                node.value, node.latency) for node in graph),
+        sorted(graph.control_edges()),
+        design.width,
+        design.schedule.n_steps,
+        sorted(design.schedule.start.items()),
+        sorted((nid, unit.resource.name, unit.index)
+               for nid, unit in design.binding.assignment.items()),
+        sorted((nid, reg.index)
+               for nid, reg in design.registers.assignment.items()),
+        sorted((nid, guard.never,
+                tuple((t.driver, t.value) for t in guard.terms))
+               for nid, guard in design.guards.items()),
+        design.controller.literal_count,
+    )
+    fingerprint = hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
     design.__dict__["_sim_fingerprint"] = fingerprint
     return fingerprint
 

@@ -1,6 +1,8 @@
 """Operation classification and bit-true evaluation semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir.ops import (
     Op,
@@ -122,3 +124,48 @@ class TestSemantics:
         sem = OpSemantics(width=4)
         assert sem.evaluate(Op.ADD, [7, 1]) == -8
         assert sem.wrap(15) == -1
+
+
+class TestWidth:
+    @pytest.mark.parametrize("width", [0, -2, True, False, 8.0, "8", None])
+    def test_non_positive_or_non_int_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            OpSemantics(width=width)
+
+    def test_one_bit_is_the_narrowest_datapath(self):
+        sem = OpSemantics(width=1)
+        assert (sem.wrap(0), sem.wrap(1), sem.wrap(2)) == (0, -1, 0)
+
+
+#: Wrap at 1 and 8 bits, the sign bit at 16, the widths either side of
+#: the vectorized engine's int64 limit, and a Python-int width past it.
+COLUMN_WIDTHS = (1, 8, 16, 62, 63, 70)
+EVALUATED_OPS = [op for op in Op if op not in (Op.INPUT, Op.CONST)]
+
+
+class TestColumnKernels:
+    """``evaluate_column`` is ``evaluate`` applied row by row."""
+
+    @pytest.mark.parametrize("width", COLUMN_WIDTHS)
+    @pytest.mark.parametrize("op", EVALUATED_OPS, ids=lambda op: op.name)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_column_equals_per_row_evaluate(self, op, width, data):
+        sem = OpSemantics(width=width)
+        rows = data.draw(st.integers(0, 6), label="rows")
+        bound = 1 << (width + 1)  # operands beyond the wrapped range too
+        columns = []
+        for port in range(arity(op)):
+            values = (st.integers(0, width + 2)
+                      if op in (Op.SHL, Op.SHR) and port == 1
+                      else st.integers(-bound, bound))
+            columns.append(data.draw(
+                st.lists(values, min_size=rows, max_size=rows),
+                label=f"port {port}"))
+        expected = [sem.evaluate(op, list(row)) for row in zip(*columns)]
+        assert sem.evaluate_column(op, columns) == expected
+
+    @pytest.mark.parametrize("op", [Op.INPUT, Op.CONST])
+    def test_structural_ops_have_no_kernel(self, op):
+        with pytest.raises(ValueError, match="cannot evaluate"):
+            OpSemantics(width=8).evaluate_column(op, [])

@@ -1,5 +1,7 @@
 """Pipeline construction, stage ordering, introspection, and wiring."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.pipeline import (
@@ -179,3 +181,24 @@ class TestFlowConfig:
     def test_describe_mentions_scheduler(self):
         assert "scheduler='exact'" in \
             FlowConfig(n_steps=3, scheduler="exact").describe()
+
+    @pytest.mark.parametrize("width", [0, -2, True, 8.5, "8", None])
+    def test_width_must_be_a_positive_int(self, width):
+        """A bad width used to construct, synthesize (gcd at width 0 had
+        area 292) and fail later as a bare 'negative shift count'."""
+        with pytest.raises(ValueError, match="width"):
+            FlowConfig(n_steps=7, width=width)
+        with pytest.raises(ValueError, match="width"):
+            replace(FlowConfig(n_steps=7), width=width)
+
+    def test_explore_rejects_a_zero_width_before_running(self):
+        from repro.pipeline import explore
+
+        with pytest.raises(ValueError, match="width"):
+            explore(["gcd"], [7], configs=[FlowConfig(width=0)],
+                    sim_vectors=16)
+
+    def test_one_bit_datapath_synthesizes_and_verifies(self, gcd_graph):
+        result = Pipeline().run(
+            gcd_graph, FlowConfig(n_steps=7, width=1, verify=True))
+        assert result.design.width == 1

@@ -1,9 +1,14 @@
 """Compile-once semantics: plans and runners are cached by fingerprint."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.alloc.fu_binding import FUInstance
+from repro.alloc.register_alloc import Register
 from repro.circuits import build
 from repro.pipeline import FlowConfig, run_pair
+from repro.rtl.guards import Guard, GuardTerm
 from repro.sim.engine import (
     _RUNNER_CACHE,
     CompiledEngine,
@@ -47,6 +52,73 @@ class TestFingerprint:
         pair = run_pair(build("gcd"), FlowConfig(n_steps=7))
         assert design_fingerprint(pair.managed.design) \
             != design_fingerprint(pair.baseline.design)
+
+
+def _perturbed(design):
+    """One copy of ``design`` per field the fingerprint covers, each with
+    that field alone changed, keyed by what was changed."""
+    schedule, binding, registers = (design.schedule, design.binding,
+                                    design.registers)
+    op = next(n.nid for n in design.graph.operations())
+    unit = binding.assignment[op]
+    guarded = next(nid for nid, g in design.guards.items() if g.terms)
+    guard = design.guards[guarded]
+    first, *rest = guard.terms
+    fewer_edges = design.graph.copy()
+    fewer_edges.remove_control_edge(*design.graph.control_edges()[0])
+    return {
+        "start step": replace(design, schedule=replace(
+            schedule, start={**schedule.start,
+                             op: schedule.start[op] + 1})),
+        "unit binding": replace(design, binding=replace(
+            binding, assignment={**binding.assignment, op: FUInstance(
+                unit.resource, unit.index + 1)})),
+        "register": replace(design, registers=replace(
+            registers, assignment={**registers.assignment, op: Register(
+                registers.register_of(op).index + 1)})),
+        "guard term": replace(design, guards={
+            **design.guards, guarded: Guard(
+                terms=(GuardTerm(first.driver, 1 - first.value), *rest),
+                never=guard.never)}),
+        "width": replace(design, width=design.width + 1),
+        "controller literals": replace(design, controller=replace(
+            design.controller,
+            input_loads=design.controller.input_loads + 1)),
+        "control edge": replace(design, schedule=replace(
+            schedule, graph=fewer_edges)),
+    }
+
+
+class TestFingerprintCoverage:
+    """Every field plan compilation reads is in the key, and nothing
+    else: the order control edges were added in is not."""
+
+    def test_each_covered_field_changes_the_key(self):
+        design = run_pair(build("vender"), FlowConfig(n_steps=6)) \
+            .managed.design
+        key = design_fingerprint(design)
+        changed = {field: design_fingerprint(variant)
+                   for field, variant in _perturbed(design).items()}
+        assert sorted(changed) == sorted((
+            "start step", "unit binding", "register", "guard term",
+            "width", "controller literals", "control edge"))
+        for field, variant_key in changed.items():
+            assert variant_key != key, field
+        assert len(set(changed.values())) == len(changed)
+
+    def test_control_edges_are_hashed_as_a_set(self):
+        design = run_pair(build("vender"), FlowConfig(n_steps=6)) \
+            .managed.design
+        edges = design.graph.control_edges()
+        reordered = design.graph.copy()
+        reordered.clear_control_edges()
+        for src, dst in reversed(edges):
+            reordered.add_control_edge(src, dst)
+        assert reordered.control_edges() != edges
+        assert sorted(reordered.control_edges()) == sorted(edges)
+        variant = replace(design, schedule=replace(design.schedule,
+                                                   graph=reordered))
+        assert design_fingerprint(variant) == design_fingerprint(design)
 
 
 class TestCompileOnce:

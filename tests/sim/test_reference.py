@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.circuits import CIRCUITS, build
 from repro.circuits.cordic import ANGLE_TABLE
+from repro.gen import PRESETS
+from repro.ir.ops import Op, OpSemantics
 from repro.sim.reference import evaluate, evaluate_all
+from repro.sim.vectors import random_vectors
 
 
 class TestKnownCircuits:
@@ -84,3 +88,65 @@ class TestEvaluateAll:
 
     def test_angle_table_is_monotone(self):
         assert all(a >= b for a, b in zip(ANGLE_TABLE, ANGLE_TABLE[1:]))
+
+
+def _scalar_values(graph, vector, width):
+    """Every node's value for one vector, node by node through
+    ``OpSemantics.evaluate``: the model's per-row definition."""
+    semantics = OpSemantics(width=width)
+    values = {}
+    for nid in graph.topological_order(include_control=False):
+        node = graph.node(nid)
+        if node.op is Op.INPUT:
+            values[nid] = semantics.wrap(vector[node.name])
+        elif node.op is Op.CONST:
+            values[nid] = semantics.wrap(node.value)
+        else:
+            values[nid] = semantics.evaluate(
+                node.op, [values[p] for p in node.operands])
+    return values
+
+
+BATCH_SPECS = sorted(CIRCUITS) + [f"gen:{preset}:3" for preset in PRESETS]
+
+
+class TestBatch:
+    """A sequence of vectors is evaluated column by column; the result
+    is the per-vector result, vector for vector."""
+
+    @pytest.mark.parametrize("width", [8, 70])
+    @pytest.mark.parametrize("spec", BATCH_SPECS)
+    def test_batch_equals_per_vector(self, spec, width):
+        graph = build(spec)
+        vectors = random_vectors(graph, 12, width=width, seed=5)
+        scalar = [_scalar_values(graph, v, width) for v in vectors]
+
+        singles = [evaluate_all(graph, v, width=width) for v in vectors]
+        assert singles == scalar
+        columns = evaluate_all(graph, vectors, width=width)
+        assert set(columns) == set(graph.node_ids)
+        assert [{nid: column[row] for nid, column in columns.items()}
+                for row in range(len(vectors))] == scalar
+
+        outputs = [{out.name: values[out.nid] for out in graph.outputs()}
+                   for values in scalar]
+        assert [evaluate(graph, v, width=width) for v in vectors] == outputs
+        assert evaluate(graph, vectors, width=width) == outputs
+        assert evaluate(graph, tuple(vectors), width=width) == outputs
+
+    def test_missing_input_in_a_batch_raises_like_one_vector(
+            self, abs_diff_graph):
+        with pytest.raises(KeyError) as single:
+            evaluate(abs_diff_graph, {"a": 1})
+        with pytest.raises(KeyError) as batch:
+            evaluate(abs_diff_graph, [{"a": 1, "b": 2}, {"a": 1}])
+        with pytest.raises(KeyError) as every_node:
+            evaluate_all(abs_diff_graph, [{"a": 1, "b": 2}, {"a": 1}])
+        assert single.value.args == ("missing input 'b'",)
+        assert batch.value.args == single.value.args
+        assert every_node.value.args == single.value.args
+
+    def test_empty_batch(self, gcd_graph):
+        assert evaluate(gcd_graph, []) == []
+        assert evaluate_all(gcd_graph, []) == {
+            nid: [] for nid in gcd_graph.node_ids}
