@@ -29,7 +29,9 @@ Each circuit also gets **calibration rows**: the compiled and vectorized
 backends at 16 and 128 vectors (the verify check and ``sim_power``
 sizes), next to their 4096-vector rows.  Every ``build_s`` is a cold
 build (compile caches cleared, plan compilation included) and every
-``seconds`` one engine call.  ``tests/sim/test_backend_cost.py`` checks
+``seconds`` one engine call.  The compiled calibration rows also carry
+``count_s``: the first ``.activity`` read of a cold engine's batch,
+which builds the count layout and counts the trace.  ``tests/sim/test_backend_cost.py`` checks
 the ``auto`` backend's vector-count rule against these rows.
 
 Every circuit row carries ``identical``: the vectorized backend must
@@ -128,6 +130,15 @@ def _cold_build(engine_class, design):
     return engine_class(design)
 
 
+def _first_count(design, batch) -> float:
+    """Time of the first ``.activity`` read of a cold compiled engine's
+    batch: the count layout's build plus the count itself."""
+    result = _cold_build(CompiledEngine, design).run_batch(batch)
+    start = time.perf_counter()
+    result.activity
+    return time.perf_counter() - start
+
+
 def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
                   repeats: int) -> dict[str, object]:
     graph = _graph(name)
@@ -193,12 +204,16 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     sizes = [n for n in CALIBRATION_VECTORS if n <= n_batch]
     small_calls = {(backend, n): partial(call, n)
                    for n in sizes for backend, call in calls.items()}
+    counts = {n: min(_first_count(design, batch[:n])
+                     for _ in range(5 * repeats)) for n in sizes}
     for (backend, n), seconds in _best_times(small_calls,
                                              5 * repeats).items():
-        rows.append({"backend": backend, "n_vectors": n,
-                     "seconds": seconds,
-                     "per_vector_us": seconds / n * 1e6,
-                     "build_s": builds[backend]})
+        row = {"backend": backend, "n_vectors": n, "seconds": seconds,
+               "per_vector_us": seconds / n * 1e6,
+               "build_s": builds[backend]}
+        if backend == "compiled":
+            row["count_s"] = counts[n]
+        rows.append(row)
     result = {
         "circuit": name,
         "n_steps": steps,

@@ -51,19 +51,20 @@ class Interconnect:
 def build_interconnect(binding: Binding, registers: RegisterFile) -> Interconnect:
     """Collect the distinct sources feeding every bound unit input port."""
     graph = binding.schedule.graph
-    interconnect = Interconnect()
+    ports: dict[tuple[FUInstance, int], dict[SourceRef, PortSource]] = {}
     for nid, unit in binding.assignment.items():
         node = graph.node(nid)
         for port in range(arity(node.op)):
             ref = resolve_source(graph, node.operands[port])
+            sources = ports.setdefault((unit, port), {})
+            if ref in sources:
+                continue
             root = graph.node(ref.root)
             if root.op is Op.CONST:
-                entry = PortSource(source=ref, is_const=True,
-                                   const_value=root.value)
+                sources[ref] = PortSource(source=ref, is_const=True,
+                                          const_value=root.value)
             else:
                 registers.register_of(ref.root)  # must exist
-                entry = PortSource(source=ref, is_const=False)
-            sources = interconnect.sources.setdefault((unit, port), [])
-            if entry not in sources:
-                sources.append(entry)
-    return interconnect
+                sources[ref] = PortSource(source=ref, is_const=False)
+    return Interconnect(sources={key: list(sources.values())
+                                 for key, sources in ports.items()})

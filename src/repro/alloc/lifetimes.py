@@ -33,19 +33,29 @@ class SourceRef:
 
 
 def resolve_source(graph: CDFG, nid: int) -> SourceRef:
-    """Follow wiring nodes down to the registered/structural root."""
-    shifts: list[tuple[Op, int]] = []
-    current = nid
-    while True:
-        node = graph.node(current)
-        if node.op is Op.PASS:
-            current = node.operands[0]
-        elif node.op in (Op.SHL, Op.SHR):
-            amount = graph.node(node.operands[1])
-            shifts.append((node.op, amount.value))
-            current = node.operands[0]
-        else:
-            return SourceRef(root=current, shifts=tuple(reversed(shifts)))
+    """Follow wiring nodes down to the registered/structural root.
+
+    Memoized in the graph's data-level memo: wiring is data structure,
+    so copies share the result and ``add_node``/``set_latency`` drop it.
+    """
+    sources = graph._data().sources
+    ref = sources.get(nid)
+    if ref is None:
+        shifts: list[tuple[Op, int]] = []
+        current = nid
+        while True:
+            node = graph.node(current)
+            if node.op is Op.PASS:
+                current = node.operands[0]
+            elif node.op in (Op.SHL, Op.SHR):
+                amount = graph.node(node.operands[1])
+                shifts.append((node.op, amount.value))
+                current = node.operands[0]
+            else:
+                break
+        ref = sources[nid] = SourceRef(root=current,
+                                       shifts=tuple(reversed(shifts)))
+    return ref
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ schedulers and the power models can query it as often as they like:
 
 * the **data level** (:class:`_DataMemo`) reads only nodes and operands:
   data adjacency, the data-only topological order, the schedulable
-  operation ids and the per-MUX cones of :mod:`repro.core.cones`.  Only
+  operation ids, the per-MUX cones of :mod:`repro.core.cones` and the
+  operand sources of :func:`repro.alloc.lifetimes.resolve_source`.  Only
   ``add_node`` and ``set_latency`` drop it, and :meth:`CDFG.copy` shares
   it, since a copy has the same data structure until one side changes a
   node;
@@ -41,11 +42,13 @@ class CDFGError(Exception):
 class _DataMemo:
     """Analysis of the data edges alone, filled on demand.
 
-    It holds only ids, tuples and frozensets (cones are frozen), never
-    :class:`Node` objects, so every graph sharing it reads its own nodes.
+    It holds only ids, tuples and frozen values (cones, source refs),
+    never :class:`Node` objects, so every graph sharing it reads its own
+    nodes.
     """
 
-    __slots__ = ("data_preds", "data_succs", "order", "operations", "cones")
+    __slots__ = ("data_preds", "data_succs", "order", "operations", "cones",
+                 "sources")
 
     def __init__(self) -> None:
         self.data_preds: dict[int, tuple[int, ...]] = {}
@@ -56,6 +59,8 @@ class _DataMemo:
         self.operations: tuple[int, ...] | None = None
         #: MUX id -> ``repro.core.cones.MuxCones``.
         self.cones: dict[int, object] = {}
+        #: Node id -> ``repro.alloc.lifetimes.SourceRef``.
+        self.sources: dict[int, object] = {}
 
 
 class _ControlMemo:

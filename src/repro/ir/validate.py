@@ -19,7 +19,7 @@ def validate(graph: CDFG) -> None:
         * OUTPUT nodes have no consumers; INPUT/CONST have no operands;
         * at least one OUTPUT exists and every OUTPUT is fed;
         * every non-structural node reaches some OUTPUT (no dead ops);
-        * shift amounts are constant.
+        * shift amounts are non-negative constants.
 
     A pass is memoized on the graph until its next mutation.
     """
@@ -46,6 +46,10 @@ def validate(graph: CDFG) -> None:
                     f"shift node {node.nid} has non-constant amount; "
                     "variable shifts are not zero-latency wiring"
                 )
+            if amount.value < 0:
+                raise CDFGError(
+                    f"shift node {node.nid} has negative amount "
+                    f"{amount.value}")
 
     # Dead-operation check: every schedulable node must reach an output.
     live = graph.live_nodes()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.alloc.fu_binding import Binding, FUInstance
 from repro.alloc.interconnect import Interconnect
-from repro.alloc.lifetimes import resolve_source
+from repro.alloc.lifetimes import SourceRef, resolve_source
 from repro.alloc.register_alloc import RegisterFile
 from repro.rtl.guards import Guard
 
@@ -82,32 +82,37 @@ def build_controller(
     controller = Controller(n_states=schedule.n_steps)
 
     controller.input_loads = len(graph.inputs())
+    # Per steered port, each source's first index in its source list.
+    steering: dict[tuple[FUInstance, int], dict[SourceRef, int]] = {}
+    steers: list[tuple[tuple[int, str, int], SteerSignal]] = []
+    unguarded = Guard()
 
     for nid, unit in sorted(binding.assignment.items()):
         node = graph.node(nid)
-        last_step = schedule.step_of(nid) + node.latency - 1
-        guard = guards.get(nid, Guard())
+        first_step = schedule.step_of(nid)
         controller.loads.append(LoadSignal(
             op=nid,
             register=registers.register_of(nid).index,
-            state=last_step,
-            guard=guard,
+            state=first_step + node.latency - 1,
+            guard=guards.get(nid, unguarded),
         ))
         # Steering selects for every multi-source port the op uses.
-        first_step = schedule.step_of(nid)
         for port in range(len(node.operands)):
             sources = interconnect.port_sources(unit, port)
             if len(sources) <= 1:
                 continue
+            index_of = steering.get((unit, port))
+            if index_of is None:
+                index_of = steering[unit, port] = {}
+                for i, s in enumerate(sources):
+                    index_of.setdefault(s.source, i)
             ref = resolve_source(graph, node.operands[port])
-            index = next(
-                i for i, s in enumerate(sources) if s.source == ref
-            )
-            controller.steers.append(SteerSignal(
+            steers.append(((first_step, unit.name, port), SteerSignal(
                 op=nid, unit=unit, port=port, state=first_step,
-                source_index=index,
-            ))
+                source_index=index_of[ref],
+            )))
 
     controller.loads.sort(key=lambda s: (s.state, s.register))
-    controller.steers.sort(key=lambda s: (s.state, s.unit.name, s.port))
+    steers.sort(key=lambda keyed: keyed[0])
+    controller.steers = [steer for _key, steer in steers]
     return controller

@@ -51,18 +51,33 @@ def evaluate_all(graph: CDFG, inputs: Vector | Sequence[Vector],
                 in evaluate_all(graph, [inputs], width).items()}
     semantics = OpSemantics(width=width)
     wrap = semantics.wrap
+    half, mask = 1 << (width - 1), semantics.mask
+    # Enum members as locals: an ``Op.X`` lookup per node costs more
+    # than a small graph's column kernels.
+    INPUT, CONST, SHL, SHR = Op.INPUT, Op.CONST, Op.SHL, Op.SHR
     values: dict[int, list[int]] = {}
     for nid in graph.topological_order(include_control=False):
         node = graph.node(nid)
-        if node.op is Op.INPUT:
+        op = node.op
+        if op is INPUT:
             name = node.name
             try:
                 values[nid] = [wrap(vector[name]) for vector in inputs]
             except KeyError:
                 raise KeyError(f"missing input {name!r}") from None
-        elif node.op is Op.CONST:
+        elif op is CONST:
             values[nid] = [wrap(node.value)] * len(inputs)
+        elif op is SHL:
+            # Wiring: a shift's amount is the constant's raw value, as
+            # the hardware wires it, not a datapath value.
+            amount = graph.node(node.operands[1]).value
+            values[nid] = [(((a << amount) + half) & mask) - half
+                           for a in values[node.operands[0]]]
+        elif op is SHR:
+            amount = graph.node(node.operands[1]).value
+            values[nid] = [(((a >> amount) + half) & mask) - half
+                           for a in values[node.operands[0]]]
         else:
             values[nid] = semantics.evaluate_column(
-                node.op, [values[p] for p in node.operands])
+                op, [values[p] for p in node.operands])
     return values

@@ -77,12 +77,21 @@ from repro.sim.engine import (
     _lru_get,
     _lru_put,
     _make_lru,
-    _masked_ffill,
     _state_names,
     cached_plan,
     design_fingerprint,
 )
 from repro.sim.vectors import vectors_to_array
+
+
+def _masked_ffill(values: np.ndarray, mask: np.ndarray, carry: int,
+                  idx1: np.ndarray) -> np.ndarray:
+    """Solve ``out[i] = mask[i] ? values[i] : out[i-1]`` with ``out[-1] =
+    carry`` — the end-of-pass column of a slot whose writes are all
+    guarded — as pure array code.  ``idx1`` is ``arange(1, n + 1)``."""
+    idx = np.maximum.accumulate(np.where(mask, idx1, 0))
+    gathered = values[np.maximum(idx, 1) - 1]
+    return np.where(idx > 0, gathered, carry)
 
 
 class VectorizationError(Exception):
@@ -301,6 +310,8 @@ class _VectorCodegen:
                 # sign (identical to Python's unbounded >>), and numpy
                 # shifts past the element width are undefined.
                 expr = f"(({expr}) >> {min(amount, self.plan.width - 1)})"
+                if self.plan.width == 1:  # may shift a comparison's 1
+                    expr = self.wrap(expr)
         return expr
 
     def render_source(self, sp: SourcePlan) -> tuple[str, tuple[str, ...]]:

@@ -96,8 +96,9 @@ def _random_dicts(rng: random.Random, names: list[str], width: int,
                   counter: Iterable[int]) -> Iterator[dict[str, int]]:
     lo = -(1 << (width - 1))
     hi = (1 << (width - 1)) - 1
+    randint = rng.randint
     for _ in counter:
-        yield {name: rng.randint(lo, hi) for name in names}
+        yield {name: randint(lo, hi) for name in names}
 
 
 def random_vectors(graph: CDFG, count: int, width: int = 8,

@@ -1,7 +1,12 @@
 """Value lifetimes and wiring resolution."""
 
-from repro.alloc.lifetimes import resolve_source, value_lifetimes
+import pickle
+
+import pytest
+
+from repro.alloc.lifetimes import SourceRef, resolve_source, value_lifetimes
 from repro.ir.builder import GraphBuilder
+from repro.ir.graph import CDFGError
 from repro.ir.ops import Op
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.resources import unbounded_allocation
@@ -25,6 +30,42 @@ class TestResolveSource:
         ref = resolve_source(g, out.operands[0])
         assert g.node(ref.root).op is Op.INPUT
         assert ref.shifts == ((Op.SHR, 1), (Op.SHL, 2))
+
+
+def _shift_chain():
+    b = GraphBuilder("t")
+    a = b.input("a")
+    b.output(b.shl(b.shr(a, 1), 2), "out")
+    g = b.build()
+    return g, g.outputs()[0].operands[0]
+
+
+class TestResolveSourceMemo:
+    """Resolution is memoized in the graph's data-level memo."""
+
+    def test_copy_resolves_identically(self):
+        g, wire = _shift_chain()
+        ref = resolve_source(g, wire)
+        clone = g.copy()
+        assert resolve_source(clone, wire) is ref  # the shared memo
+        assert resolve_source(pickle.loads(pickle.dumps(g)), wire) == ref
+        assert resolve_source(g.copy(), wire).shifts == (
+            (Op.SHR, 1), (Op.SHL, 2))
+
+    def test_mutation_refreshes_the_result(self):
+        g, wire = _shift_chain()
+        ref = resolve_source(g, wire)
+        clone = g.copy()
+        amount = clone.add_node(Op.CONST, value=3)
+        longer = clone.add_node(Op.SHR, [wire, amount])
+        assert resolve_source(clone, longer) == SourceRef(
+            root=ref.root, shifts=ref.shifts + ((Op.SHR, 3),))
+        assert resolve_source(clone, wire) == ref
+        with pytest.raises(CDFGError):  # the original never saw it
+            resolve_source(g, longer)
+        g.set_latency(ref.root, 1)
+        assert resolve_source(g, wire) == ref
+        assert resolve_source(g, wire) is not ref  # recomputed
 
 
 class TestLifetimes:

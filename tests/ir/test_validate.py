@@ -43,6 +43,16 @@ def test_variable_shift_rejected():
         validate(g)
 
 
+def test_negative_shift_amount_rejected():
+    g = CDFG("v")
+    a = g.add_node(Op.INPUT, name="a")
+    k = g.add_node(Op.CONST, value=-1)
+    s = g.add_node(Op.SHL, [a, k], name="s")
+    g.add_node(Op.OUTPUT, [s], name="out")
+    with pytest.raises(CDFGError, match=f"shift node {s} has negative"):
+        validate(g)
+
+
 def test_constant_shift_accepted():
     g = CDFG("v")
     a = g.add_node(Op.INPUT, name="a")

@@ -197,6 +197,28 @@ class TestOneProgram:
         assert rebuilt is not runner
         assert rebuilt.__dict__["layout"] is not layout
 
+    @pytest.mark.parametrize("pm", [True, False])
+    def test_warm_runner_counts_like_fresh_engines(self, pm):
+        """One cached runner and layout counted at 16, 128 and 16
+        vectors gives what engines built from cleared caches give."""
+        from repro.sim.vectors import random_vectors
+
+        design = _design()
+        sizes = (16, 128, 16)
+        batches = [random_vectors(design.graph, n, seed=i)
+                   for i, n in enumerate(sizes)]
+        warm = []
+        for batch in batches:
+            result = CompiledEngine(design,
+                                    power_management=pm).run_batch(batch)
+            warm.append((result.outputs, result.activity))
+        assert len(_RUNNER_CACHE) == 1
+        for batch, (outputs, activity) in zip(batches, warm):
+            clear_compile_caches()
+            fresh = CompiledEngine(design,
+                                   power_management=pm).run_batch(batch)
+            assert (fresh.outputs, fresh.activity) == (outputs, activity)
+
     def test_state_names_registers_latches_and_fu_outputs(self):
         design = _design()
         engine = CompiledEngine(design)

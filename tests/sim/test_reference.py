@@ -6,6 +6,9 @@ from repro.circuits import CIRCUITS, build
 from repro.circuits.cordic import ANGLE_TABLE
 from repro.gen import PRESETS
 from repro.ir.ops import Op, OpSemantics
+from repro.lang import compile_circuit
+from repro.pipeline import FlowConfig, Pipeline
+from repro.sim import RTLSimulator, create_engine
 from repro.sim.reference import evaluate, evaluate_all
 from repro.sim.vectors import random_vectors
 
@@ -101,6 +104,9 @@ def _scalar_values(graph, vector, width):
             values[nid] = semantics.wrap(vector[node.name])
         elif node.op is Op.CONST:
             values[nid] = semantics.wrap(node.value)
+        elif node.op in (Op.SHL, Op.SHR):  # a raw wired amount
+            values[nid] = semantics.evaluate(node.op, [
+                values[node.operands[0]], graph.node(node.operands[1]).value])
         else:
             values[nid] = semantics.evaluate(
                 node.op, [values[p] for p in node.operands])
@@ -150,3 +156,59 @@ class TestBatch:
         assert evaluate(gcd_graph, []) == []
         assert evaluate_all(gcd_graph, []) == {
             nid: [] for nid in gcd_graph.node_ids}
+
+
+class TestShiftAmounts:
+    """A wiring shift's amount is the constant's raw value in the model,
+    the plan and every engine, whatever the datapath width."""
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_narrow_cordic_verifies(self, width):
+        ctx = Pipeline().run_context(
+            build("cordic"), FlowConfig(n_steps=50, width=width, verify=True))
+        assert ctx.get("verified") is True
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_amount_past_the_width_matches_the_engines(self, width):
+        graph = compile_circuit("""
+            circuit wide_shift {
+                input a, b;
+                c = a + b;
+                output up = c << 9;
+                output down = c >> 9;
+                output both = (c >> 1) << 2;
+            }
+        """)
+        vectors = random_vectors(graph, 24, width=width, seed=width)
+        semantics = OpSemantics(width)
+        expected = [{"up": semantics.wrap(c << 9), "down": c >> 9,
+                     "both": semantics.wrap((c >> 1) << 2)}
+                    for c in (semantics.wrap(v["a"] + v["b"])
+                              for v in vectors)]
+        assert evaluate(graph, vectors, width=width) == expected
+        design = Pipeline().run(
+            graph, FlowConfig(n_steps=2, width=width)).design
+        for backend in ("compiled", "vectorized"):
+            engine = create_engine(design, backend=backend)
+            assert engine.run_batch(vectors).outputs == expected, backend
+        assert RTLSimulator(design).run_many(vectors)[0] == expected
+
+    def test_shifted_read_is_one_operand(self):
+        """A left-shifted register read binds as one value inside any
+        operator, ``*`` and ``~`` included."""
+        graph = compile_circuit("""
+            circuit shifted_operand {
+                input a, b;
+                output product = a * (b << 1);
+                output inverse = ~(b << 2);
+                output difference = a - (b << 3);
+                output test = (b << 1) > a;
+            }
+        """)
+        vectors = random_vectors(graph, 40, seed=3)
+        expected = evaluate(graph, vectors)
+        design = Pipeline().run(graph, FlowConfig(n_steps=2)).design
+        for backend in ("compiled", "vectorized"):
+            engine = create_engine(design, backend=backend)
+            assert engine.run_batch(vectors).outputs == expected, backend
+        assert RTLSimulator(design).run_many(vectors)[0] == expected

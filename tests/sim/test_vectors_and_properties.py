@@ -1,5 +1,8 @@
 """Vector generation + the full-flow equivalence property test."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,18 @@ class TestVectors:
         for vec in random_vectors(dealer_graph, 50, width=8):
             for value in vec.values():
                 assert -128 <= value <= 127
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 31, 70])
+    def test_random_vectors_are_randint_draws(self, dealer_graph, width):
+        """Each value is ``Random(seed).randint`` over the signed range,
+        drawn input by input, vector by vector."""
+        rng = random.Random(11)
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        names = [node.name for node in dealer_graph.inputs()]
+        expected = [{name: rng.randint(low, high) for name in names}
+                    for _ in range(30)]
+        assert random_vectors(dealer_graph, 30, width=width,
+                              seed=11) == expected
 
     def test_exhaustive_covers_all(self, abs_diff_graph):
         vectors = exhaustive_vectors(abs_diff_graph, width=3)
